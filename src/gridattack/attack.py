@@ -15,7 +15,7 @@ when the iterative constrained-cut search exhausts without a certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence, Union
 
@@ -63,10 +63,10 @@ class CostModel:
     p_jam_insecure: float
 
     def __post_init__(self):
-        ok = 0 < self.p_jam_insecure <= self.p_jam_secure <= self.p_inject
+        ok = 0 < self.p_jam_insecure <= self.p_jam_secure <= self.p_inject < INFINITY
         if not ok:
             raise InvalidCosts(
-                f"need 0 < p_jam_insecure <= p_jam_secure <= p_inject, got "
+                f"need 0 < p_jam_insecure <= p_jam_secure <= p_inject < inf, got "
                 f"({self.p_inject}, {self.p_jam_secure}, {self.p_jam_insecure})"
             )
 
@@ -190,12 +190,21 @@ def _sweep_min_cut(graph: MeasurementGraph, secure_w: float, insecure_w: float) 
 
     Every cut separating the endpoints of an insecure edge contains that
     edge, and the optimum contains some insecure edge, so the sweep is
-    exact. Returns None when the graph has no insecure edges.
+    exact. When the global minimum cut already holds an insecure edge it
+    is the sweep's answer, reported from the side of the first insecure
+    pair it separates, as that pair's s-t cut would be. Returns None when
+    the graph has no insecure edges.
     """
     pairs = _insecure_pairs(graph)
     if not pairs:
         return None
     solver = CutSolver(WeightedGraph.from_measurement_graph(graph, secure_w, insecure_w))
+    _, cut = solver.global_min_cut()
+    if cut.n_insecure:
+        s = next(s for s, t in pairs if (s in cut.side_a) != (t in cut.side_a))
+        if s not in cut.side_a:
+            cut = replace(cut, side_a=frozenset(graph.nodes) - cut.side_a)
+        return cut
     best: Optional[tuple[int, CutResult]] = None
     for s, t in pairs:
         candidate = solver.min_st_cut(s, t)
@@ -432,7 +441,8 @@ def detectable_generalized(
     Interval I compares the minimum-cardinality secure-minority plan with
     the jam-the-secure-surplus plan; interval II does the same with the
     cheap-jamming weighting; interval III collapses to the hidden
-    generalized structure with a single injection.
+    generalized structure with a single injection. The jam-the-surplus
+    plan needs a secure cut edge, so it is skipped on a graph without one.
     """
     if not graph.insecure_ids:
         return Infeasible("no insecure measurement to inject into")
@@ -445,10 +455,15 @@ def detectable_generalized(
         plan_a = _case_a_unit(AttackType.DETECTABLE_GENERALIZED, graph, cost, beta, gamma)
     else:
         plan_a = _case_a_cheap_jam(AttackType.DETECTABLE_GENERALIZED, graph, cost, beta, gamma)
-    plan_b = _case_b(AttackType.DETECTABLE_GENERALIZED, graph, cost, beta, gamma)
+    if graph.secure_ids:
+        plan_b = _case_b(AttackType.DETECTABLE_GENERALIZED, graph, cost, beta, gamma)
+    else:
+        plan_b = NoSolutionFound(
+            "skipped: no secure measurement, and a secure weak majority needs one"
+        )
     plans = [p for p in (plan_a, plan_b) if isinstance(p, AttackPlan)]
     if not plans:
-        return NoSolutionFound("both constrained sub-problems exhausted")
+        return NoSolutionFound(f"case A: {plan_a.reason}; case B: {plan_b.reason}")
     return min(plans, key=lambda p: p.total_cost)
 
 

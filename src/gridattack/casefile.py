@@ -19,6 +19,7 @@ incidence pattern, so bundled topologies normalize them away.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from dataclasses import dataclass
@@ -95,8 +96,8 @@ def parse_case(text: str, name: str = "case") -> CaseFile:
             _check_bus(name, n_buses, j, line_no)
             if i == j:
                 raise TopologyError(f"{name}: line {line_no}: self-loop on bus {i}")
-            if b <= 0:
-                raise ParseError("susceptance must be positive", line_no, 3)
+            if not 0 < b < math.inf:
+                raise ParseError("susceptance must be positive and finite", line_no, 3)
             lines.append((i, j, b))
         elif section == "measurements":
             if n_buses is None:

@@ -1,6 +1,9 @@
 """Weighted cut engines: s-t min cut, global min cut, exhaustive enumeration.
 
-Parallel edges are merged per node pair inside the flow solver but cuts are
+The s-t cut is a Dinic max-flow; the global cut is Stoer-Wagner (Stoer &
+Wagner, "A simple min-cut algorithm", JACM 1997) with a heap-ordered
+maximum-adjacency search. Both run on the same packed integer capacities.
+Parallel edges are merged per node pair inside the solvers but cuts are
 always reported edge-by-edge. Weights may be +inf, which is absorbing: an
 infinite edge never enters a returned cut while any finite cut exists.
 
@@ -16,6 +19,7 @@ induce connected subgraphs.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -129,7 +133,6 @@ class _Dinic:
 
     def max_flow(self, s: int, t: int) -> int:
         total = 0
-        big = sum(self.cap) + 1
         while True:
             level = [-1] * self.n
             level[s] = 0
@@ -143,28 +146,43 @@ class _Dinic:
                         queue.append(v)
             if level[t] < 0:
                 return total
-            it = [0] * self.n
+            total += self._blocking_flow(s, t, level)
 
-            def dfs(u: int, limit: int) -> int:
-                if u == t:
-                    return limit
-                while it[u] < len(self.adj[u]):
-                    a = self.adj[u][it[u]]
-                    v = self.to[a]
-                    if self.cap[a] > 0 and level[v] == level[u] + 1:
-                        pushed = dfs(v, min(limit, self.cap[a]))
-                        if pushed > 0:
-                            self.cap[a] -= pushed
-                            self.cap[a ^ 1] += pushed
-                            return pushed
-                    it[u] += 1
-                return 0
+    def _blocking_flow(self, s: int, t: int, level: list[int]) -> int:
+        """Augment along the level graph until it is blocked.
 
-            while True:
-                pushed = dfs(s, big)
-                if pushed == 0:
-                    break
+        The search keeps its path on an explicit stack rather than the call
+        stack, so path length is not bounded by the recursion limit.
+        """
+        to, cap, adj = self.to, self.cap, self.adj
+        it = [0] * self.n
+        total = 0
+        path: list[int] = []  # arc ids from s to u
+        u = s
+        while True:
+            if u == t:
+                pushed = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= pushed
+                    cap[a ^ 1] += pushed
                 total += pushed
+                path.clear()
+                u = s
+                continue
+            arcs = adj[u]
+            while it[u] < len(arcs):
+                a = arcs[it[u]]
+                if cap[a] > 0 and level[to[a]] == level[u] + 1:
+                    break
+                it[u] += 1
+            else:
+                if u == s:
+                    return total
+                u = to[path.pop() ^ 1]  # dead end: retire the arc into it
+                it[u] += 1
+                continue
+            path.append(a)
+            u = to[a]
 
     def reachable(self, s: int) -> set[int]:
         seen = {s}
@@ -221,17 +239,57 @@ class CutSolver:
         return value, cut_from_side(self.graph.edges, side)
 
     def global_min_cut(self) -> tuple[int, CutResult]:
-        """Minimum over all proper bipartitions, as a sweep of s-t cuts."""
-        if len(self._nodes) < 2:
+        """Packed value and the unique minimum cut over all proper bipartitions.
+
+        Stoer-Wagner: each phase grows a maximum-adjacency order, takes the
+        cut isolating the last node added, and merges the last two. The
+        reported side contains the first node; on a disconnected graph it is
+        that node's component.
+        """
+        n = len(self._nodes)
+        if n < 2:
             raise ValueError("global min cut needs at least two nodes")
-        anchor = self._nodes[0]
-        best: tuple[int, CutResult] | None = None
-        for t in self._nodes[1:]:
-            candidate = self.min_st_cut(anchor, t)
-            if best is None or candidate[0] < best[0]:
-                best = candidate
+        adj: list[dict[int, int]] = [{} for _ in range(n)]
+        for (a, b), cap in self._pair_caps.items():
+            adj[a][b] = cap
+            adj[b][a] = cap
+        groups: dict[int, list[int]] = {i: [i] for i in range(n)}
+        best: tuple[int, list[int]] | None = None
+        push, pop = heapq.heappush, heapq.heappop
+        while len(groups) > 1:
+            key = [0] * n
+            added = [False] * n
+            heap = [(0, 0)]
+            left = len(groups)
+            prev = last = 0
+            while left:
+                if not heap:  # the first node's component is closed: a cut of weight 0
+                    side = frozenset(self._nodes[i] for i in range(n) if added[i])
+                    return 0, cut_from_side(self.graph.edges, side)
+                v = pop(heap)[1]
+                if added[v]:
+                    continue  # stale entry left by a key increase
+                added[v] = True
+                left -= 1
+                prev, last = last, v
+                for u, cap in adj[v].items():
+                    if not added[u]:
+                        k = key[u] = key[u] + cap
+                        push(heap, (-k, u))
+            if best is None or key[last] < best[0]:
+                best = (key[last], groups[last])
+            # merge the last node into the one before it
+            groups[prev].extend(groups.pop(last))
+            for u, cap in adj[last].items():
+                if u != prev:
+                    adj[prev][u] = adj[prev].get(u, 0) + cap
+                    adj[u][prev] = adj[u].get(prev, 0) + cap
+                del adj[u][last]
         assert best is not None
-        return best
+        value, group = best
+        side_idx = set(group) if 0 in group else set(range(n)) - set(group)
+        side = frozenset(self._nodes[i] for i in side_idx)
+        return value, cut_from_side(self.graph.edges, side)
 
 
 def min_st_cut(g: WeightedGraph, s: int, t: int) -> CutResult:

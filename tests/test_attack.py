@@ -6,6 +6,7 @@ import random
 import pytest
 
 import gridattack as ga
+from gridattack import attack as attack_module
 from gridattack.attack import AttackType
 from conftest import triangle_graph, random_cost, random_system
 
@@ -52,6 +53,18 @@ def test_cost_model_validation():
         ga.CostModel(0.5, 0.8, 0.2)  # jam secure above inject
     with pytest.raises(ga.InvalidCosts):
         ga.CostModel(1.0, 0.5, 0.0)  # costs must be positive
+
+
+@pytest.mark.parametrize("triple", [
+    (math.inf, 1.0, 1.0),
+    (math.inf, math.inf, math.inf),
+    (math.nan, 0.5, 0.25),
+    (1.0, math.nan, 0.25),
+    (1.0, 0.5, math.nan),
+])
+def test_cost_model_rejects_non_finite(triple):
+    with pytest.raises(ga.InvalidCosts):
+        ga.CostModel(*triple)
 
 
 def test_classify_interval_reported_cost_points():
@@ -235,6 +248,68 @@ def test_detectable_generalized_case_b_only():
     jam = plan.cut.n_secure + 1 - plan.cut.n_insecure
     assert len(plan.jammed_secure) == jam == 2
     assert plan.total_cost == pytest.approx(1.0 + 2 * 0.8)
+
+
+def test_detectable_generalized_skips_case_b_without_secure_edges(monkeypatch):
+    g = triangle_graph(secure=(False, False, False))
+    cost = ga.CostModel(1, 0.8, 0.6)
+    want = ga.detectable_generalized(g, cost)
+
+    def case_b(*args):
+        raise AssertionError("case B ran on a graph without secure edges")
+
+    monkeypatch.setattr(attack_module, "_case_b", case_b)
+    assert ga.detectable_generalized(g, cost) == want
+    # without secure edges case A succeeds on the first cut; force a failure
+    # to read the combined reason
+    monkeypatch.setattr(
+        attack_module, "_case_a_unit", lambda *args: ga.NoSolutionFound("forced")
+    )
+    result = ga.detectable_generalized(g, cost)
+    assert isinstance(result, ga.NoSolutionFound)
+    assert result.reason.startswith("case A: forced; case B: skipped")
+    assert "no secure measurement" in result.reason
+
+
+# -- insecure-edge sweep -----------------------------------------------------------
+
+def _pair_sweep(graph, secure_w, insecure_w):
+    """Reference: s-t cut of every insecure pair, first minimum in sorted order."""
+    weighted = ga.WeightedGraph.from_measurement_graph(graph, secure_w, insecure_w)
+    solver = ga.CutSolver(weighted)
+    best = None
+    for s, t in attack_module._insecure_pairs(graph):
+        candidate = solver.min_st_cut(s, t)
+        if best is None or candidate[0] < best[0]:
+            best = candidate
+    return best[1]
+
+
+def test_sweep_min_cut_shortcut_matches_pair_sweep():
+    rng = random.Random(31)
+    # dense secure placements make the global cut all-secure, forcing the pair sweep
+    graphs = [
+        ga.build_graph(random_system(rng, secure_prob=p)) for p in (0.2, 0.5, 0.8) for _ in range(30)
+    ]
+    case = ga.load_case("ieee14")
+    graphs += [
+        ga.build_graph(ga.place_measurements(case, 0.6, f, seed))
+        for f in (0.0, 0.3, 0.5)
+        for seed in range(3)
+    ]
+    shortcut = fallback = 0
+    for g in graphs:
+        if not g.insecure_ids:
+            continue
+        for cost in (BASE_COST, random_cost(rng)):
+            for weights in ((math.inf, 1.0), (cost.p_jam_secure, cost.p_jam_insecure)):
+                assert attack_module._sweep_min_cut(g, *weights) == _pair_sweep(g, *weights)
+                weighted = ga.WeightedGraph.from_measurement_graph(g, *weights)
+                if ga.global_min_cut(weighted).n_insecure:
+                    shortcut += 1
+                else:
+                    fallback += 1
+    assert shortcut >= 100 and fallback >= 25
 
 
 # -- constrained cut search ------------------------------------------------------

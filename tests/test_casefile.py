@@ -60,6 +60,13 @@ def test_disconnected_grid_placement_unobservable():
         ga.place_measurements(case, angle_fraction=0.25, secure_fraction=0.0, seed=0)
 
 
+@pytest.mark.parametrize("susceptance", ["nan", "inf", "-inf", "0", "-1"])
+def test_parse_rejects_non_positive_or_non_finite_susceptance(susceptance):
+    with pytest.raises(ga.ParseError) as err:
+        ga.parse_case(f"buses 2\nlines\n1 2 {susceptance}\n")
+    assert (err.value.line, err.value.column) == (3, 3)
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(ga.ParseError) as err:
         ga.parse_case("buses 2\nlines\n1 2\n1 x\n")

@@ -45,6 +45,16 @@ def test_attack_invalid_costs_exit_64(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("costs", [("inf", "1", "1"), ("1", "nan", ".25")])
+def test_attack_non_finite_costs_exit_64(costs, capsys):
+    pi, pjs, pjsc = costs
+    code = main([
+        "attack", "--type", "hidden-generalized", "--pi", pi, "--pjs", pjs, "--pjsc", pjsc,
+    ])
+    assert code == 64
+    assert "invalid costs" in capsys.readouterr().err
+
+
 def test_attack_unknown_flag_exit_64(capsys):
     with pytest.raises(SystemExit) as err:
         main(["attack", "--nonsense"])
@@ -67,6 +77,17 @@ def test_attack_parse_error_exit_65(tmp_path, capsys):
         "--pi", "1", "--pjs", ".5", "--pjsc", ".25",
     ])
     assert code == 65
+
+
+def test_attack_non_finite_susceptance_exit_65(tmp_path, capsys):
+    bad = tmp_path / "nan.grid"
+    bad.write_text("buses 2\nlines\n1 2 nan\n2 1\n")
+    code = main([
+        "attack", "--case", str(bad), "--type", "hidden-generalized",
+        "--pi", "1", "--pjs", ".5", "--pjsc", ".25",
+    ])
+    assert code == 65
+    assert "susceptance" in capsys.readouterr().err
 
 
 def test_attack_missing_case_exit_65(capsys):

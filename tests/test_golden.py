@@ -1,0 +1,89 @@
+"""Golden outputs: sha256 digests of fixed-seed sweeps and single attacks.
+
+The sweep rows and the designed plans are a pure function of case, flags and
+seed, so any engine change that keeps the answers keeps these digests. The
+sweep CSV does not show which side of the cut a plan reports; the
+``attack --json`` digests cover ``cut_side`` as well.
+
+To retake a digest after an intended change of answers, run the test and
+copy the digest printed in the failure message.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+import gridattack as ga
+from gridattack.attack import AttackType
+from gridattack.cli import main
+from gridattack.experiment import run_sweep, write_csv
+
+SEED = 20250809
+FRACTIONS = [0.0, 0.25, 0.5]
+TRIALS = 3
+
+HI, DI, HG = (
+    AttackType.HIDDEN_INJECTION,
+    AttackType.DETECTABLE_INJECTION,
+    AttackType.HIDDEN_GENERALIZED,
+)
+DG, DJ = AttackType.DETECTABLE_GENERALIZED, AttackType.DETECTABLE_JAMMING
+
+# the three criterion-7 sweeps: (types, cost triple, conditioning type)
+SWEEPS = {
+    "families": ([HI, DI, HG], (1.0, 0.5, 0.25), HI),
+    "interval-I": ([DG, DJ], (1.0, 0.8, 0.6), DJ),
+    "interval-II": ([DG, DJ], (1.0, 0.8, 0.25), DJ),
+}
+
+SWEEP_DIGESTS = {
+    "families": "8f2afef00e20339bf9f7145e82b452695130b6198dba8e2498e21ec1012d2c71",
+    "interval-I": "a71d6aa94cb5f7f03890708eadf8e0d8c9ba3eaf3d9f0e9bff163fb97c7f5e66",
+    "interval-II": "7d2531fa41f02ea0f5df1f343243ea1dec60be38d4d7f039e699ab5975012945",
+}
+
+# one cost triple per interval: I, II, III
+ATTACK_COSTS = [("1", ".8", ".6"), ("1", ".8", ".25"), ("1", ".5", ".25")]
+ATTACK_FRACTIONS = ["0", ".3"]
+
+ATTACK_DIGESTS = {
+    "hidden-injection": "adf7bba7006235700e0bfad155e25fa6e0969e137060de214601e85b5e35c1ff",
+    "detectable-injection": "0a007616a4b3c20de6d0f7e6cc1f805fea806f992d272bbe1368c57f74e0c677",
+    "hidden-jamming": "f36bc90f005def90206b6bcb9b112f29c6805798e3257c659d4da765c7afc52c",
+    "detectable-jamming": "9f3f5bbd069e827276b1342f2a0444bfe5e038ad85fcc25e465931dc1edd2d31",
+    "hidden-generalized": "e1d9f6d6b7509b4411ed8584374407cb248b31d4cdf228cbe01ce42b33c9ebec",
+    "detectable-generalized": "199e5aed1dfa17c43c5ec3568a73c313b7722daa9d554ac3bc40a983a7a4609b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_csv_digest(name, tmp_path):
+    types, costs, condition = SWEEPS[name]
+    rows, _ = run_sweep(
+        ga.load_case("ieee14"), types, ga.CostModel(*costs), FRACTIONS, TRIALS, SEED,
+        angle_fraction=0.6, condition=condition,
+    )
+    path = os.path.join(tmp_path, f"{name}.csv")
+    write_csv(rows, path)
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert digest == SWEEP_DIGESTS[name], f"{name} sweep CSV digest is {digest}"
+
+
+@pytest.mark.parametrize("attack_type", [t.value for t in AttackType])
+def test_attack_json_digest(attack_type, capsys):
+    """Exit code, stdout and stderr of ``attack --json`` over costs and fractions."""
+    h = hashlib.sha256()
+    for pi, pjs, pjsc in ATTACK_COSTS:
+        for fraction in ATTACK_FRACTIONS:
+            argv = [
+                "attack", "--case", "ieee14", "--type", attack_type, "--seed", "7",
+                "--secure-fraction", fraction, "--pi", pi, "--pjs", pjs, "--pjsc", pjsc,
+                "--json",
+            ]
+            code = main(argv)
+            out = capsys.readouterr()
+            h.update(f"{' '.join(argv)}\n{code}\n{out.out}\n{out.err}\n".encode())
+    digest = h.hexdigest()
+    assert digest == ATTACK_DIGESTS[attack_type], f"{attack_type} attack digest is {digest}"

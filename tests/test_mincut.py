@@ -114,11 +114,50 @@ def _min_enumerated(g, separating=None):
     return best
 
 
+def _tie_break_key(g, cut):
+    """Weight (infinite edges first, then 1e-12 quanta), edge count, sorted ids."""
+    by_id = {e.id: e for e in g.edges}
+    weights = [by_id[i].weight for i in cut.edges]
+    finite = sum(round(w * 10**12) for w in weights if not math.isinf(w))
+    return (sum(map(math.isinf, weights)), finite, len(cut.edges), cut.edges)
+
+
 def test_global_min_matches_enumeration():
     rng = random.Random(11)
-    for _ in range(40):
-        g = random_weighted_graph(rng)
-        assert ga.global_min_cut(g).weight == pytest.approx(_min_enumerated(g), abs=1e-12)
+    with_inf = with_parallel = 0
+    for _ in range(60):
+        g = random_weighted_graph(rng, weights=(0.25, 0.5, 0.6, 1.0, math.inf))
+        with_inf += any(math.isinf(e.weight) for e in g.edges)
+        with_parallel += len({(e.u, e.v) for e in g.edges}) < len(g.edges)
+        want = min(ga.enumerate_cuts(g), key=lambda c: _tie_break_key(g, c))
+        got = ga.global_min_cut(g)
+        assert got.edges == want.edges
+        assert got.weight == want.weight
+        # enumeration never puts the first node in its side; the solver always does
+        assert got.side_a == frozenset(g.nodes) - want.side_a
+        assert g.nodes[0] in got.side_a
+    assert with_inf >= 10 and with_parallel >= 10
+
+
+def test_global_min_disconnected_reports_first_component():
+    g = _graph([0, 1, 2, 3], [(0, 0, 1, 1.0), (1, 2, 3, 1.0)])
+    cut = ga.global_min_cut(g)
+    assert cut.edges == () and cut.weight == 0
+    assert cut.side_a == frozenset({0, 1})
+
+
+def test_long_path_lightest_edge():
+    """1,200-node path, distinct weights: both engines cut the lightest edge."""
+    n = 1200
+    weights = [1.0 + ((37 * k + 500) % (n - 1)) / n for k in range(n - 1)]
+    g = _graph(range(n), [(k, k, k + 1, w) for k, w in enumerate(weights)])
+    lightest = min(range(n - 1), key=weights.__getitem__)
+    st = ga.min_st_cut(g, 0, n - 1)
+    assert st.edges == (lightest,)
+    assert st.side_a == frozenset(range(lightest + 1))
+    glob = ga.global_min_cut(g)
+    assert glob.edges == (lightest,)
+    assert glob.side_a == frozenset(range(lightest + 1))
 
 
 def test_st_min_matches_enumeration():
