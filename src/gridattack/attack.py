@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 from .errors import InvalidCosts
 from .grid import REFERENCE_BUS, MeasurementGraph
@@ -142,23 +142,32 @@ def _state_shift(graph: MeasurementGraph, cut: CutResult) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def _assemble(
+def _plan(
     attack_type: AttackType,
     graph: MeasurementGraph,
     cut: CutResult,
-    injected: Sequence[int],
-    jammed_insecure: Sequence[int],
-    jammed_secure: Sequence[int],
     cost: CostModel,
+    k_inject: int,
+    k_jam_insecure: int = 0,
+    k_jam_secure: int = 0,
 ) -> AttackPlan:
-    inj = frozenset(injected)
-    jam_i = frozenset(jammed_insecure)
-    jam_s = frozenset(jammed_secure)
-    members = frozenset(cut.edges)
-    secure = set(graph.secure_ids)
+    """Split a cut into actions by counts, taking edge ids in increasing order.
+
+    Injects the first ``k_inject`` insecure cut edges and jams the next
+    ``k_jam_insecure``; jams the first ``k_jam_secure`` secure cut edges.
+    """
+    by_id = graph.edges_by_id
+    ids = sorted(cut.edges)
+    ins = [i for i in ids if not by_id[i].secure]
+    sec = [i for i in ids if by_id[i].secure]
+    assert k_inject + k_jam_insecure <= len(ins) and k_jam_secure <= len(sec)
+    inj = frozenset(ins[:k_inject])
+    jam_i = frozenset(ins[k_inject : k_inject + k_jam_insecure])
+    jam_s = frozenset(sec[:k_jam_secure])
+    members = frozenset(ids)
     assert inj <= members and jam_i <= members and jam_s <= members
     assert not (inj & (jam_i | jam_s)) and not (jam_i & jam_s)
-    assert not (inj | jam_i) & secure and jam_s <= secure
+    assert not any(by_id[i].secure for i in inj | jam_i) and all(by_id[i].secure for i in jam_s)
     if attack_type.hidden:
         assert inj | jam_i | jam_s == members, "hidden attacks must touch the whole cut"
         assert inj, "hidden attacks inject at least one measurement"
@@ -241,6 +250,7 @@ def constrained_min_cut(
     The returned cut reports its weight under the original weights.
     """
     working = {e.id: e.weight for e in weighted.edges}
+    secure = {e.id: e.secure for e in weighted.edges}
     cap = len(weighted.edges) if max_boosts is None else max_boosts
     boosts = 0
     while True:
@@ -257,15 +267,14 @@ def constrained_min_cut(
             return NoSolutionFound(f"working cut weight {cut.weight} reached gamma {gamma}")
         if boosts >= cap:
             return NoSolutionFound(f"no constrained cut after {boosts} reweighting steps")
-        edge_map = {e.id: e for e in weighted.edges}
         if constraint is CutConstraint.SECURE_MINORITY:
-            candidates = [i for i in cut.edges if edge_map[i].secure]
+            candidates = [i for i in cut.edges if secure[i]]
             step = beta
         elif n_ins == 0:
-            candidates = [i for i in cut.edges if edge_map[i].secure]
+            candidates = [i for i in cut.edges if secure[i]]
             step = INFINITY
         else:
-            candidates = [i for i in cut.edges if not edge_map[i].secure]
+            candidates = [i for i in cut.edges if not secure[i]]
             step = beta
         target = min(candidates, key=lambda i: (working[i], -i))
         working[target] = working[target] + step
@@ -277,7 +286,7 @@ def hidden_injection(graph: MeasurementGraph, cost: CostModel) -> DesignResult:
     cut = _secure_free_min_cut(graph)
     if cut is None:
         return Infeasible("every cut contains a secure measurement")
-    return _assemble(AttackType.HIDDEN_INJECTION, graph, cut, cut.edges, (), (), cost)
+    return _plan(AttackType.HIDDEN_INJECTION, graph, cut, cost, len(cut))
 
 
 def hidden_jamming(graph: MeasurementGraph, cost: CostModel) -> DesignResult:
@@ -285,17 +294,7 @@ def hidden_jamming(graph: MeasurementGraph, cost: CostModel) -> DesignResult:
     cut = _secure_free_min_cut(graph)
     if cut is None:
         return Infeasible("every cut contains a secure measurement")
-    ids = sorted(cut.edges)
-    return _assemble(AttackType.HIDDEN_JAMMING, graph, cut, ids[:1], ids[1:], (), cost)
-
-
-def _plan_jam_all_inject_one(
-    attack_type: AttackType, graph: MeasurementGraph, cut: CutResult, cost: CostModel
-) -> AttackPlan:
-    secure = set(graph.secure_ids)
-    ins = sorted(i for i in cut.edges if i not in secure)
-    sec = sorted(i for i in cut.edges if i in secure)
-    return _assemble(attack_type, graph, cut, ins[:1], ins[1:], sec, cost)
+    return _plan(AttackType.HIDDEN_JAMMING, graph, cut, cost, 1, len(cut) - 1)
 
 
 def hidden_generalized(graph: MeasurementGraph, cost: CostModel) -> DesignResult:
@@ -309,113 +308,74 @@ def hidden_generalized(graph: MeasurementGraph, cost: CostModel) -> DesignResult
     cut = _sweep_min_cut(graph, cost.p_jam_secure, cost.p_jam_insecure)
     if cut is None:
         return Infeasible("no insecure measurement to inject into")
-    return _plan_jam_all_inject_one(AttackType.HIDDEN_GENERALIZED, graph, cut, cost)
-
-
-def _cut_insecure_sorted(graph: MeasurementGraph, cut: CutResult) -> list[int]:
-    secure = set(graph.secure_ids)
-    return sorted(i for i in cut.edges if i not in secure)
-
-
-def _case_a_unit(
-    attack_type: AttackType,
-    graph: MeasurementGraph,
-    cost: CostModel,
-    beta: float,
-    gamma: float,
-) -> Union[AttackPlan, NoSolutionFound]:
-    """Minimum-cardinality secure-minority cut: inject half, jam one if even."""
-    unit = WeightedGraph.from_measurement_graph(graph, 1.0, 1.0)
-    found = constrained_min_cut(unit, CutConstraint.SECURE_MINORITY, beta, gamma)
-    if isinstance(found, NoSolutionFound):
-        return found
-    size = len(found.edges)
-    ins = _cut_insecure_sorted(graph, found)
-    k_inject = (1 + size) // 2
-    k_jam = 1 - size % 2
-    return _assemble(
-        attack_type,
-        graph,
-        found,
-        ins[:k_inject],
-        ins[k_inject : k_inject + k_jam],
-        (),
-        cost,
+    return _plan(
+        AttackType.HIDDEN_GENERALIZED, graph, cut, cost, 1, cut.n_insecure - 1, cut.n_secure
     )
 
 
-def _case_a_cheap_jam(
+def _constrained_plan(
     attack_type: AttackType,
     graph: MeasurementGraph,
     cost: CostModel,
-    beta: float,
-    gamma: float,
+    constraint: CutConstraint,
+    secure_w: float,
+    insecure_w: float,
+    counts: Callable[[CutResult], tuple[int, ...]],
 ) -> Union[AttackPlan, NoSolutionFound]:
-    """Secure-minority cut weighted for cheap insecure jamming.
+    """Constrained cut under the given class weights, split by ``counts(cut)``."""
+    weighted = WeightedGraph.from_measurement_graph(graph, secure_w, insecure_w)
+    found = constrained_min_cut(weighted, constraint)
+    if isinstance(found, NoSolutionFound):
+        return found
+    return _plan(attack_type, graph, found, cost, *counts(found))
 
-    Inject one more insecure edge than there are secure ones; jam every
-    other insecure edge; leave the secure edges as the removal residue.
+
+def _case_a(
+    attack_type: AttackType, graph: MeasurementGraph, cost: CostModel
+) -> Union[AttackPlan, NoSolutionFound]:
+    """Secure-minority cut, leaving the secure edges as the removal residue.
+
+    From half the injection cost upward, the minimum-cardinality cut: inject
+    half, jam one insecure edge if the size is even. Below half, jamming
+    substitutes for injections and the cut is weighted accordingly: inject
+    one more insecure edge than there are secure ones, jam the others.
     """
-    weighted = WeightedGraph.from_measurement_graph(
-        graph, cost.p_inject - cost.p_jam_insecure, cost.p_jam_insecure
+    if cost.p_jam_insecure >= cost.p_inject / 2.0:
+        return _constrained_plan(
+            attack_type, graph, cost, CutConstraint.SECURE_MINORITY, 1.0, 1.0,
+            lambda cut: ((len(cut) + 1) // 2, 1 - len(cut) % 2),
+        )
+    return _constrained_plan(
+        attack_type, graph, cost, CutConstraint.SECURE_MINORITY,
+        cost.p_inject - cost.p_jam_insecure, cost.p_jam_insecure,
+        lambda cut: (cut.n_secure + 1, cut.n_insecure - cut.n_secure - 1),
     )
-    found = constrained_min_cut(weighted, CutConstraint.SECURE_MINORITY, beta, gamma)
-    if isinstance(found, NoSolutionFound):
-        return found
-    ins = _cut_insecure_sorted(graph, found)
-    k_inject = found.n_secure + 1
-    return _assemble(attack_type, graph, found, ins[:k_inject], ins[k_inject:], (), cost)
 
 
-def _case_b(
-    attack_type: AttackType,
-    graph: MeasurementGraph,
-    cost: CostModel,
-    beta: float,
-    gamma: float,
-) -> Union[AttackPlan, NoSolutionFound]:
+def _case_b(graph: MeasurementGraph, cost: CostModel) -> Union[AttackPlan, NoSolutionFound]:
     """Secure-weak-majority cut: jam just enough secure edges for feasibility.
 
     Injects every insecure cut edge and jams secure edges until the
     injected ones form a strict majority of what survives.
     """
-    weighted = WeightedGraph.from_measurement_graph(
-        graph, cost.p_jam_secure, cost.p_inject - cost.p_jam_secure
+    return _constrained_plan(
+        AttackType.DETECTABLE_GENERALIZED, graph, cost, CutConstraint.SECURE_WEAK_MAJORITY,
+        cost.p_jam_secure, cost.p_inject - cost.p_jam_secure,
+        lambda cut: (cut.n_insecure, 0, cut.n_secure + 1 - cut.n_insecure),
     )
-    found = constrained_min_cut(weighted, CutConstraint.SECURE_WEAK_MAJORITY, beta, gamma)
-    if isinstance(found, NoSolutionFound):
-        return found
-    secure = set(graph.secure_ids)
-    ins = _cut_insecure_sorted(graph, found)
-    sec = sorted(i for i in found.edges if i in secure)
-    k_jam_secure = found.n_secure + 1 - found.n_insecure
-    return _assemble(attack_type, graph, found, ins, (), sec[:k_jam_secure], cost)
 
 
-def detectable_injection(
-    graph: MeasurementGraph,
-    cost: CostModel,
-    beta: float = INFINITY,
-    gamma: float = INFINITY,
-) -> DesignResult:
+def detectable_injection(graph: MeasurementGraph, cost: CostModel) -> DesignResult:
     """Inject a strict majority of a minimum secure-minority cut; jam nothing."""
     if not graph.insecure_ids:
         return Infeasible("no insecure measurement to inject into")
-    unit = WeightedGraph.from_measurement_graph(graph, 1.0, 1.0)
-    found = constrained_min_cut(unit, CutConstraint.SECURE_MINORITY, beta, gamma)
-    if isinstance(found, NoSolutionFound):
-        return found
-    k = 1 + len(found.edges) // 2
-    ins = _cut_insecure_sorted(graph, found)
-    return _assemble(AttackType.DETECTABLE_INJECTION, graph, found, ins[:k], (), (), cost)
+    return _constrained_plan(
+        AttackType.DETECTABLE_INJECTION, graph, cost, CutConstraint.SECURE_MINORITY, 1.0, 1.0,
+        lambda cut: (1 + len(cut) // 2,),
+    )
 
 
-def detectable_jamming(
-    graph: MeasurementGraph,
-    cost: CostModel,
-    beta: float = INFINITY,
-    gamma: float = INFINITY,
-) -> DesignResult:
+def detectable_jamming(graph: MeasurementGraph, cost: CostModel) -> DesignResult:
     """Injection plus jamming of insecure measurements only.
 
     Below half the injection cost, jamming substitutes for injections and
@@ -425,17 +385,10 @@ def detectable_jamming(
     """
     if not graph.insecure_ids:
         return Infeasible("no insecure measurement to inject into")
-    if cost.p_jam_insecure < cost.p_inject / 2.0:
-        return _case_a_cheap_jam(AttackType.DETECTABLE_JAMMING, graph, cost, beta, gamma)
-    return _case_a_unit(AttackType.DETECTABLE_JAMMING, graph, cost, beta, gamma)
+    return _case_a(AttackType.DETECTABLE_JAMMING, graph, cost)
 
 
-def detectable_generalized(
-    graph: MeasurementGraph,
-    cost: CostModel,
-    beta: float = INFINITY,
-    gamma: float = INFINITY,
-) -> DesignResult:
+def detectable_generalized(graph: MeasurementGraph, cost: CostModel) -> DesignResult:
     """Best detectable attack using all three tools, dispatched by interval.
 
     Interval I compares the minimum-cardinality secure-minority plan with
@@ -446,17 +399,16 @@ def detectable_generalized(
     """
     if not graph.insecure_ids:
         return Infeasible("no insecure measurement to inject into")
-    interval = classify_interval(cost)
-    if interval is CostInterval.III:
+    if classify_interval(cost) is CostInterval.III:
         cut = _sweep_min_cut(graph, cost.p_jam_secure, cost.p_jam_insecure)
         assert cut is not None
-        return _plan_jam_all_inject_one(AttackType.DETECTABLE_GENERALIZED, graph, cut, cost)
-    if interval is CostInterval.I:
-        plan_a = _case_a_unit(AttackType.DETECTABLE_GENERALIZED, graph, cost, beta, gamma)
-    else:
-        plan_a = _case_a_cheap_jam(AttackType.DETECTABLE_GENERALIZED, graph, cost, beta, gamma)
+        return _plan(
+            AttackType.DETECTABLE_GENERALIZED, graph, cut, cost, 1, cut.n_insecure - 1, cut.n_secure
+        )
+    # interval I is exactly p_jam_insecure >= p_inject / 2, case A's unit weighting
+    plan_a = _case_a(AttackType.DETECTABLE_GENERALIZED, graph, cost)
     if graph.secure_ids:
-        plan_b = _case_b(AttackType.DETECTABLE_GENERALIZED, graph, cost, beta, gamma)
+        plan_b = _case_b(graph, cost)
     else:
         plan_b = NoSolutionFound(
             "skipped: no secure measurement, and a secure weak majority needs one"

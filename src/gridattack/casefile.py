@@ -73,8 +73,10 @@ def parse_case(text: str, name: str = "case") -> CaseFile:
             name = tokens[1]
             continue
         if head == "buses":
-            if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
+            if len(tokens) != 2 or not tokens[1].isdecimal() or int(tokens[1]) < 1:
                 raise ParseError("buses takes one positive integer", line_no)
+            if n_buses is not None:
+                raise ParseError("buses count given twice", line_no)
             n_buses = int(tokens[1])
             continue
         if head in ("lines", "measurements", "secure") and len(tokens) == 1:
@@ -109,6 +111,8 @@ def parse_case(text: str, name: str = "case") -> CaseFile:
                     b = float(tokens[3]) if len(tokens) == 4 else 1.0
                     _check_bus(name, n_buses, i, line_no)
                     _check_bus(name, n_buses, j, line_no)
+                    if not 0 < b < math.inf:
+                        raise ParseError("susceptance must be positive and finite", line_no, 4)
                     measurements.append(("flow", i, j, b))
                 elif kind == "angle" and len(tokens) == 2:
                     i = int(tokens[1])
@@ -120,9 +124,12 @@ def parse_case(text: str, name: str = "case") -> CaseFile:
                 raise ParseError(f"bad number in {tokens}", line_no) from None
         elif section == "secure":
             try:
-                secure.update(int(t) for t in tokens)
+                ids = [int(t) for t in tokens]
             except ValueError:
                 raise ParseError(f"secure ids must be integers, got {tokens}", line_no) from None
+            if min(ids) < 0:
+                raise ParseError(f"secure id {min(ids)} is negative", line_no)
+            secure.update(ids)
         else:
             raise ParseError(f"unexpected content {content!r}", line_no)
     if n_buses is None:

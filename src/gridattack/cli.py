@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from typing import Optional
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from .attack import AttackPlan, AttackType, CostModel, Infeasible, NoSolutionFou
 from .casefile import load_case, place_measurements, system_from_case
 from .errors import InvalidCosts, ParseError, TopologyError, UnobservableSystem
 from .estimator import DetectorConfig, RemovalMode
-from .experiment import run_sweep, summarize, write_csv
+from .experiment import MAX_FRACTIONS, MAX_TRIALS, run_sweep, summarize, write_csv
 from .grid import build_graph
 from .verify import execute
 
@@ -35,20 +35,38 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fractions(text: str) -> list[float]:
+    too_many = f"at most {MAX_FRACTIONS} fractions"
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError("fraction range is start:stop:step")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0:
+        if not step > 0:
             raise ValueError("fraction step must be positive")
         values = []
         k = 0
         while start + k * step <= stop + 1e-9:
+            if len(values) == MAX_FRACTIONS:
+                raise ValueError(too_many)
             values.append(round(start + k * step, 10))
             k += 1
-        return values
-    return [float(p) for p in text.split(",") if p]
+    else:
+        values = [float(p) for p in text.split(",") if p]
+        if len(set(values)) > MAX_FRACTIONS:
+            raise ValueError(too_many)
+    for value in values:
+        _check_fraction("--fractions", value)
+    return values
+
+
+def _check_fraction(what: str, value: float) -> None:
+    if not 0 <= value <= 1:
+        raise ValueError(f"{what} must lie in [0, 1], got {value}")
+
+
+def _usage_error(args, message) -> int:
+    print(f"grid-attack {args.command}: error: {message}", file=sys.stderr)
+    return EX_USAGE
 
 
 def _build_parser() -> _Parser:
@@ -106,6 +124,13 @@ def _plan_json(plan: AttackPlan, cost: CostModel, verdict) -> dict:
 
 
 def _cmd_attack(args) -> int:
+    try:
+        _check_fraction("--angle-fraction", args.angle_fraction)
+        _check_fraction("--secure-fraction", args.secure_fraction)
+        if args.alpha is not None and not (math.isfinite(args.alpha) and args.alpha != 0):
+            raise ValueError(f"--alpha must be finite and nonzero, got {args.alpha}")
+    except ValueError as exc:
+        return _usage_error(args, exc)
     case = load_case(args.case)
     cost = CostModel(args.pi, args.pjs, args.pjsc)
     if case.measurements is not None:
@@ -157,17 +182,17 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    case = load_case(args.case)
-    cost = CostModel(args.pi, args.pjs, args.pjsc)
     try:
+        if not 1 <= args.trials <= MAX_TRIALS:
+            raise ValueError(f"--trials must lie in 1..{MAX_TRIALS}, got {args.trials}")
+        _check_fraction("--angle-fraction", args.angle_fraction)
         types = [AttackType(t.strip()) for t in args.types.split(",") if t.strip()]
         fractions = _fractions(args.fractions)
+        condition = None if args.condition == "none" else AttackType(args.condition)
     except ValueError as exc:
-        print(f"grid-attack sweep: error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    condition: Optional[AttackType] = None
-    if args.condition != "none":
-        condition = AttackType(args.condition)
+        return _usage_error(args, exc)
+    case = load_case(args.case)
+    cost = CostModel(args.pi, args.pjs, args.pjsc)
     rows, cond_ok = run_sweep(
         case, types, cost, fractions, args.trials, args.seed,
         angle_fraction=args.angle_fraction, condition=condition,

@@ -57,7 +57,6 @@ class EstimationReport:
     removed: frozenset[int]
     final_estimate: np.ndarray
     final_residual_norm: float
-    observable_after_removal: bool
 
 
 def chi_square_threshold(m: int, n: int, confidence: float = 0.975) -> float:
@@ -68,9 +67,10 @@ def chi_square_threshold(m: int, n: int, confidence: float = 0.975) -> float:
 
 
 def _whitened(sys: MeasurementSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Free-column matrix with each row scaled by its weight, and the weights."""
     H = build_matrix(sys)
     w = 1.0 / np.sqrt(np.asarray(sys.noise_variance))
-    return H, H[:, : sys.n] * w[:, None]
+    return H[:, : sys.n] * w[:, None], w
 
 
 def _solve(Hw: np.ndarray, zw: np.ndarray) -> tuple[np.ndarray, float]:
@@ -84,8 +84,7 @@ def wls_estimate(sys: MeasurementSystem, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != (sys.m,):
         raise ValueError(f"measurement vector must have length {sys.m}")
-    _, Hw = _whitened(sys)
-    w = 1.0 / np.sqrt(np.asarray(sys.noise_variance))
+    Hw, w = _whitened(sys)
     x, _ = _solve(Hw, z * w)
     return np.append(x, 0.0)
 
@@ -124,8 +123,7 @@ def detect_and_remove(
     if z.shape != (sys.m,):
         raise ValueError(f"measurement vector must have length {sys.m}")
     m, n = sys.m, sys.n
-    _, Hw = _whitened(sys)
-    w = 1.0 / np.sqrt(np.asarray(sys.noise_variance))
+    Hw, w = _whitened(sys)
     zw = z * w
     x0, r0 = _solve(Hw, zw)
     estimate = np.append(x0, 0.0)
@@ -137,7 +135,6 @@ def detect_and_remove(
             removed=frozenset(),
             final_estimate=estimate,
             final_residual_norm=r0,
-            observable_after_removal=True,
         )
 
     budget = m - n if cfg.max_removals is None else min(cfg.max_removals, m - n)
@@ -158,7 +155,6 @@ def detect_and_remove(
         removed=frozenset(ids[k] for k in removed_positions),
         final_estimate=np.append(x_final, 0.0),
         final_residual_norm=r_final,
-        observable_after_removal=True,
     )
 
 

@@ -23,8 +23,8 @@ from .verify import execute
 
 CSV_HEADER = "fraction,trial,type,interval,feasible,cost,verified,greedy_escape"
 
-_MAX_TRIALS = 10_000
-_MAX_FRACTIONS = 100
+MAX_TRIALS = 10_000
+MAX_FRACTIONS = 100
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def run_sweep(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     fractions = sorted(set(float(f) for f in fractions))
-    if trials > _MAX_TRIALS or len(fractions) > _MAX_FRACTIONS:
+    if trials > MAX_TRIALS or len(fractions) > MAX_FRACTIONS:
         raise ValueError("sweep grid too large for the per-trial seed scheme")
     interval = classify_interval(cost).value
     cfg = DetectorConfig(removal_mode=removal_mode)

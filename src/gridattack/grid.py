@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from .errors import UnobservableSystem
-from .mincut import CutResult
+from .mincut import CutResult, WeightedEdge, cut_from_side
 
 REFERENCE_BUS = 0
 
@@ -165,10 +165,6 @@ class MeasurementGraph:
     def insecure_ids(self) -> tuple[int, ...]:
         return tuple(e.id for e in self.edges if not e.secure)
 
-    @property
-    def state_dim(self) -> int:
-        return len(self.nodes)
-
     def state_index(self, node: int) -> int:
         """Column position of a node: bus i -> i-1, reference -> last."""
         return len(self.nodes) - 1 if node == REFERENCE_BUS else node - 1
@@ -235,27 +231,18 @@ def cut_edges(
 ) -> CutResult:
     """Edges with exactly one endpoint inside ``node_set``.
 
-    ``weights`` maps measurement ids to edge weights; unit weights by
-    default. ``node_set`` must be a proper nonempty subset of the nodes.
+    ``weights`` maps every measurement id to its edge weight; unit weights
+    by default. ``node_set`` must be a proper nonempty subset of the nodes.
     """
     side = frozenset(node_set)
     all_nodes = set(graph.nodes)
     if not side or side == all_nodes or not side <= all_nodes:
         raise ValueError("node_set must be a proper nonempty subset of the graph nodes")
-    members = [e for e in graph.edges if (e.u in side) != (e.v in side)]
-    assert members, "a proper subset of a connected graph always cuts some edge"
-    n_sec = sum(1 for e in members if e.secure)
-    if weights is None:
-        weight = float(len(members))
-    else:
-        weight = float(sum(weights[e.id] for e in members))
-    return CutResult(
-        side_a=side,
-        edges=tuple(sorted(e.id for e in members)),
-        weight=weight,
-        n_secure=n_sec,
-        n_insecure=len(members) - n_sec,
+    edges = (
+        WeightedEdge(e.id, e.u, e.v, 1.0 if weights is None else weights[e.id], e.secure)
+        for e in graph.edges
     )
+    return cut_from_side(edges, side)
 
 
 def remove_measurements(sys: MeasurementSystem, ids: Iterable[int]) -> MeasurementSystem:

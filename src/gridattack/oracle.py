@@ -9,25 +9,17 @@ another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
 
-from .attack import AttackPlan, AttackType, CostModel, Infeasible, _assemble
+from .attack import AttackPlan, AttackType, CostModel, Infeasible, _plan
 from .errors import TooLarge
 from .grid import MeasurementGraph, connected
-from .mincut import CutResult
+from .mincut import CutResult, WeightedGraph, cut_from_side
 
 MAX_ORACLE_NODES = 12
-
-
-@dataclass(frozen=True)
-class _CensusCut:
-    side: frozenset[int]
-    secure: tuple[int, ...]
-    insecure: tuple[int, ...]
 
 
 def _induced_connected(side: frozenset[int], graph: MeasurementGraph) -> bool:
@@ -36,24 +28,16 @@ def _induced_connected(side: frozenset[int], graph: MeasurementGraph) -> bool:
 
 
 @lru_cache(maxsize=256)
-def _cut_census(graph: MeasurementGraph) -> tuple[_CensusCut, ...]:
-    secure_ids = set(graph.secure_ids)
+def _cut_census(graph: MeasurementGraph) -> tuple[CutResult, ...]:
+    """Every unit-weight cut whose two sides both induce connected subgraphs."""
+    unit = WeightedGraph.from_measurement_graph(graph, 1.0, 1.0)
     others = list(graph.nodes[1:])
     all_nodes = frozenset(graph.nodes)
     cuts = []
     for mask in range(1, 1 << len(others)):
         side = frozenset(v for i, v in enumerate(others) if mask >> i & 1)
-        rest = all_nodes - side
-        if not _induced_connected(side, graph) or not _induced_connected(rest, graph):
-            continue
-        members = [e.id for e in graph.edges if (e.u in side) != (e.v in side)]
-        cuts.append(
-            _CensusCut(
-                side=side,
-                secure=tuple(sorted(i for i in members if i in secure_ids)),
-                insecure=tuple(sorted(i for i in members if i not in secure_ids)),
-            )
-        )
+        if _induced_connected(side, graph) and _induced_connected(all_nodes - side, graph):
+            cuts.append(cut_from_side(unit.edges, side))
     return tuple(cuts)
 
 
@@ -102,9 +86,9 @@ def optimal_cost(
     if len(graph.nodes) > max_nodes:
         raise TooLarge(f"{len(graph.nodes)} nodes exceeds the oracle cap {max_nodes}")
     memo: dict[tuple[int, int], Optional[tuple[float, tuple[int, int, int]]]] = {}
-    best: Optional[tuple[float, _CensusCut, tuple[int, int, int]]] = None
-    for entry in _cut_census(graph):
-        key = (len(entry.secure), len(entry.insecure))
+    best: Optional[tuple[float, CutResult, tuple[int, int, int]]] = None
+    for cut in _cut_census(graph):
+        key = (cut.n_secure, cut.n_insecure)
         if key not in memo:
             memo[key] = _best_split(attack_type, key[0], key[1], cost)
         found = memo[key]
@@ -112,26 +96,10 @@ def optimal_cost(
             continue
         value, counts = found
         if best is None or value < best[0]:
-            best = (value, entry, counts)
+            best = (value, cut, counts)
     if best is None:
         return Infeasible(f"no cut admits a {attack_type.value} attack")
-    value, entry, (k_inject, k_jam_ins, k_jam_sec) = best
-    members = tuple(sorted(entry.secure + entry.insecure))
-    cut = CutResult(
-        side_a=entry.side,
-        edges=members,
-        weight=float(len(members)),
-        n_secure=len(entry.secure),
-        n_insecure=len(entry.insecure),
-    )
-    plan = _assemble(
-        attack_type,
-        graph,
-        cut,
-        entry.insecure[:k_inject],
-        entry.insecure[k_inject : k_inject + k_jam_ins],
-        entry.secure[:k_jam_sec],
-        cost,
-    )
+    value, cut, counts = best
+    plan = _plan(attack_type, graph, cut, cost, *counts)
     assert abs(plan.total_cost - value) < 1e-9
     return value, plan

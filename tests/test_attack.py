@@ -263,7 +263,7 @@ def test_detectable_generalized_skips_case_b_without_secure_edges(monkeypatch):
     # without secure edges case A succeeds on the first cut; force a failure
     # to read the combined reason
     monkeypatch.setattr(
-        attack_module, "_case_a_unit", lambda *args: ga.NoSolutionFound("forced")
+        attack_module, "_case_a", lambda *args: ga.NoSolutionFound("forced")
     )
     result = ga.detectable_generalized(g, cost)
     assert isinstance(result, ga.NoSolutionFound)

@@ -1,6 +1,7 @@
 """Case parsing, bundled topologies, and randomized placement."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gridattack as ga
 
@@ -98,6 +99,22 @@ def test_parse_secure_requires_measurements():
         ga.parse_case("buses 2\nlines\n1 2\nsecure\n0\n")
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("buses \u00b2\nlines\n1 2\n", 1),  # superscript two passes isdigit, not int
+        ("buses 2\nlines\n1 2\nmeasurements\nflow 1 2 -1\nangle 1\n", 5),
+        ("buses 2\nlines\n1 2\nmeasurements\nflow 1 2 nan\nangle 1\n", 5),
+        ("buses 2\nlines\n1 2\nmeasurements\nflow 1 2 inf\nangle 1\n", 5),
+        ("buses 2\nlines\n1 2\nmeasurements\nflow 1 2\nangle 1\nsecure\n0 -1\n", 8),
+    ],
+)
+def test_parse_rejects_malformed_numbers(text, line):
+    with pytest.raises(ga.ParseError) as err:
+        ga.parse_case(text)
+    assert err.value.line == line
+
+
 def test_parse_flow_on_missing_line():
     with pytest.raises(ga.TopologyError):
         ga.parse_case("buses 3\nlines\n1 2\n2 3\nmeasurements\nflow 1 3\n")
@@ -159,3 +176,73 @@ def test_fraction_bounds_validated():
 def test_load_case_missing():
     with pytest.raises(FileNotFoundError):
         ga.load_case("no-such-case")
+
+
+# -- property: arbitrary case text fails only with package errors ---------------
+
+_BUS = st.integers(1, 3).map(str)
+_ODD = st.sampled_from(
+    ["-1", "0", "4", "\u00b2", "\u0661", "nan", "inf", "-inf", "1e308", "1e-320", "1_0", "x", "#"]
+)
+_NUMBER = st.one_of(_BUS, st.sampled_from(["0.5", "2"]), _ODD)
+_PAIR = st.sampled_from([("1", "2"), ("2", "3"), ("3", "1")])
+_B = st.sampled_from([(), ("0.5",), ("2",)])  # optional susceptance
+_LINE = st.builds(lambda pair, b: pair + b, _PAIR, _B)
+_METER = st.one_of(
+    st.builds(lambda pair, b: ("flow",) + pair + b, _PAIR, _B),
+    st.tuples(st.just("angle"), _BUS),
+)
+_IDS = st.lists(st.integers(0, 2).map(str), min_size=1, max_size=3).map(tuple)
+_ENTRY = st.one_of(
+    st.sampled_from([("lines",), ("measurements",), ("secure",)]),
+    st.tuples(st.just("buses"), _NUMBER),
+    st.tuples(st.just("name"), st.text(max_size=3)),
+    st.lists(_NUMBER, min_size=1, max_size=4).map(tuple),
+    st.tuples(st.sampled_from(["flow", "angle"]), _NUMBER, _NUMBER),
+)
+
+
+def _render(rows, position, token):
+    """Case text from token rows, with one token replaced when ``token`` is given."""
+    rows = [list(row) for row in rows]
+    slots = [(i, j) for i, row in enumerate(rows) for j in range(len(row))]
+    if token is not None and slots:
+        i, j = slots[position % len(slots)]
+        rows[i][j] = token
+    return "\n".join(" ".join(row) for row in rows)
+
+
+# every section in grammar order with well-formed entries, then at most one
+# token swapped for a malformed one; or any sequence of loose entries
+_SECTIONED = st.builds(
+    lambda lines, meters, secure: (
+        [("buses", "3"), ("lines",)] + lines + [("measurements",)] + meters
+        + ([("secure",)] + secure if secure else [])
+    ),
+    st.lists(_LINE, min_size=1, max_size=4),
+    st.lists(_METER, max_size=6),
+    st.lists(_IDS, max_size=2),
+)
+_CASE_TEXT = st.one_of(
+    st.builds(_render, _SECTIONED, st.integers(0, 64), st.none() | _ODD),
+    st.builds(_render, st.lists(_ENTRY, max_size=16), st.just(0), st.none()),
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(_CASE_TEXT)
+@example("buses \u00b2\nlines\n1 2\n")
+@example("buses 2\nlines\n1 2\nmeasurements\nflow 1 2 -1\nangle 1\n")
+@example("buses 2\nlines\n1 2\nmeasurements\nflow 1 2 nan\nangle 1\n")
+@example("buses 2\nlines\n1 2\nmeasurements\nflow 1 2\nangle 1\nsecure\n-1\n")
+@example("buses 2\nlines\n1 2\nmeasurements\nbuses 1\n")  # a second count
+def test_case_text_raises_only_package_errors(text):
+    """Parsing and building the system, its graph and its matrix raise only GridAttackError."""
+    try:
+        case = ga.parse_case(text)
+        if case.measurements is not None:
+            system = ga.system_from_case(case)
+            ga.build_graph(system)
+            ga.build_matrix(system)
+    except ga.GridAttackError:
+        pass

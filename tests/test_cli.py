@@ -90,6 +90,53 @@ def test_attack_non_finite_susceptance_exit_65(tmp_path, capsys):
     assert "susceptance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "buses \u00b2\nlines\n1 2\n",
+        "buses 2\nlines\n1 2\nmeasurements\nflow 1 2 -1\nangle 1\n",
+        "buses 2\nlines\n1 2\nmeasurements\nflow 1 2 nan\nangle 1\n",
+        "buses 2\nlines\n1 2\nmeasurements\nflow 1 2\nangle 1\nsecure\n-1\n",
+    ],
+    ids=["superscript-buses", "negative-flow-susceptance", "nan-flow-susceptance",
+         "negative-secure-id"],
+)
+def test_attack_malformed_case_exit_65(text, tmp_path, capsys):
+    bad = tmp_path / "bad.grid"
+    bad.write_text(text)
+    code = main([
+        "attack", "--case", str(bad), "--type", "hidden-generalized",
+        "--pi", "1", "--pjs", ".5", "--pjsc", ".25",
+    ])
+    assert code == 65
+    assert capsys.readouterr().err.startswith("grid-attack: case error: line ")
+
+
+COSTS = ["--pi", "1", "--pjs", ".5", "--pjsc", ".25"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["attack", "--type", "hidden-injection", "--secure-fraction", "2"], "--secure-fraction"),
+        (["attack", "--type", "hidden-injection", "--angle-fraction", "nan"], "--angle-fraction"),
+        (["attack", "--type", "hidden-injection", "--alpha", "nan"], "--alpha"),
+        (["attack", "--type", "hidden-injection", "--alpha", "0"], "--alpha"),
+        (["sweep", "--trials", "0"], "--trials"),
+        (["sweep", "--trials", "20000"], "--trials"),
+        (["sweep", "--trials", "1", "--fractions", "0,1.5"], "--fractions"),
+        (["sweep", "--trials", "1", "--fractions", "0:inf:0.1"], "fractions"),
+        (["sweep", "--trials", "1", "--condition", "nonsense"], "nonsense"),
+    ],
+)
+def test_out_of_range_options_exit_64(argv, flag, capsys):
+    code = main(argv + COSTS)
+    err = capsys.readouterr().err
+    assert code == 64
+    assert err.count("\n") == 1 and err.startswith(f"grid-attack {argv[0]}: error: ")
+    assert flag in err
+
+
 def test_attack_missing_case_exit_65(capsys):
     code = main([
         "attack", "--case", "nowhere.grid", "--type", "hidden-generalized",

@@ -3,7 +3,9 @@
 The sweep rows and the designed plans are a pure function of case, flags and
 seed, so any engine change that keeps the answers keeps these digests. The
 sweep CSV does not show which side of the cut a plan reports; the
-``attack --json`` digests cover ``cut_side`` as well.
+``attack --json`` digests cover ``cut_side`` as well. The random-graph
+digest covers every result field of all six designers and of the oracle's
+witness plan on a seeded batch of small systems.
 
 To retake a digest after an intended change of answers, run the test and
 copy the digest printed in the failure message.
@@ -11,6 +13,7 @@ copy the digest printed in the failure message.
 
 import hashlib
 import os
+import random
 
 import pytest
 
@@ -18,6 +21,7 @@ import gridattack as ga
 from gridattack.attack import AttackType
 from gridattack.cli import main
 from gridattack.experiment import run_sweep, write_csv
+from conftest import random_cost, random_system
 
 SEED = 20250809
 FRACTIONS = [0.0, 0.25, 0.5]
@@ -87,3 +91,41 @@ def test_attack_json_digest(attack_type, capsys):
             h.update(f"{' '.join(argv)}\n{code}\n{out.out}\n{out.err}\n".encode())
     digest = h.hexdigest()
     assert digest == ATTACK_DIGESTS[attack_type], f"{attack_type} attack digest is {digest}"
+
+
+RANDOM_SEED = 4
+RANDOM_SYSTEMS = 40
+RANDOM_DIGEST = "4edb99c43eeb60d02bac91d822ad6263590635dca77cd76d45539354d34caec9"
+
+
+def _describe(result) -> str:
+    """Every field of a design or oracle result, floats in full precision."""
+    if isinstance(result, tuple):  # oracle: (optimal cost, witness plan)
+        value, plan = result
+        return f"optimum {value!r} " + _describe(plan)
+    if not isinstance(result, ga.AttackPlan):
+        return f"{type(result).__name__}: {result.reason}"
+    cut = result.cut
+    return (
+        f"{result.attack_type.value} side={sorted(cut.side_a)} edges={cut.edges} "
+        f"weight={cut.weight!r} n_secure={cut.n_secure} n_insecure={cut.n_insecure} "
+        f"injected={sorted(result.injected)} jammed_insecure={sorted(result.jammed_insecure)} "
+        f"jammed_secure={sorted(result.jammed_secure)} "
+        f"shift={result.injection_state_shift} total={result.total_cost!r}"
+    )
+
+
+def test_random_graph_digest():
+    """All six designers and the oracle witness, one cost triple per interval."""
+    rng = random.Random(RANDOM_SEED)
+    h = hashlib.sha256()
+    for k in range(RANDOM_SYSTEMS):
+        graph = ga.build_graph(random_system(rng))
+        for interval in ga.CostInterval:
+            cost = random_cost(rng, interval)
+            for attack_type in AttackType:
+                design = _describe(ga.design(attack_type, graph, cost))
+                witness = _describe(ga.optimal_cost(graph, cost, attack_type))
+                h.update(f"{k} {cost}\n{design}\n{witness}\n".encode())
+    digest = h.hexdigest()
+    assert digest == RANDOM_DIGEST, f"random-graph digest is {digest}"
