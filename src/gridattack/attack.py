@@ -194,6 +194,14 @@ def _insecure_pairs(graph: MeasurementGraph) -> list[tuple[int, int]]:
     return sorted({tuple(sorted((e.u, e.v))) for e in graph.edges if not e.secure})
 
 
+def _memoized(graph: MeasurementGraph, key: tuple, search: Callable[[], object]):
+    """The result of ``search()``, run once per graph object and key."""
+    memo = graph.cut_memo
+    if key not in memo:
+        memo[key] = search()
+    return memo[key]
+
+
 def _sweep_min_cut(graph: MeasurementGraph, secure_w: float, insecure_w: float) -> Optional[CutResult]:
     """Lightest cut through some insecure edge, by an s-t sweep over them.
 
@@ -202,8 +210,15 @@ def _sweep_min_cut(graph: MeasurementGraph, secure_w: float, insecure_w: float) 
     exact. When the global minimum cut already holds an insecure edge it
     is the sweep's answer, reported from the side of the first insecure
     pair it separates, as that pair's s-t cut would be. Returns None when
-    the graph has no insecure edges.
+    the graph has no insecure edges. Memoized on the graph object.
     """
+    return _memoized(
+        graph, ("sweep", None, secure_w, insecure_w),
+        lambda: _sweep(graph, secure_w, insecure_w),
+    )
+
+
+def _sweep(graph: MeasurementGraph, secure_w: float, insecure_w: float) -> Optional[CutResult]:
     pairs = _insecure_pairs(graph)
     if not pairs:
         return None
@@ -245,17 +260,18 @@ def constrained_min_cut(
     minimum current weight, largest id on ties; a secure edge under the
     minority constraint, an insecure edge under the weak-majority one,
     except that a cut with no insecure edge gets a secure edge pushed to
-    infinity). Gives up once the working cut weight reaches ``gamma`` or
-    after ``max_boosts`` reweighting steps (defaults to the edge count).
-    The returned cut reports its weight under the original weights.
+    infinity). One solver serves the whole search and takes each boost in
+    place. Gives up once the working cut weight reaches ``gamma`` or after
+    ``max_boosts`` reweighting steps (defaults to the edge count). The
+    returned cut reports its weight under the original weights.
     """
     working = {e.id: e.weight for e in weighted.edges}
     secure = {e.id: e.secure for e in weighted.edges}
     cap = len(weighted.edges) if max_boosts is None else max_boosts
     boosts = 0
+    solver = CutSolver(weighted)
     while True:
-        graph = weighted.reweighted(working)
-        _, cut = CutSolver(graph).global_min_cut()
+        _, cut = solver.global_min_cut()
         n_ins = cut.n_insecure
         if constraint is CutConstraint.SECURE_MINORITY:
             satisfied = 2 * cut.n_secure < len(cut.edges)
@@ -278,6 +294,7 @@ def constrained_min_cut(
             step = beta
         target = min(candidates, key=lambda i: (working[i], -i))
         working[target] = working[target] + step
+        solver.set_weight(target, working[target])
         boosts += 1
 
 
@@ -322,9 +339,17 @@ def _constrained_plan(
     insecure_w: float,
     counts: Callable[[CutResult], tuple[int, ...]],
 ) -> Union[AttackPlan, NoSolutionFound]:
-    """Constrained cut under the given class weights, split by ``counts(cut)``."""
-    weighted = WeightedGraph.from_measurement_graph(graph, secure_w, insecure_w)
-    found = constrained_min_cut(weighted, constraint)
+    """Constrained cut under the given class weights, split by ``counts(cut)``.
+
+    The search is memoized on the graph object, so designers that share a
+    constraint and weights on one graph run it once.
+    """
+    found = _memoized(
+        graph, ("constrained", constraint, secure_w, insecure_w),
+        lambda: constrained_min_cut(
+            WeightedGraph.from_measurement_graph(graph, secure_w, insecure_w), constraint
+        ),
+    )
     if isinstance(found, NoSolutionFound):
         return found
     return _plan(attack_type, graph, found, cost, *counts(found))

@@ -39,6 +39,11 @@ from .grid import (
 
 BUNDLED = ("ieee14", "ieee57")
 
+# Systems are built with one object per bus before any topology check, so an
+# unbounded count lets a one-line case file exhaust memory; IEEE-57 is the
+# largest bundled case.
+MAX_BUSES = 100_000
+
 
 @dataclass(frozen=True)
 class CaseFile:
@@ -73,11 +78,15 @@ def parse_case(text: str, name: str = "case") -> CaseFile:
             name = tokens[1]
             continue
         if head == "buses":
-            if len(tokens) != 2 or not tokens[1].isdecimal() or int(tokens[1]) < 1:
+            digits = tokens[1].lstrip("0") if len(tokens) == 2 and tokens[1].isdecimal() else ""
+            if not digits:
                 raise ParseError("buses takes one positive integer", line_no)
+            # compare lengths first: int() refuses strings of over 4,300 digits
+            if len(digits) > len(str(MAX_BUSES)) or int(digits) > MAX_BUSES:
+                raise ParseError(f"buses count exceeds {MAX_BUSES}", line_no)
             if n_buses is not None:
                 raise ParseError("buses count given twice", line_no)
-            n_buses = int(tokens[1])
+            n_buses = int(digits)
             continue
         if head in ("lines", "measurements", "secure") and len(tokens) == 1:
             section = head

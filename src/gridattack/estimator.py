@@ -17,7 +17,6 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.stats import chi2
 
 from .errors import RemovalFailed
 from .grid import MeasurementSystem, build_matrix, connected
@@ -63,6 +62,8 @@ def chi_square_threshold(m: int, n: int, confidence: float = 0.975) -> float:
     """Residual-norm threshold for noisy runs from the chi-square quantile."""
     if m <= n:
         raise ValueError("need redundancy m > n for a chi-square bound")
+    from scipy.stats import chi2  # imported here: scipy.stats dominates the package's import time
+
     return float(np.sqrt(chi2.ppf(confidence, df=m - n)))
 
 

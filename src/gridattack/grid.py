@@ -165,6 +165,16 @@ class MeasurementGraph:
     def insecure_ids(self) -> tuple[int, ...]:
         return tuple(e.id for e in self.edges if not e.secure)
 
+    @cached_property
+    def cut_memo(self) -> dict:
+        """Cut searches already run on this graph object, for the designers.
+
+        Keyed by (search, constraint, secure weight, insecure weight). It is
+        held per object, not by value: a value-equal graph built separately
+        starts with an empty memo.
+        """
+        return {}
+
     def state_index(self, node: int) -> int:
         """Column position of a node: bus i -> i-1, reference -> last."""
         return len(self.nodes) - 1 if node == REFERENCE_BUS else node - 1

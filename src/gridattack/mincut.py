@@ -5,7 +5,11 @@ Wagner, "A simple min-cut algorithm", JACM 1997) with a heap-ordered
 maximum-adjacency search. Both run on the same packed integer capacities.
 Parallel edges are merged per node pair inside the solvers but cuts are
 always reported edge-by-edge. Weights may be +inf, which is absorbing: an
-infinite edge never enters a returned cut while any finite cut exists.
+infinite edge never enters a returned cut while any finite cut exists, so
+the global cut first merges every node pair an infinite edge joins and runs
+its phases on the smaller graph. A solver reweights one edge in place
+(``CutSolver.set_weight``), which is how the iterative constrained search
+boosts an edge without rebuilding it.
 
 Tie-breaking is exact and deterministic. Each edge weight is quantized to
 1e-12 and packed into a single integer together with an edge-count term and
@@ -23,7 +27,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import TooLarge
 
@@ -197,31 +201,124 @@ class _Dinic:
         return seen
 
 
+def _quantum(weight: float) -> Optional[int]:
+    """Quantized weight, or None for +inf."""
+    return None if math.isinf(weight) else round(weight * _SCALE)
+
+
+def _stoer_wagner(n: int, pair_caps: Mapping[tuple[int, int], int]) -> tuple[int, set[int]]:
+    """Packed minimum cut value over nodes 0..n-1 and its side holding node 0.
+
+    Each phase grows a maximum-adjacency order, takes the cut isolating the
+    last node added, and merges the last two. On a disconnected graph the
+    side is node 0's component, at value 0.
+    """
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    for (a, b), cap in pair_caps.items():
+        adj[a][b] = cap
+        adj[b][a] = cap
+    groups: dict[int, list[int]] = {i: [i] for i in range(n)}
+    best: tuple[int, list[int]] | None = None
+    push, pop = heapq.heappush, heapq.heappop
+    while len(groups) > 1:
+        key = [0] * n
+        added = [False] * n
+        heap = [(0, 0)]
+        left = len(groups)
+        prev = last = 0
+        while left:
+            if not heap:  # the first node's component is closed: a cut of weight 0
+                return 0, {i for i in range(n) if added[i]}
+            v = pop(heap)[1]
+            if added[v]:
+                continue  # stale entry left by a key increase
+            added[v] = True
+            left -= 1
+            prev, last = last, v
+            for u, cap in adj[v].items():
+                if not added[u]:
+                    k = key[u] = key[u] + cap
+                    push(heap, (-k, u))
+        if best is None or key[last] < best[0]:
+            best = (key[last], groups[last])
+        # merge the last node into the one before it
+        groups[prev].extend(groups.pop(last))
+        for u, cap in adj[last].items():
+            if u != prev:
+                adj[prev][u] = adj[prev].get(u, 0) + cap
+                adj[u][prev] = adj[u].get(prev, 0) + cap
+            del adj[u][last]
+    assert best is not None
+    value, group = best
+    return value, set(group) if 0 in group else set(range(n)) - set(group)
+
+
 class CutSolver:
     """Reusable exact min-cut solver for one weighted graph.
 
     Cut values are compared as packed integers (weight, edge count,
     edge-id lexicography), so results are exact and identical across calls.
+    ``set_weight`` changes one edge in place and leaves the solver exactly
+    as a fresh one built on the reweighted graph.
     """
 
     def __init__(self, graph: WeightedGraph):
-        self.graph = graph
         self._nodes = list(graph.nodes)
         self._index = {v: i for i, v in enumerate(self._nodes)}
-        m = len(graph.edges)
-        ranks = {eid: r for r, eid in enumerate(sorted(e.id for e in graph.edges))}
+        self._edges = list(graph.edges)  # current weights, reported in cuts
+        self._slot = {e.id: k for k, e in enumerate(self._edges)}
+        m = len(self._edges)
+        ranks = {eid: r for r, eid in enumerate(sorted(self._slot))}
         count_unit = 1 << (m + 2)
-        weight_unit = (m + 2) * count_unit
-        finite = [round(e.weight * _SCALE) for e in graph.edges if not math.isinf(e.weight)]
-        inf_quantum = sum(finite) + 1
+        self._weight_unit = (m + 2) * count_unit
+        self._quanta = [_quantum(e.weight) for e in self._edges]
+        self._finite_total = sum(q for q in self._quanta if q is not None)
+        inf_quantum = self._finite_total + 1  # outweighs every finite cut
+        self._pairs: list[tuple[int, int]] = []  # node-index pair of each edge
         self._pair_caps: dict[tuple[int, int], int] = {}
-        for e in graph.edges:
-            quantum = inf_quantum if math.isinf(e.weight) else round(e.weight * _SCALE)
-            marker = 1 << (m - 1 - ranks[e.id])
-            composite = quantum * weight_unit + count_unit - marker
+        self._inf_pairs: dict[tuple[int, int], int] = {}  # pair -> its +inf edge count
+        for e, q in zip(self._edges, self._quanta):
             a, b = self._index[e.u], self._index[e.v]
             key = (a, b) if a < b else (b, a)
+            self._pairs.append(key)
+            if q is None:
+                q = inf_quantum
+                self._inf_pairs[key] = self._inf_pairs.get(key, 0) + 1
+            marker = 1 << (m - 1 - ranks[e.id])
+            composite = q * self._weight_unit + count_unit - marker
             self._pair_caps[key] = self._pair_caps.get(key, 0) + composite
+
+    def set_weight(self, edge_id: int, weight: float) -> None:
+        """Reweight one edge in place.
+
+        The +inf quantum is the finite quanta's sum plus one, so a change to
+        that sum also moves every pair that holds an infinite edge.
+        """
+        if math.isnan(weight) or weight < 0:
+            raise ValueError(f"edge {edge_id} weight must be nonnegative")
+        k = self._slot[edge_id]
+        e = self._edges[k]
+        self._edges[k] = WeightedEdge(e.id, e.u, e.v, weight, e.secure)
+        old, new = self._quanta[k], _quantum(weight)
+        if old == new:
+            return
+        self._quanta[k] = new
+        old_inf = self._finite_total + 1
+        self._finite_total += (new or 0) - (old or 0)
+        new_inf = self._finite_total + 1
+        key, unit = self._pairs[k], self._weight_unit
+        caps, inf_pairs = self._pair_caps, self._inf_pairs
+        caps[key] -= (old_inf if old is None else old) * unit
+        if old is None:
+            inf_pairs[key] -= 1
+            if not inf_pairs[key]:
+                del inf_pairs[key]
+        if new_inf != old_inf:
+            for pair, count in inf_pairs.items():
+                caps[pair] += count * (new_inf - old_inf) * unit
+        if new is None:
+            inf_pairs[key] = inf_pairs.get(key, 0) + 1
+        caps[key] += (new_inf if new is None else new) * unit
 
     def _network(self) -> _Dinic:
         net = _Dinic(len(self._nodes))
@@ -236,60 +333,55 @@ class CutSolver:
         net = self._network()
         value = net.max_flow(self._index[s], self._index[t])
         side = frozenset(self._nodes[i] for i in net.reachable(self._index[s]))
-        return value, cut_from_side(self.graph.edges, side)
+        return value, cut_from_side(self._edges, side)
+
+    def _contracted(self) -> tuple[list[int], dict[tuple[int, int], int]]:
+        """Merge every node pair joined by a +inf edge.
+
+        Returns each node's merged label and the packed capacities between
+        labels. Labels are numbered in node order, so the first node's is 0.
+        """
+        parent = list(range(len(self._nodes)))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for a, b in self._inf_pairs:
+            parent[find(a)] = find(b)
+        names: dict[int, int] = {}
+        labels = [names.setdefault(find(i), len(names)) for i in range(len(parent))]
+        caps: dict[tuple[int, int], int] = {}
+        for (a, b), cap in self._pair_caps.items():
+            la, lb = labels[a], labels[b]
+            if la != lb:
+                key = (la, lb) if la < lb else (lb, la)
+                caps[key] = caps.get(key, 0) + cap
+        return labels, caps
 
     def global_min_cut(self) -> tuple[int, CutResult]:
         """Packed value and the unique minimum cut over all proper bipartitions.
 
-        Stoer-Wagner: each phase grows a maximum-adjacency order, takes the
-        cut isolating the last node added, and merges the last two. The
+        Stoer-Wagner, run after merging every node pair joined by a +inf
+        edge: such an edge never enters the minimum while a finite cut
+        exists, so the answer is unchanged. When merging leaves one node,
+        every cut is infinite and the phases run on the unmerged graph. The
         reported side contains the first node; on a disconnected graph it is
         that node's component.
         """
         n = len(self._nodes)
         if n < 2:
             raise ValueError("global min cut needs at least two nodes")
-        adj: list[dict[int, int]] = [{} for _ in range(n)]
-        for (a, b), cap in self._pair_caps.items():
-            adj[a][b] = cap
-            adj[b][a] = cap
-        groups: dict[int, list[int]] = {i: [i] for i in range(n)}
-        best: tuple[int, list[int]] | None = None
-        push, pop = heapq.heappush, heapq.heappop
-        while len(groups) > 1:
-            key = [0] * n
-            added = [False] * n
-            heap = [(0, 0)]
-            left = len(groups)
-            prev = last = 0
-            while left:
-                if not heap:  # the first node's component is closed: a cut of weight 0
-                    side = frozenset(self._nodes[i] for i in range(n) if added[i])
-                    return 0, cut_from_side(self.graph.edges, side)
-                v = pop(heap)[1]
-                if added[v]:
-                    continue  # stale entry left by a key increase
-                added[v] = True
-                left -= 1
-                prev, last = last, v
-                for u, cap in adj[v].items():
-                    if not added[u]:
-                        k = key[u] = key[u] + cap
-                        push(heap, (-k, u))
-            if best is None or key[last] < best[0]:
-                best = (key[last], groups[last])
-            # merge the last node into the one before it
-            groups[prev].extend(groups.pop(last))
-            for u, cap in adj[last].items():
-                if u != prev:
-                    adj[prev][u] = adj[prev].get(u, 0) + cap
-                    adj[u][prev] = adj[u].get(prev, 0) + cap
-                del adj[u][last]
-        assert best is not None
-        value, group = best
-        side_idx = set(group) if 0 in group else set(range(n)) - set(group)
-        side = frozenset(self._nodes[i] for i in side_idx)
-        return value, cut_from_side(self.graph.edges, side)
+        labels, caps = list(range(n)), self._pair_caps
+        if self._inf_pairs:
+            merged, merged_caps = self._contracted()
+            if max(merged):  # at least two nodes are left
+                labels, caps = merged, merged_caps
+        value, side_labels = _stoer_wagner(max(labels) + 1, caps)
+        side = frozenset(v for v, label in zip(self._nodes, labels) if label in side_labels)
+        return value, cut_from_side(self._edges, side)
 
 
 def min_st_cut(g: WeightedGraph, s: int, t: int) -> CutResult:

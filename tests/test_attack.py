@@ -482,11 +482,38 @@ def test_staged_jam_cost_monotonicity():
 
 
 def test_designers_deterministic():
-    g = triangle_graph()
+    # a separately built graph, so the second design does not read the first's memo
     for t in AttackType:
-        first = ga.design(t, g, ga.CostModel(1, 0.8, 0.6))
-        second = ga.design(t, g, ga.CostModel(1, 0.8, 0.6))
+        first = ga.design(t, triangle_graph(), ga.CostModel(1, 0.8, 0.6))
+        second = ga.design(t, triangle_graph(), ga.CostModel(1, 0.8, 0.6))
         assert first == second
+
+
+def test_cut_searches_memoized_per_graph_object(monkeypatch):
+    searches = []
+
+    def counted(name):
+        real = getattr(attack_module, name)
+
+        def run(*args, **kwargs):
+            searches.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(attack_module, name, run)
+
+    counted("constrained_min_cut")
+    counted("_sweep")
+    system = random_system(random.Random(40), n_buses=6, m=14, secure_prob=0.3)
+    g = ga.build_graph(system)
+    cost = ga.CostModel(1.0, 0.8, 0.6)  # interval I: DI, DJ and DG case A share unit weights
+    first = {t: ga.design(t, g, cost) for t in AttackType}
+    assert sorted(searches) == ["_sweep", "_sweep", "constrained_min_cut", "constrained_min_cut"]
+    again = {t: ga.design(t, g, cost) for t in AttackType}
+    assert again == first and len(searches) == 4
+    twin = ga.build_graph(system)
+    assert twin == g and twin is not g
+    assert {t: ga.design(t, twin, cost) for t in AttackType} == first
+    assert len(searches) == 8
 
 
 def test_plan_actions_partition_cut():

@@ -115,6 +115,16 @@ def test_parse_rejects_malformed_numbers(text, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize(
+    "count", ["100001", "1000000", "9" * 5000], ids=["100001", "1000000", "5000-digits"]
+)
+def test_parse_rejects_bus_count_above_cap(count):
+    with pytest.raises(ga.ParseError, match="exceeds 100000") as err:
+        ga.parse_case(f"buses {count}\nlines\n1 2\n")
+    assert err.value.line == 1
+    assert ga.parse_case("buses 0100000\nlines\n1 2\n").n_buses == ga.casefile.MAX_BUSES
+
+
 def test_parse_flow_on_missing_line():
     with pytest.raises(ga.TopologyError):
         ga.parse_case("buses 3\nlines\n1 2\n2 3\nmeasurements\nflow 1 3\n")

@@ -112,6 +112,18 @@ def test_attack_malformed_case_exit_65(text, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("grid-attack: case error: line ")
 
 
+@pytest.mark.parametrize("count", ["100001", "1000000"])
+def test_attack_bus_count_above_cap_exit_65(count, tmp_path, capsys):
+    bad = tmp_path / "big.grid"
+    bad.write_text(f"buses {count}\nlines\n1 2\n")
+    code = main([
+        "attack", "--case", str(bad), "--type", "hidden-generalized",
+        "--pi", "1", "--pjs", ".5", "--pjsc", ".25",
+    ])
+    assert code == 65
+    assert "buses count exceeds 100000" in capsys.readouterr().err
+
+
 COSTS = ["--pi", "1", "--pjs", ".5", "--pjsc", ".25"]
 
 

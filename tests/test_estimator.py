@@ -1,7 +1,11 @@
 """Weighted least squares, detection, and bad-data removal."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +201,17 @@ def test_chi_square_threshold():
     assert loose > tight > 0
     with pytest.raises(ValueError):
         ga.chi_square_threshold(10, 10)
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    """scipy.stats is most of the package's import time; only the chi-square bound needs it."""
+    src = Path(ga.__file__).resolve().parent.parent
+    probe = "import sys, gridattack; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_noisy_run_with_chi_square_threshold():

@@ -1,5 +1,6 @@
 """Cut engines against exhaustive enumeration and an independent flow solver."""
 
+import collections
 import itertools
 import math
 import random
@@ -144,6 +145,70 @@ def test_global_min_disconnected_reports_first_component():
     cut = ga.global_min_cut(g)
     assert cut.edges == () and cut.weight == 0
     assert cut.side_a == frozenset({0, 1})
+
+
+def test_global_min_when_infinite_edges_join_every_node():
+    """Merging the infinite pairs leaves one node, so the phases run unmerged."""
+    g = _graph([0, 1, 2], [(0, 0, 1, math.inf), (1, 1, 2, math.inf), (2, 0, 2, 1.0)])
+    cut = ga.global_min_cut(g)
+    want = min(ga.enumerate_cuts(g), key=lambda c: _tie_break_key(g, c))
+    assert cut.edges == want.edges == (0, 2)
+    assert math.isinf(cut.weight)
+    assert cut.side_a == frozenset({0})
+    # two components, each merged to one node: the first node's component, at weight 0
+    split = _graph([0, 1, 2, 3], [(0, 0, 1, math.inf), (1, 2, 3, math.inf)])
+    cut = ga.global_min_cut(split)
+    assert cut.edges == () and cut.weight == 0
+    assert cut.side_a == frozenset({0, 1})
+
+
+def _everything_cut(solver, nodes):
+    """The global cut and every s-t cut, each with its packed value."""
+    return [solver.global_min_cut()] + [
+        solver.min_st_cut(s, t) for s, t in itertools.permutations(nodes, 2)
+    ]
+
+
+def test_set_weight_matches_fresh_solver():
+    """Reweighting in place leaves the solver as a fresh one on the reweighted graph.
+
+    Random multigraphs with parallel edges, zero and infinite weights, some
+    disconnected, each take a random sequence of reweightings.
+    """
+    rng = random.Random(17)
+    choices = (0.0, 1e-13, 0.25, 1.0, 2.5, math.inf)
+    moves = collections.Counter()
+    disconnected = 0
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        edges = []
+        for eid in range(rng.randint(0, 12)):
+            u, v = rng.sample(range(n), 2)
+            weight, secure = rng.choice(choices), rng.random() < 0.4
+            edges.append(ga.WeightedEdge(3 * eid + 2, u, v, weight, secure))
+        rng.shuffle(edges)
+        g = ga.WeightedGraph(nodes=tuple(range(n)), edges=tuple(edges))
+        disconnected += ga.global_min_cut(g).edges == ()
+        solver = ga.CutSolver(g)
+        weights = {e.id: e.weight for e in edges}
+        for _ in range(8 if edges else 0):
+            eid = rng.choice(sorted(weights))
+            new = rng.choice(choices)
+            moves[math.isinf(weights[eid]), math.isinf(new)] += 1
+            weights[eid] = new
+            solver.set_weight(eid, new)
+            fresh = ga.CutSolver(g.reweighted(weights))
+            assert solver._pair_caps == fresh._pair_caps
+            assert _everything_cut(solver, g.nodes) == _everything_cut(fresh, g.nodes)
+    assert disconnected >= 10
+    assert min(moves[False, True], moves[True, False]) >= 40 and moves[False, False] >= 40
+
+
+def test_set_weight_rejects_bad_weights():
+    solver = ga.CutSolver(_graph([0, 1], [(0, 0, 1, 1.0)]))
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            solver.set_weight(0, bad)
 
 
 def test_long_path_lightest_edge():
