@@ -14,12 +14,12 @@ Case file format, line oriented, ``#`` starts a comment:
     0 2
 
 Susceptances default to 1.0: attack structure only depends on the
-incidence pattern, so bundled topologies normalize them away.
+incidence pattern, so bundled topologies normalize them away. Given ones
+must lie in ``grid.SUSCEPTANCE_RANGE``, [1e-6, 1e6].
 """
 
 from __future__ import annotations
 
-import math
 import os
 import random
 from dataclasses import dataclass
@@ -27,14 +27,15 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .errors import ParseError, TopologyError, UnobservableSystem
+from .errors import ParseError, TopologyError
 from .grid import (
-    DEFAULT_NOISE_STD,
+    SUSCEPTANCE_RANGE,
     Bus,
     Measurement,
     MeasurementKind,
     MeasurementSystem,
-    connected,
+    check_observable,
+    valid_susceptance,
 )
 
 BUNDLED = ("ieee14", "ieee57")
@@ -107,8 +108,8 @@ def parse_case(text: str, name: str = "case") -> CaseFile:
             _check_bus(name, n_buses, j, line_no)
             if i == j:
                 raise TopologyError(f"{name}: line {line_no}: self-loop on bus {i}")
-            if not 0 < b < math.inf:
-                raise ParseError("susceptance must be positive and finite", line_no, 3)
+            if not valid_susceptance(b):
+                raise ParseError(f"susceptance outside {SUSCEPTANCE_RANGE}", line_no, 3)
             lines.append((i, j, b))
         elif section == "measurements":
             if n_buses is None:
@@ -120,8 +121,8 @@ def parse_case(text: str, name: str = "case") -> CaseFile:
                     b = float(tokens[3]) if len(tokens) == 4 else 1.0
                     _check_bus(name, n_buses, i, line_no)
                     _check_bus(name, n_buses, j, line_no)
-                    if not 0 < b < math.inf:
-                        raise ParseError("susceptance must be positive and finite", line_no, 4)
+                    if not valid_susceptance(b):
+                        raise ParseError(f"susceptance outside {SUSCEPTANCE_RANGE}", line_no, 4)
                     measurements.append(("flow", i, j, b))
                 elif kind == "angle" and len(tokens) == 2:
                     i = int(tokens[1])
@@ -185,7 +186,7 @@ def _buses(n: int) -> tuple[Bus, ...]:
     return (Bus(0, is_reference=True),) + tuple(Bus(i) for i in range(1, n + 1))
 
 
-def system_from_case(case: CaseFile, noise_std: float = DEFAULT_NOISE_STD) -> MeasurementSystem:
+def system_from_case(case: CaseFile) -> MeasurementSystem:
     """Build the system from a case with an explicit measurement list."""
     if case.measurements is None:
         raise ValueError(f"case {case.name} has no fixed measurement list")
@@ -205,7 +206,6 @@ def system_from_case(case: CaseFile, noise_std: float = DEFAULT_NOISE_STD) -> Me
         buses=_buses(case.n_buses),
         lines=case.lines,
         measurements=tuple(measurements),
-        noise_variance=(noise_std**2,) * len(measurements),
     )
 
 
@@ -214,7 +214,6 @@ def place_measurements(
     angle_fraction: float,
     secure_fraction: float,
     seed: int,
-    noise_std: float = DEFAULT_NOISE_STD,
 ) -> MeasurementSystem:
     """Flows on every line plus randomized angle meters and secure flags.
 
@@ -243,13 +242,10 @@ def place_measurements(
         measurements.append(
             Measurement(mid, MeasurementKind.PHASE_ANGLE, bus, secure=mid in secure)
         )
-    if not connected(range(n + 1), [meas.endpoints for meas in measurements]):
-        raise UnobservableSystem(
-            f"placement with {n_angles} angle meters leaves the reference node unanchored"
-        )
-    return MeasurementSystem(
+    system = MeasurementSystem(
         buses=_buses(n),
         lines=case.lines,
         measurements=tuple(measurements),
-        noise_variance=(noise_std**2,) * m,
     )
+    check_observable(system)
+    return system

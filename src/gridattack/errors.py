@@ -19,7 +19,7 @@ class TopologyError(GridAttackError):
 
 
 class UnobservableSystem(GridAttackError):
-    """Measurement matrix rank below the number of free bus angles."""
+    """Measurement graph does not connect every bus to the reference node."""
 
 
 class InvalidCosts(GridAttackError):

@@ -6,7 +6,8 @@ bad data when the whitened residual norm exceeds the detector threshold.
 Removal then discards the smallest measurement set that restores a passing
 residual while keeping the measurement graph connected, either exactly
 (subset search in increasing cardinality) or greedily by the largest
-normalized residual.
+normalized residual. It reuses the system's one matrix, and each removal
+search checks connectivity against one endpoint list.
 """
 
 from __future__ import annotations
@@ -97,14 +98,8 @@ def residual_norm(sys: MeasurementSystem, z: np.ndarray, x: np.ndarray) -> float
     return float(np.linalg.norm((np.asarray(z) - H @ np.asarray(x)) * w))
 
 
-def _graph_pairs(sys: MeasurementSystem) -> list[tuple[int, int]]:
-    return [m.endpoints for m in sys.measurements]
-
-
-def _keeps_connected(sys: MeasurementSystem, removed_positions: set[int]) -> bool:
-    pairs = [p for k, p in enumerate(_graph_pairs(sys)) if k not in removed_positions]
-    nodes = [b.id for b in sys.buses]
-    return connected(nodes, pairs)
+def _keeps_connected(n: int, pairs: list, removed_positions: set[int]) -> bool:
+    return connected(range(n + 1), (p for k, p in enumerate(pairs) if k not in removed_positions))
 
 
 def detect_and_remove(
@@ -127,33 +122,24 @@ def detect_and_remove(
     Hw, w = _whitened(sys)
     zw = z * w
     x0, r0 = _solve(Hw, zw)
-    estimate = np.append(x0, 0.0)
-    if r0 <= cfg.threshold:
-        return EstimationReport(
-            estimate=estimate,
-            residual_norm=r0,
-            detected=False,
-            removed=frozenset(),
-            final_estimate=estimate,
-            final_residual_norm=r0,
-        )
-
-    budget = m - n if cfg.max_removals is None else min(cfg.max_removals, m - n)
-    ids = [meas.id for meas in sys.measurements]
-    if cfg.removal_mode is RemovalMode.EXHAUSTIVE_MINIMAL:
-        found = _exhaustive_removal(sys, Hw, zw, cfg.threshold, budget)
-    else:
-        found = _greedy_removal(sys, Hw, zw, cfg.threshold, budget)
-    if found is None:
-        raise RemovalFailed(
-            f"no connectivity-preserving removal of up to {budget} measurements passes"
-        )
-    removed_positions, x_final, r_final = found
+    detected = r0 > cfg.threshold
+    removed, x_final, r_final = (), x0, r0
+    if detected:
+        budget = m - n if cfg.max_removals is None else min(cfg.max_removals, m - n)
+        if cfg.removal_mode is RemovalMode.EXHAUSTIVE_MINIMAL:
+            found = _exhaustive_removal(sys, Hw, zw, cfg.threshold, budget)
+        else:
+            found = _greedy_removal(sys, Hw, zw, cfg.threshold, budget)
+        if found is None:
+            raise RemovalFailed(
+                f"no connectivity-preserving removal of up to {budget} measurements passes"
+            )
+        removed, x_final, r_final = found
     return EstimationReport(
-        estimate=estimate,
+        estimate=np.append(x0, 0.0),
         residual_norm=r0,
-        detected=True,
-        removed=frozenset(ids[k] for k in removed_positions),
+        detected=detected,
+        removed=frozenset(sys.measurements[k].id for k in removed),
         final_estimate=np.append(x_final, 0.0),
         final_residual_norm=r_final,
     )
@@ -161,10 +147,11 @@ def detect_and_remove(
 
 def _exhaustive_removal(sys, Hw, zw, threshold, budget):
     m = sys.m
+    pairs = [meas.endpoints for meas in sys.measurements]
     for size in range(1, budget + 1):
         for combo in itertools.combinations(range(m), size):
             removed = set(combo)
-            if not _keeps_connected(sys, removed):
+            if not _keeps_connected(sys.n, pairs, removed):
                 continue
             keep = [k for k in range(m) if k not in removed]
             x, r = _solve(Hw[keep], zw[keep])
@@ -175,12 +162,16 @@ def _exhaustive_removal(sys, Hw, zw, threshold, budget):
 
 def _greedy_removal(sys, Hw, zw, threshold, budget):
     m = sys.m
+    pairs = [meas.endpoints for meas in sys.measurements]
     removed: set[int] = set()
-    while len(removed) < budget:
+    while True:
         keep = [k for k in range(m) if k not in removed]
-        A = Hw[keep]
-        b = zw[keep]
-        x, _ = _solve(A, b)
+        A, b = Hw[keep], zw[keep]
+        x, r_norm = _solve(A, b)
+        if removed and r_norm <= threshold:
+            return removed, x, r_norm
+        if len(removed) >= budget:
+            return None
         r = b - A @ x
         # residual covariance diagonal of the whitened system: I - A(A^T A)^+ A^T
         gram_inv = np.linalg.pinv(A.T @ A)
@@ -190,14 +181,9 @@ def _greedy_removal(sys, Hw, zw, threshold, budget):
         order = sorted(range(len(keep)), key=lambda i: (-scores[i], keep[i]))
         target = None
         for i in order:
-            if _keeps_connected(sys, removed | {keep[i]}):
+            if _keeps_connected(sys.n, pairs, removed | {keep[i]}):
                 target = keep[i]
                 break
         if target is None:
             return None
         removed.add(target)
-        keep = [k for k in range(m) if k not in removed]
-        x, r_norm = _solve(Hw[keep], zw[keep])
-        if r_norm <= threshold:
-            return removed, x, r_norm
-    return None

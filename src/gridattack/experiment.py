@@ -53,7 +53,6 @@ def run_sweep(
     seed: int,
     angle_fraction: float = 0.6,
     condition: Optional[AttackType] = None,
-    removal_mode: RemovalMode = RemovalMode.GREEDY_NORMALIZED_RESIDUAL,
 ) -> tuple[list[SweepRow], dict[tuple[float, int], bool]]:
     """Design and verify every requested type per randomized trial.
 
@@ -66,7 +65,7 @@ def run_sweep(
     if trials > MAX_TRIALS or len(fractions) > MAX_FRACTIONS:
         raise ValueError("sweep grid too large for the per-trial seed scheme")
     interval = classify_interval(cost).value
-    cfg = DetectorConfig(removal_mode=removal_mode)
+    cfg = DetectorConfig(removal_mode=RemovalMode.GREEDY_NORMALIZED_RESIDUAL)
     rows: list[SweepRow] = []
     condition_ok: dict[tuple[float, int], bool] = {}
     for f_idx, fraction in enumerate(fractions):
@@ -91,10 +90,6 @@ def run_sweep(
                     )
                     continue
                 verdict = execute(system, truth, outcome, cfg)
-                escaped = (
-                    not verdict.success
-                    and removal_mode is RemovalMode.GREEDY_NORMALIZED_RESIDUAL
-                )
                 rows.append(
                     SweepRow(
                         fraction,
@@ -104,7 +99,7 @@ def run_sweep(
                         True,
                         outcome.total_cost,
                         verdict.success,
-                        escaped,
+                        not verdict.success,
                     )
                 )
     return rows, condition_ok

@@ -24,6 +24,14 @@ REFERENCE_BUS = 0
 
 DEFAULT_NOISE_STD = 0.01
 
+# Flow susceptances outside this range defeat the 1e-6 residual test: at
+# 1e10 against unit angle meters, rounding alone left a residual of 7e-6.
+SUSCEPTANCE_RANGE = (1e-6, 1e6)
+
+
+def valid_susceptance(b: float) -> bool:
+    return SUSCEPTANCE_RANGE[0] <= b <= SUSCEPTANCE_RANGE[1]
+
 
 class MeasurementKind(Enum):
     LINE_FLOW = "flow"
@@ -62,8 +70,8 @@ class Measurement:
                 raise ValueError(f"measurement {self.id}: reference bus carries no angle meter")
             if self.susceptance != 1.0:
                 raise ValueError(f"measurement {self.id}: angle susceptance is fixed at 1")
-        if self.susceptance <= 0:
-            raise ValueError(f"measurement {self.id}: susceptance must be positive")
+        if not valid_susceptance(self.susceptance):
+            raise ValueError(f"measurement {self.id}: susceptance outside {SUSCEPTANCE_RANGE}")
 
     @property
     def endpoints(self) -> tuple[int, int]:
@@ -93,8 +101,8 @@ class MeasurementSystem:
         for i, j, b in self.lines:
             if i == j or not (1 <= i <= n) or not (1 <= j <= n):
                 raise ValueError(f"line ({i},{j}) has endpoints outside 1..{n}")
-            if b <= 0:
-                raise ValueError(f"line ({i},{j}) needs positive susceptance")
+            if not valid_susceptance(b):
+                raise ValueError(f"line ({i},{j}): susceptance outside {SUSCEPTANCE_RANGE}")
         line_pairs = {frozenset((i, j)) for i, j, _ in self.lines}
         ids = [m.id for m in self.measurements]
         if len(set(ids)) != len(ids):
@@ -129,8 +137,18 @@ class MeasurementSystem:
         """Measurement id -> row position."""
         return {m.id: k for k, m in enumerate(self.measurements)}
 
-    def measurement(self, mid: int) -> Measurement:
-        return self.measurements[self.index_of[mid]]
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Read-only measurement matrix; see ``build_matrix``."""
+        check_observable(self)
+        n = self.n
+        H = np.zeros((self.m, n + 1))
+        for k, meas in enumerate(self.measurements):
+            u, v = meas.endpoints
+            H[k, _column(n, u)] = meas.susceptance
+            H[k, _column(n, v)] = -meas.susceptance
+        H.setflags(write=False)
+        return H
 
 
 @dataclass(frozen=True)
@@ -141,9 +159,6 @@ class GraphEdge:
     u: int
     v: int
     secure: bool = False
-
-    def other(self, node: int) -> int:
-        return self.v if node == self.u else self.u
 
 
 @dataclass(frozen=True)
@@ -189,18 +204,19 @@ def build_matrix(sys: MeasurementSystem) -> np.ndarray:
 
     A flow row carries +B at the from-bus column and -B at the to-bus
     column; an angle row carries +1 at its bus and -1 in the trailing
-    reference column. Raises UnobservableSystem when the n free columns
-    do not reach full rank.
+    reference column. The n free columns have full rank exactly when the
+    measurement graph is connected, so UnobservableSystem is raised by
+    that graph rule (``check_observable``), not by a numerical rank test.
+    It is built once per system object, never shared by value, and is
+    read-only so callers can reuse it.
     """
-    n, m = sys.n, sys.m
-    H = np.zeros((m, n + 1))
-    for k, meas in enumerate(sys.measurements):
-        u, v = meas.endpoints
-        H[k, _column(n, u)] = meas.susceptance
-        H[k, _column(n, v)] = -meas.susceptance
-    if np.linalg.matrix_rank(H[:, :n]) < n:
-        raise UnobservableSystem(f"rank below {n}: measurement set does not observe every bus")
-    return H
+    return sys.matrix
+
+
+def check_observable(sys: MeasurementSystem) -> None:
+    """Raise UnobservableSystem unless the measurements connect every bus to the reference."""
+    if not connected((b.id for b in sys.buses), (m.endpoints for m in sys.measurements)):
+        raise UnobservableSystem("measurement graph is disconnected")
 
 
 def connected(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> bool:
@@ -226,11 +242,10 @@ def connected(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> bool:
 def build_graph(sys: MeasurementSystem) -> MeasurementGraph:
     """Render the measurement set as a multigraph; requires connectivity."""
     nodes = tuple(sorted(b.id for b in sys.buses))
+    check_observable(sys)
     edges = tuple(
         GraphEdge(m.id, m.endpoints[0], m.endpoints[1], m.secure) for m in sys.measurements
     )
-    if not connected(nodes, [(e.u, e.v) for e in edges]):
-        raise UnobservableSystem("measurement graph is disconnected")
     return MeasurementGraph(nodes=nodes, edges=edges)
 
 

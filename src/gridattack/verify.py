@@ -1,11 +1,14 @@
 """End-to-end execution of an attack plan against the estimator.
 
-Builds clean measurements from a ground-truth state, applies the plan's
-injections, deletes its jammed rows, runs detection and removal, and
+Deletes the plan's jammed rows, builds clean measurements for the rest from
+a ground-truth state, applies the plan's injections, runs detection and
+removal on that reduced system, whose one matrix the estimator reuses, and
 classifies the outcome against the plan's declared attack type: hidden
 plans must leave the residual test silent while shifting the estimate;
 detectable plans must shift the estimate with at least one injected
-measurement surviving removal and the final residual test passing.
+measurement surviving removal and the final residual test passing. The
+input system's matrix is never built: its graph, a superset of the reduced
+one, is checked for observability only when the reduced system fails.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from .attack import AttackPlan
 from .errors import PlanMismatch, RemovalFailed, UnobservableSystem
 from .estimator import DetectorConfig, EstimationReport, detect_and_remove
-from .grid import MeasurementSystem, build_matrix, remove_measurements
+from .grid import MeasurementSystem, build_matrix, check_observable, remove_measurements
 
 ESTIMATE_CHANGE_TOL = 1e-6
 
@@ -85,26 +88,28 @@ def execute(
     if alpha is None:
         alpha = default_shift_scale(sys)
 
-    H = build_matrix(sys)
-    z = H @ truth
+    reduced = remove_measurements(sys, plan.jammed)
+    try:
+        H = build_matrix(reduced)
+    except UnobservableSystem:
+        check_observable(sys)  # raises if the input itself is unobservable
+        H = None
+    noise = None
     if noise_rng is not None:
-        z = z + noise_rng.normal(0.0, np.sqrt(np.asarray(sys.noise_variance)))
+        # drawn for every row, jammed ones included, so seeded streams match
+        keep = [k for k, meas in enumerate(sys.measurements) if meas.id not in plan.jammed]
+        noise = noise_rng.normal(0.0, np.sqrt(np.asarray(sys.noise_variance)))[keep]
     shift = alpha * np.asarray(plan.injection_state_shift, dtype=float)
     if len(shift) != sys.n + 1:
         raise PlanMismatch("state shift length does not match the system")
-    a = H @ shift
-    inject_mask = np.zeros(sys.m, dtype=bool)
-    for mid in plan.injected:
-        inject_mask[sys.index_of[mid]] = True
-    z_attacked = z + np.where(inject_mask, a, 0.0)
-
-    keep = [k for k, meas in enumerate(sys.measurements) if meas.id not in plan.jammed]
-    reduced = remove_measurements(sys, plan.jammed)
-    z_reduced = z_attacked[keep]
-    try:
-        report = detect_and_remove(reduced, z_reduced, cfg)
-    except UnobservableSystem:
+    if H is None:
         return _failure(plan, observable=False)
+    z = H @ truth
+    if noise is not None:
+        z = z + noise
+    inject_mask = np.array([meas.id in plan.injected for meas in reduced.measurements], bool)
+    try:
+        report = detect_and_remove(reduced, z + np.where(inject_mask, H @ shift, 0.0), cfg)
     except RemovalFailed:
         return _failure(plan, removal_failed=True, observable=True)
 

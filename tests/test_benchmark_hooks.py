@@ -55,3 +55,25 @@ def test_tracer_installs_runs_and_uninstalls():
     assert attack.DESIGNERS == designers
     assert mincut.CutSolver.global_min_cut is global_min_cut
     assert mincut.WeightedGraph.reweighted is reweighted
+
+
+def test_repeated_oracle_units_redo_their_matrix_work(tmp_path, monkeypatch):
+    """Per-object caches must not turn a repeated unit's verification into lookups."""
+    construct = grid.MeasurementSystem.matrix.func
+    built = []
+
+    def counting(system):
+        built.append(system)
+        return construct(system)
+
+    monkeypatch.setattr(grid.MeasurementSystem.matrix, "func", counting)
+    work = workloads.OracleWorkload(batch=3)
+    work.prepare(seed=1, out_dir=tmp_path)
+    counts = []
+    for _ in range(2):
+        built.clear()
+        tally = workloads.Tally()
+        work.run_unit(tally)
+        assert tally.failed == 0, tally.errors
+        counts.append(len(built))
+    assert counts[0] > 0 and counts[0] == counts[1]

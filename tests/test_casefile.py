@@ -68,6 +68,23 @@ def test_parse_rejects_non_positive_or_non_finite_susceptance(susceptance):
     assert (err.value.line, err.value.column) == (3, 3)
 
 
+@pytest.mark.parametrize("susceptance", ["1e308", "1e7", "1e-7"])
+def test_parse_rejects_susceptance_outside_range(susceptance):
+    with pytest.raises(ga.ParseError) as err:
+        ga.parse_case(f"buses 2\nlines\n1 2 {susceptance}\n")
+    assert (err.value.line, err.value.column) == (3, 3)
+    with pytest.raises(ga.ParseError) as err:
+        ga.parse_case(f"buses 2\nlines\n1 2\nmeasurements\nflow 1 2 {susceptance}\nangle 1\n")
+    assert (err.value.line, err.value.column) == (5, 4)
+
+
+def test_parse_accepts_range_ends():
+    case = ga.parse_case("buses 3\nlines\n1 2 1e6\n2 3 1e-6\n"
+                         "measurements\nflow 1 2 1e6\nflow 2 3 1e-6\nangle 1\n")
+    assert ga.build_matrix(ga.system_from_case(case))[:2, :3].tolist() == [
+        [1e6, -1e6, 0.0], [0.0, 1e-6, -1e-6]]
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(ga.ParseError) as err:
         ga.parse_case("buses 2\nlines\n1 2\n1 x\n")

@@ -97,9 +97,13 @@ def test_attack_non_finite_susceptance_exit_65(tmp_path, capsys):
         "buses 2\nlines\n1 2\nmeasurements\nflow 1 2 -1\nangle 1\n",
         "buses 2\nlines\n1 2\nmeasurements\nflow 1 2 nan\nangle 1\n",
         "buses 2\nlines\n1 2\nmeasurements\nflow 1 2\nangle 1\nsecure\n-1\n",
+        "buses 2\nlines\n1 2\nmeasurements\nflow 1 2 1e308\nangle 1\nangle 2\n",
+        "buses 2\nlines\n1 2\nmeasurements\nflow 1 2 1e7\nangle 1\nangle 2\n",
+        "buses 2\nlines\n1 2\nmeasurements\nflow 1 2 1e-7\nangle 1\nangle 2\n",
     ],
     ids=["superscript-buses", "negative-flow-susceptance", "nan-flow-susceptance",
-         "negative-secure-id"],
+         "negative-secure-id", "1e308-flow-susceptance", "1e7-flow-susceptance",
+         "1e-7-flow-susceptance"],
 )
 def test_attack_malformed_case_exit_65(text, tmp_path, capsys):
     bad = tmp_path / "bad.grid"

@@ -187,3 +187,26 @@ def test_measurement_validation():
         ga.Measurement(0, ga.MeasurementKind.PHASE_ANGLE, 1, susceptance=2.0)
     with pytest.raises(ValueError):
         ga.Measurement(0, ga.MeasurementKind.PHASE_ANGLE, 0)
+
+
+@pytest.mark.parametrize("b", [1e308, 1e7, 1e-7, 0.0, float("nan")])
+def test_susceptance_outside_range_rejected(b):
+    with pytest.raises(ValueError):
+        ga.Measurement(0, ga.MeasurementKind.LINE_FLOW, 1, 2, susceptance=b)
+    with pytest.raises(ValueError):
+        ga.MeasurementSystem(
+            buses=(ga.Bus(0, is_reference=True), ga.Bus(1), ga.Bus(2)),
+            lines=((1, 2, b),),
+            measurements=(),
+        )
+
+
+def test_observability_is_decided_by_the_graph():
+    """Each system's matrix is built once, read-only; disconnection raises."""
+    sys_ = triangle_system()
+    H = ga.build_matrix(sys_)
+    assert ga.build_matrix(sys_) is H and not H.flags.writeable
+    # a value-equal system built separately gets its own matrix
+    assert ga.build_matrix(ga.remove_measurements(sys_, [])) is not H
+    with pytest.raises(ga.UnobservableSystem):
+        ga.build_matrix(ga.remove_measurements(sys_, [1, 2]))

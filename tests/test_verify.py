@@ -1,5 +1,6 @@
 """Plan execution against the estimator and outcome classification."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -157,3 +158,61 @@ def test_noise_flag_keeps_hidden_attack_hidden():
         sys_, np.zeros(3), plan, cfg, alpha=1.0, noise_rng=np.random.default_rng(7)
     )
     assert verdict.stealthy and verdict.estimate_changed
+
+
+def test_unobservable_input_raises():
+    sys_ = triangle_system()
+    # flow meter only: no measurement ties the buses to the reference node
+    flows_only = ga.remove_measurements(sys_, [1, 2])
+    cut = ga.CutResult(frozenset({1}), (0,), 1.0, 0, 1)
+    plan = dataclasses.replace(_noop_plan(ga.build_graph(sys_)), cut=cut)
+    with pytest.raises(ga.UnobservableSystem):
+        ga.execute(flows_only, np.zeros(3), plan, EXHAUSTIVE)
+
+
+def test_execute_builds_one_read_only_matrix(monkeypatch):
+    sys_ = triangle_system()
+    g = ga.build_graph(sys_)
+    built = []
+    construct = ga.MeasurementSystem.matrix.func
+
+    def counting(system):
+        built.append(system)
+        return construct(system)
+
+    monkeypatch.setattr(ga.MeasurementSystem.matrix, "func", counting)
+    for plan in (
+        ga.hidden_generalized(g, ga.CostModel(1, 0.5, 0.25)),
+        ga.detectable_generalized(g, ga.CostModel(1, 0.8, 0.6)),
+    ):
+        built.clear()
+        ga.execute(sys_, np.zeros(3), plan, EXHAUSTIVE)
+        assert len(built) == 1 and built[0] is not sys_
+        assert not built[0].matrix.flags.writeable
+    # the input system's matrix is never built, so repeated runs redo the work
+    assert "matrix" not in vars(sys_)
+
+
+def test_extreme_in_range_susceptances_verify_every_plan():
+    """A chain 1-2 at the top of the range and 2-3 at the bottom, angles on 1 and 3."""
+    flow = ga.MeasurementKind.LINE_FLOW
+    angle = ga.MeasurementKind.PHASE_ANGLE
+    sys_ = ga.MeasurementSystem(
+        buses=(ga.Bus(0, is_reference=True), ga.Bus(1), ga.Bus(2), ga.Bus(3)),
+        lines=((1, 2, 1e6), (2, 3, 1e-6)),
+        measurements=(
+            ga.Measurement(0, flow, 1, 2, susceptance=1e6),
+            ga.Measurement(1, flow, 2, 3, susceptance=1e-6),
+            ga.Measurement(2, angle, 1),
+            ga.Measurement(3, angle, 3),
+        ),
+    )
+    g = ga.build_graph(sys_)
+    verified = 0
+    for cost in (ga.CostModel(1, 0.8, 0.6), ga.CostModel(1, 0.8, 0.25), ga.CostModel(1, 0.3, 0.2)):
+        for attack_type in AttackType:
+            plan = ga.design(attack_type, g, cost)
+            if isinstance(plan, ga.AttackPlan):
+                assert ga.execute(sys_, np.zeros(4), plan, EXHAUSTIVE).success, (attack_type, cost)
+                verified += 1
+    assert verified >= 6
