@@ -421,6 +421,12 @@ def detectable_generalized(graph: MeasurementGraph, cost: CostModel) -> DesignRe
     cheap-jamming weighting; interval III collapses to the hidden
     generalized structure with a single injection. The jam-the-surplus
     plan needs a secure cut edge, so it is skipped on a graph without one.
+
+    It is also skipped when the secure-minority plan is already cheaper
+    than ``p_inject + p_jam_secure``, the floor of every jam-the-surplus
+    plan: that plan injects at least one insecure edge and jams at least
+    one secure edge. Near the floor it still runs, and a tie keeps the
+    secure-minority plan.
     """
     if not graph.insecure_ids:
         return Infeasible("no insecure measurement to inject into")
@@ -432,6 +438,10 @@ def detectable_generalized(graph: MeasurementGraph, cost: CostModel) -> DesignRe
         )
     # interval I is exactly p_jam_insecure >= p_inject / 2, case A's unit weighting
     plan_a = _case_a(AttackType.DETECTABLE_GENERALIZED, graph, cost)
+    # the relative 1e-9 slack keeps rounding from skipping a case B that could win
+    floor = (cost.p_inject + cost.p_jam_secure) * (1.0 - 1e-9)
+    if isinstance(plan_a, AttackPlan) and plan_a.total_cost < floor:
+        return plan_a
     if graph.secure_ids:
         plan_b = _case_b(graph, cost)
     else:

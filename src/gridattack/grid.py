@@ -138,6 +138,11 @@ class MeasurementSystem:
         return {m.id: k for k, m in enumerate(self.measurements)}
 
     @cached_property
+    def observable(self) -> bool:
+        """Whether the measurements connect every bus to the reference; see ``check_observable``."""
+        return connected((b.id for b in self.buses), (m.endpoints for m in self.measurements))
+
+    @cached_property
     def matrix(self) -> np.ndarray:
         """Read-only measurement matrix; see ``build_matrix``."""
         check_observable(self)
@@ -214,8 +219,12 @@ def build_matrix(sys: MeasurementSystem) -> np.ndarray:
 
 
 def check_observable(sys: MeasurementSystem) -> None:
-    """Raise UnobservableSystem unless the measurements connect every bus to the reference."""
-    if not connected((b.id for b in sys.buses), (m.endpoints for m in sys.measurements)):
+    """Raise UnobservableSystem unless the measurements connect every bus to the reference.
+
+    Connectivity is computed once per system object; every call on a
+    disconnected system raises.
+    """
+    if not sys.observable:
         raise UnobservableSystem("measurement graph is disconnected")
 
 
@@ -271,12 +280,18 @@ def cut_edges(
 
 
 def remove_measurements(sys: MeasurementSystem, ids: Iterable[int]) -> MeasurementSystem:
-    """System with the given measurements deleted; ids of the rest are kept."""
+    """System with the given measurements deleted; ids of the rest are kept.
+
+    A subset of a valid system is valid, so the constructor's checks are
+    not run again; the result equals the system built from the kept rows.
+    """
     drop = set(ids)
     keep = [k for k, m in enumerate(sys.measurements) if m.id not in drop]
-    return MeasurementSystem(
+    reduced = object.__new__(MeasurementSystem)
+    reduced.__dict__.update(
         buses=sys.buses,
         lines=sys.lines,
         measurements=tuple(sys.measurements[k] for k in keep),
         noise_variance=tuple(sys.noise_variance[k] for k in keep),
     )
+    return reduced

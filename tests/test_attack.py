@@ -1,5 +1,6 @@
 """Attack designers: frozen worked examples plus structural invariants."""
 
+import dataclasses
 import math
 import random
 
@@ -269,6 +270,124 @@ def test_detectable_generalized_skips_case_b_without_secure_edges(monkeypatch):
     assert isinstance(result, ga.NoSolutionFound)
     assert result.reason.startswith("case A: forced; case B: skipped")
     assert "no secure measurement" in result.reason
+
+
+def gamma_counterexample_graph() -> ga.MeasurementGraph:
+    """Edges (id, u, v, secure): (0,3,0,F) (1,1,0,T) (2,2,0,F) (3,3,0,F) (4,1,2,F) (5,2,3,F)."""
+    angle, flow = ga.MeasurementKind.PHASE_ANGLE, ga.MeasurementKind.LINE_FLOW
+    sys_ = ga.MeasurementSystem(
+        buses=(ga.Bus(0, is_reference=True), ga.Bus(1), ga.Bus(2), ga.Bus(3)),
+        lines=((1, 2, 1.0), (2, 3, 1.0)),
+        measurements=(
+            ga.Measurement(0, angle, 3),
+            ga.Measurement(1, angle, 1, secure=True),
+            ga.Measurement(2, angle, 2),
+            ga.Measurement(3, angle, 3),
+            ga.Measurement(4, flow, 1, 2),
+            ga.Measurement(5, flow, 2, 3),
+        ),
+    )
+    return ga.build_graph(sys_)
+
+
+def test_detectable_generalized_case_b_not_stopped_by_gamma_bound():
+    """Bounding case B's working cut weight by case A's cost would lose this plan.
+
+    Case A costs 2.0. Case B boosts edge 4 to infinity and returns cut (1, 4),
+    reported at its original weight 1.0, a plan of 1.8. A stop at working
+    weight 2.0 - 0.8 = 1.2 ends the search at the working cut of 1.4 instead.
+    """
+    g = gamma_counterexample_graph()
+    cost = ga.CostModel(1, 0.8, 0.6)
+    case_a = attack_module._case_a(AttackType.DETECTABLE_GENERALIZED, g, cost)
+    assert case_a.total_cost == pytest.approx(2.0)
+    plan = ga.detectable_generalized(g, cost)
+    assert isinstance(plan, ga.AttackPlan)
+    assert plan.cut.edges == (1, 4)
+    assert plan.injected == frozenset({4}) and plan.jammed_secure == frozenset({1})
+    assert not plan.jammed_insecure
+    assert plan.total_cost == pytest.approx(1.8)
+    weighted = ga.WeightedGraph.from_measurement_graph(g, 0.8, 0.2)
+    assert isinstance(
+        ga.constrained_min_cut(weighted, ga.CutConstraint.SECURE_WEAK_MAJORITY, gamma=1.2),
+        ga.NoSolutionFound,
+    )
+
+
+# each triple puts some case-A plans exactly on the case-B floor p_inject + p_jam_secure:
+# a two-edge cut at (1, .5, .5) costs 1 + .5; a secure-free three-edge cut at (1, .8, .4)
+# costs 1 + 2 * .4
+FLOOR_TRIPLES = (ga.CostModel(1, 0.5, 0.5), ga.CostModel(1, 0.8, 0.4), ga.CostModel(2, 1, 1))
+
+
+def _floor_cases():
+    """(system, cost) pairs: 300 random in intervals I and II, 40 on each floor triple."""
+    rng = random.Random(47)
+    cases = []
+    for k in range(300):
+        interval = (ga.CostInterval.I, ga.CostInterval.II)[k % 2]
+        cases.append((random_system(rng), random_cost(rng, interval)))
+    for cost in FLOOR_TRIPLES:
+        cases += [(random_system(rng), cost) for _ in range(40)]
+    return cases
+
+
+def _dg_without_floor(graph, cost):
+    """Detectable generalized in intervals I and II, always running both sub-cases."""
+    if not graph.insecure_ids:
+        return ga.Infeasible("no insecure measurement to inject into")
+    plan_a = attack_module._case_a(AttackType.DETECTABLE_GENERALIZED, graph, cost)
+    if graph.secure_ids:
+        plan_b = attack_module._case_b(graph, cost)
+    else:
+        plan_b = ga.NoSolutionFound(
+            "skipped: no secure measurement, and a secure weak majority needs one"
+        )
+    plans = [p for p in (plan_a, plan_b) if isinstance(p, ga.AttackPlan)]
+    if not plans:
+        return ga.NoSolutionFound(f"case A: {plan_a.reason}; case B: {plan_b.reason}")
+    return min(plans, key=lambda p: p.total_cost)
+
+
+def test_detectable_generalized_equals_min_of_both_cases():
+    counted = {"floor_ties": 0, "b_wins": 0, "a_below_floor": 0, "a_failed": 0}
+    cases = _floor_cases() + [(None, ga.CostModel(1, 0.8, 0.6))]
+    for sys_, cost in cases:
+        # separate graph objects, so neither side reads the other's memo
+        if sys_ is None:
+            g, ref_g = gamma_counterexample_graph(), gamma_counterexample_graph()
+        else:
+            g, ref_g = ga.build_graph(sys_), ga.build_graph(sys_)
+        got, want = ga.detectable_generalized(g, cost), _dg_without_floor(ref_g, cost)
+        assert type(got) is type(want)
+        for field in dataclasses.fields(want):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+        case_a = attack_module._case_a(AttackType.DETECTABLE_GENERALIZED, ref_g, cost)
+        if not isinstance(case_a, ga.AttackPlan):
+            counted["a_failed"] += 1
+            continue
+        floor = cost.p_inject + cost.p_jam_secure
+        counted["floor_ties"] += case_a.total_cost == floor
+        counted["a_below_floor"] += case_a.total_cost < floor
+        counted["b_wins"] += want.total_cost < case_a.total_cost
+    assert counted["floor_ties"] >= 10 and counted["b_wins"] >= 10
+    assert counted["a_below_floor"] >= 100 and counted["a_failed"] >= 1, counted
+
+
+def test_detectable_generalized_skips_case_b_below_floor(monkeypatch):
+    cases = [(ga.build_graph(s), c) for s, c in _floor_cases()]
+    case_a = [attack_module._case_a(AttackType.DETECTABLE_GENERALIZED, g, c) for g, c in cases]
+
+    def case_b(*args):
+        raise AssertionError("case B ran although case A beat its cost floor")
+
+    monkeypatch.setattr(attack_module, "_case_b", case_b)
+    skipped = 0
+    for (g, cost), plan_a in zip(cases, case_a):
+        if isinstance(plan_a, ga.AttackPlan) and plan_a.total_cost < cost.p_inject + cost.p_jam_secure:
+            assert ga.detectable_generalized(g, cost) == plan_a
+            skipped += 1
+    assert skipped >= 100
 
 
 # -- insecure-edge sweep -----------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gridattack as ga
+from gridattack import grid as grid_module
 from conftest import triangle_graph, triangle_system, random_system
 
 
@@ -178,6 +179,53 @@ def test_remove_measurements_keeps_ids():
     reduced = ga.remove_measurements(sys_, [1])
     assert [m.id for m in reduced.measurements] == [0, 2]
     assert reduced.m == 2 and len(reduced.noise_variance) == 2
+
+
+def test_remove_measurements_equals_constructed_system():
+    """The unchecked subset equals the system the constructor builds from the kept rows."""
+    rng = random.Random(12)
+    for trial in range(60):
+        sys_ = random_system(rng)
+        if trial % 2:
+            variances = tuple(rng.uniform(1e-4, 1e-2) for _ in range(sys_.m))
+            sys_ = ga.MeasurementSystem(sys_.buses, sys_.lines, sys_.measurements, variances)
+        drop = {m.id for m in sys_.measurements if rng.random() < 0.3}
+        kept = [k for k, m in enumerate(sys_.measurements) if m.id not in drop]
+        want = ga.MeasurementSystem(
+            buses=sys_.buses,
+            lines=sys_.lines,
+            measurements=tuple(sys_.measurements[k] for k in kept),
+            noise_variance=tuple(sys_.noise_variance[k] for k in kept),
+        )
+        got = ga.remove_measurements(sys_, drop)
+        assert type(got) is ga.MeasurementSystem and got == want
+        assert got.observable == want.observable
+        if want.observable:
+            assert np.array_equal(ga.build_matrix(got), ga.build_matrix(want))
+
+
+def test_observability_checked_once_per_system(monkeypatch):
+    calls = []
+    real = grid_module.connected
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(grid_module, "connected", counted)
+    sys_ = ga.place_measurements(ga.load_case("ieee14"), 0.5, 0.3, seed=3)
+    ga.build_graph(sys_)
+    ga.build_matrix(sys_)
+    assert len(calls) == 1
+    # a disconnected system raises on every call, through every entry point
+    split = ga.remove_measurements(
+        sys_, [m.id for m in sys_.measurements if m.kind is ga.MeasurementKind.PHASE_ANGLE]
+    )
+    check_observable = grid_module.check_observable
+    for check in (check_observable, ga.build_graph, ga.build_matrix, check_observable):
+        with pytest.raises(ga.UnobservableSystem):
+            check(split)
+    assert len(calls) == 2
 
 
 def test_measurement_validation():
