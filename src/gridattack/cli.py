@@ -175,7 +175,7 @@ def _cmd_attack(args) -> int:
         print(f"jam secure     : {sorted(outcome.jammed_secure)}")
         print(f"untouched      : {sorted(outcome.untouched)}")
         print(f"total cost     : {outcome.total_cost:.10g}")
-        print(f"verified       : {'yes' if verdict.success else 'NO'} "
+        print(f"verified       : {'yes' if verdict.success else 'NO: ' + verdict.reason} "
               f"(stealthy={verdict.stealthy}, estimate_changed={verdict.estimate_changed}, "
               f"survived={verdict.survived_injection})")
     return EX_OK if verdict.success else EX_FAILED

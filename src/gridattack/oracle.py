@@ -4,7 +4,18 @@ Enumerates every bipartition whose two sides are internally connected (any
 attack on a cut with a disconnected side splits into a cheaper attack on a
 sub-cut, so nothing is lost) and, per cut, every admissible action split by
 counts, since all insecure edges share one cost and all secure edges share
-another.
+another. A cut's price depends only on its (secure, insecure) counts, so
+each count class is priced once.
+
+Census order: with ``others = graph.nodes[1:]``, mask ``1 .. 2**len(others)
+- 1`` puts ``others[i]`` on ``side_a`` when bit ``i`` is set; the first node
+(the reference) is never on ``side_a``. Cuts appear in increasing mask order.
+
+Tie-breaks. The witness is the first census cut of the cheapest class; of
+classes tied in value, the one whose first cut comes earlier wins. Within a
+class the counts are the first minimum in (inject, jam-insecure,
+jam-secure) order, each cost summed as ``p_inject*ki + p_jam_insecure*kji +
+p_jam_secure*kjs``.
 """
 
 from __future__ import annotations
@@ -12,33 +23,68 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional, Union
 
-import numpy as np
-
 from .attack import AttackPlan, AttackType, CostModel, Infeasible, _plan
 from .errors import TooLarge
-from .grid import MeasurementGraph, connected
-from .mincut import CutResult, WeightedGraph, cut_from_side
+from .grid import MeasurementGraph
+from .mincut import CutResult
 
 MAX_ORACLE_NODES = 12
 
+# hidden types that cannot touch a secure edge, so a cut with one is out
+_NO_SECURE_JAM = (AttackType.HIDDEN_INJECTION, AttackType.HIDDEN_JAMMING)
 
-def _induced_connected(side: frozenset[int], graph: MeasurementGraph) -> bool:
-    pairs = [(e.u, e.v) for e in graph.edges if e.u in side and e.v in side]
-    return connected(side, pairs)
+Census = tuple[tuple[CutResult, ...], tuple[tuple[tuple[int, int], int], ...]]
+
+
+def _spans(mask: int, adjacent: list[int]) -> bool:
+    """Whether the node bitmask induces a connected subgraph (bit-parallel BFS)."""
+    reach = frontier = mask & -mask
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= adjacent[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & mask & ~reach
+        reach |= frontier
+    return reach == mask
 
 
 @lru_cache(maxsize=256)
-def _cut_census(graph: MeasurementGraph) -> tuple[CutResult, ...]:
-    """Every unit-weight cut whose two sides both induce connected subgraphs."""
-    unit = WeightedGraph.from_measurement_graph(graph, 1.0, 1.0)
-    others = list(graph.nodes[1:])
-    all_nodes = frozenset(graph.nodes)
-    cuts = []
+def _cut_census(graph: MeasurementGraph) -> Census:
+    """Every unit-weight cut whose two sides both induce connected subgraphs.
+
+    Also returns, for each (n_secure, n_insecure) class, the census index of
+    its first cut, in order of that index.
+    """
+    position = {v: i for i, v in enumerate(graph.nodes)}
+    adjacent = [0] * len(graph.nodes)
+    ends = []
+    for e in sorted(graph.edges, key=lambda e: e.id):
+        bu, bv = 1 << position[e.u], 1 << position[e.v]
+        adjacent[position[e.u]] |= bv
+        adjacent[position[e.v]] |= bu
+        ends.append((e.id, bu | bv, e.secure))
+    others = graph.nodes[1:]
+    full = (1 << len(graph.nodes)) - 1
+    cuts: list[CutResult] = []
+    firsts: dict[tuple[int, int], int] = {}
     for mask in range(1, 1 << len(others)):
-        side = frozenset(v for i, v in enumerate(others) if mask >> i & 1)
-        if _induced_connected(side, graph) and _induced_connected(all_nodes - side, graph):
-            cuts.append(cut_from_side(unit.edges, side))
-    return tuple(cuts)
+        side = mask << 1
+        if not (_spans(side, adjacent) and _spans(full ^ side, adjacent)):
+            continue
+        members = [(i, sec) for i, both, sec in ends if (side & both) not in (0, both)]
+        n_sec = sum(1 for _, sec in members if sec)
+        key = (n_sec, len(members) - n_sec)
+        firsts.setdefault(key, len(cuts))
+        cuts.append(CutResult(
+            side_a=frozenset(v for i, v in enumerate(others) if mask >> i & 1),
+            edges=tuple(i for i, _ in members),
+            weight=float(len(members)),
+            n_secure=key[0],
+            n_insecure=key[1],
+        ))
+    return tuple(cuts), tuple(firsts.items())
 
 
 def _best_split(
@@ -46,34 +92,29 @@ def _best_split(
 ) -> Optional[tuple[float, tuple[int, int, int]]]:
     """Cheapest admissible (inject, jam-insecure, jam-secure) counts for a cut."""
     p_i, p_s, p_sc = cost.p_inject, cost.p_jam_secure, cost.p_jam_insecure
-    size = n_sec + n_ins
-    if n_ins == 0:
+    if n_ins == 0 or (n_sec and attack_type in _NO_SECURE_JAM):
         return None
+    if attack_type is AttackType.HIDDEN_INJECTION:
+        return p_i * n_ins, (n_ins, 0, 0)
+    best: Optional[tuple[float, tuple[int, int, int]]] = None
     if attack_type.hidden:
         # whole cut touched: secure edges all jammed, insecure split inject/jam
-        if attack_type is AttackType.HIDDEN_INJECTION:
-            if n_sec > 0:
-                return None
-            return p_i * n_ins, (n_ins, 0, 0)
-        if attack_type is AttackType.HIDDEN_JAMMING and n_sec > 0:
-            return None
-        k = np.arange(1, n_ins + 1)
-        costs = p_i * k + p_sc * (n_ins - k) + p_s * n_sec
-        best = int(np.argmin(costs))
-        return float(costs[best]), (int(k[best]), n_ins - int(k[best]), n_sec)
-    # detectable: injected edges must strictly outnumber the untouched residue
+        for ki in range(1, n_ins + 1):
+            value = p_i * ki + p_sc * (n_ins - ki) + p_s * n_sec
+            if best is None or value < best[0]:
+                best = (float(value), (ki, n_ins - ki, n_sec))
+        return best
+    # detectable: injected edges must strictly outnumber the untouched residue,
+    # so kji + kjs >= need; a jam beyond need only adds cost
     jam_ins_max = 0 if attack_type is AttackType.DETECTABLE_INJECTION else n_ins
     jam_sec_max = n_sec if attack_type is AttackType.DETECTABLE_GENERALIZED else 0
-    ki = np.arange(1, n_ins + 1).reshape(-1, 1, 1)
-    kji = np.arange(0, jam_ins_max + 1).reshape(1, -1, 1)
-    kjs = np.arange(0, jam_sec_max + 1).reshape(1, 1, -1)
-    feasible = (ki + kji <= n_ins) & (2 * ki > size - kji - kjs)
-    if not feasible.any():
-        return None
-    costs = p_i * ki + p_sc * kji + p_s * kjs + np.where(feasible, 0.0, np.inf)
-    flat = int(np.argmin(costs))
-    a, b, c = np.unravel_index(flat, costs.shape)
-    return float(costs[a, b, c]), (int(ki[a, 0, 0]), int(kji[0, b, 0]), int(kjs[0, 0, c]))
+    for ki in range(1, n_ins + 1):
+        need = max(0, n_sec + n_ins - 2 * ki + 1)
+        for kji in range(max(0, need - jam_sec_max), min(jam_ins_max, n_ins - ki, need) + 1):
+            value = p_i * ki + p_sc * kji + p_s * (need - kji)
+            if best is None or value < best[0]:
+                best = (float(value), (ki, kji, need - kji))
+    return best
 
 
 def optimal_cost(
@@ -85,21 +126,15 @@ def optimal_cost(
     """True minimum attack cost and a witness plan, by full enumeration."""
     if len(graph.nodes) > max_nodes:
         raise TooLarge(f"{len(graph.nodes)} nodes exceeds the oracle cap {max_nodes}")
-    memo: dict[tuple[int, int], Optional[tuple[float, tuple[int, int, int]]]] = {}
-    best: Optional[tuple[float, CutResult, tuple[int, int, int]]] = None
-    for cut in _cut_census(graph):
-        key = (cut.n_secure, cut.n_insecure)
-        if key not in memo:
-            memo[key] = _best_split(attack_type, key[0], key[1], cost)
-        found = memo[key]
-        if found is None:
-            continue
-        value, counts = found
-        if best is None or value < best[0]:
-            best = (value, cut, counts)
+    cuts, classes = _cut_census(graph)
+    best: Optional[tuple[float, int, tuple[int, int, int]]] = None
+    for (n_sec, n_ins), first in classes:  # in census order, so a tie keeps the earlier
+        found = _best_split(attack_type, n_sec, n_ins, cost)
+        if found is not None and (best is None or found[0] < best[0]):
+            best = (found[0], first, found[1])
     if best is None:
         return Infeasible(f"no cut admits a {attack_type.value} attack")
-    value, cut, counts = best
-    plan = _plan(attack_type, graph, cut, cost, *counts)
+    value, first, counts = best
+    plan = _plan(attack_type, graph, cuts[first], cost, *counts)
     assert abs(plan.total_cost - value) < 1e-9
     return value, plan

@@ -42,6 +42,24 @@ class VerificationVerdict:
     def success(self) -> bool:
         return self.matches_declared_type
 
+    @property
+    def reason(self) -> Optional[str]:
+        """The failed check, or None on success: ``unobservable`` (after the
+        jams), ``removal-failed``, ``detected`` (a hidden plan tripped the
+        residual test), ``injection-removed`` (a detectable plan lost every
+        injection) or ``estimate-unchanged``."""
+        if self.success:
+            return None
+        if not self.observability_ok:
+            return "unobservable"
+        if self.removal_failed:
+            return "removal-failed"
+        if self.attack_type.hidden and not self.stealthy:
+            return "detected"
+        if not self.attack_type.hidden and not self.survived_injection:
+            return "injection-removed"
+        return "estimate-unchanged"
+
 
 def _failure(plan: AttackPlan, removal_failed: bool = False, observable: bool = False):
     return VerificationVerdict(

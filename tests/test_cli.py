@@ -35,6 +35,21 @@ def test_attack_human_output(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "attack type" in out and "total cost" in out
+    assert "verified       : yes (" in out
+
+
+def test_attack_human_output_names_failed_check(capsys, monkeypatch):
+    from gridattack import cli
+
+    real_execute = cli.execute
+    # a zero shift leaves the estimate where it was, so the hidden plan fails
+    monkeypatch.setattr(cli, "execute", lambda *a, **kw: real_execute(*a, **{**kw, "alpha": 0.0}))
+    code = main([
+        "attack", "--type", "hidden-injection",
+        "--pi", "1", "--pjs", ".5", "--pjsc", ".25", "--seed", "3",
+    ])
+    assert code == cli.EX_FAILED
+    assert "verified       : NO: estimate-unchanged (" in capsys.readouterr().out
 
 
 def test_attack_invalid_costs_exit_64(capsys):

@@ -216,3 +216,70 @@ def test_extreme_in_range_susceptances_verify_every_plan():
                 assert ga.execute(sys_, np.zeros(4), plan, EXHAUSTIVE).success, (attack_type, cost)
                 verified += 1
     assert verified >= 6
+
+
+def _triangle_plan(attack_type, side, injected, jammed_insecure=(), jammed_secure=()):
+    sys_ = triangle_system()
+    cut = ga.cut_edges(ga.build_graph(sys_), side)
+    shift = tuple(int(v in side) for v in (1, 2, 0))
+    plan = ga.AttackPlan(
+        attack_type=attack_type,
+        cut=cut,
+        injected=frozenset(injected),
+        jammed_insecure=frozenset(jammed_insecure),
+        jammed_secure=frozenset(jammed_secure),
+        injection_state_shift=shift,
+        total_cost=1.0,
+    )
+    return sys_, plan
+
+
+def test_verdict_reason_none_on_success():
+    sys_ = triangle_system()
+    plan = ga.hidden_generalized(ga.build_graph(sys_), ga.CostModel(1, 0.5, 0.25))
+    verdict = ga.execute(sys_, np.zeros(3), plan, EXHAUSTIVE)
+    assert verdict.success and verdict.reason is None
+
+
+def test_verdict_reason_unobservable():
+    # jams both angle meters, stranding the reference node
+    sys_, plan = _triangle_plan(AttackType.HIDDEN_GENERALIZED, {1}, {0}, {2}, {1})
+    assert ga.execute(sys_, np.zeros(3), plan, EXHAUSTIVE).reason == "unobservable"
+
+
+def test_verdict_reason_detected_and_removal_failed():
+    # injects the flow of cut {1} but leaves its angle meter untouched
+    sys_, plan = _triangle_plan(AttackType.HIDDEN_GENERALIZED, {1}, {0})
+    verdict = ga.execute(sys_, np.zeros(3), plan, EXHAUSTIVE)
+    assert not verdict.stealthy and verdict.reason == "detected"
+    no_removal = ga.DetectorConfig(max_removals=0)
+    assert ga.execute(sys_, np.zeros(3), plan, no_removal).reason == "removal-failed"
+
+
+def test_verdict_reason_estimate_unchanged():
+    sys_ = triangle_system()
+    verdict = ga.execute(sys_, np.zeros(3), _noop_plan(ga.build_graph(sys_)), EXHAUSTIVE)
+    assert verdict.stealthy and verdict.reason == "estimate-unchanged"
+
+
+def test_verdict_reason_injection_removed():
+    # three parallel flows cut bus 2 off; one injected among two untouched is outvoted
+    sys_ = ga.MeasurementSystem(
+        buses=(ga.Bus(0, is_reference=True), ga.Bus(1), ga.Bus(2)),
+        lines=((1, 2, 1.0),),
+        measurements=tuple(
+            ga.Measurement(k, ga.MeasurementKind.LINE_FLOW, 1, 2) for k in range(3)
+        ) + (ga.Measurement(3, ga.MeasurementKind.PHASE_ANGLE, 1, secure=True),),
+    )
+    plan = ga.AttackPlan(
+        attack_type=AttackType.DETECTABLE_INJECTION,
+        cut=ga.cut_edges(ga.build_graph(sys_), {2}),
+        injected=frozenset({0}),
+        jammed_insecure=frozenset(),
+        jammed_secure=frozenset(),
+        injection_state_shift=(0, 1, 0),
+        total_cost=1.0,
+    )
+    verdict = ga.execute(sys_, np.zeros(3), plan, EXHAUSTIVE)
+    assert verdict.report.removed == {0}
+    assert verdict.reason == "injection-removed"
