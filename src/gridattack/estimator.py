@@ -8,6 +8,19 @@ residual while keeping the measurement graph connected, either exactly
 (subset search in increasing cardinality) or greedily by the largest
 normalized residual. It reuses the system's one matrix, and each removal
 search checks connectivity against one endpoint list.
+
+The exact search screens each subset R before its connectivity check and
+solve. With Omega = I - Hw (Hw^T Hw)^-1 Hw^T and r the whitened residual of
+the full system, taken once per search, removing R leaves a squared
+residual of J - r_R^T Omega_RR^-1 r_R, where J = |r|^2. A subset is skipped
+only when that value exceeds threshold^2 by the margin 1e-6 J + 1e-12
+|zw|^2, and only when every eigenvalue of Omega_RR is at least 1e-6. A
+passing subset leaves at most threshold^2 <= J, so the first term covers the
+relative rounding of the update and of lstsq; the second covers the
+rounding of r itself when the measurements zw dwarf it. Every other subset,
+singular or ill-conditioned Omega_RR included, takes the connectivity check
+and the solve, in increasing size and then lexicographic order, so the
+subset, estimate and residual returned are those of the unscreened search.
 """
 
 from __future__ import annotations
@@ -23,6 +36,17 @@ from .errors import RemovalFailed
 from .grid import MeasurementSystem, build_matrix, connected
 
 DEFAULT_THRESHOLD = 1e-6
+
+# The removal screen's margin (see the module docstring): a share of J, and
+# a share of |zw|^2 for the rounding of r itself when the measurements dwarf
+# it; and the smallest eigenvalue of Omega_RR the screen trusts.
+_SCREEN_MARGIN_REL = 1e-6
+_SCREEN_MARGIN_SIGNAL = 1e-12
+_SCREEN_EIGEN_FLOOR = 1e-6
+# Subsets per screened chunk: 16 at first, then four times the last, up to
+# 2^14 / size^2 so that each of a chunk's arrays stays near 128 kB.
+_SCREEN_FIRST_CHUNK = 16
+_SCREEN_CHUNK_ENTRIES = 1 << 14
 
 
 class RemovalMode(Enum):
@@ -148,16 +172,47 @@ def detect_and_remove(
 def _exhaustive_removal(sys, Hw, zw, threshold, budget):
     m = sys.m
     pairs = [meas.endpoints for meas in sys.measurements]
+    q, _ = np.linalg.qr(Hw)
+    omega = np.eye(m) - q @ q.T
+    r = omega @ zw
+    J = float(r @ r)
+    limit = threshold**2 + _SCREEN_MARGIN_REL * J + _SCREEN_MARGIN_SIGNAL * float(zw @ zw)
     for size in range(1, budget + 1):
-        for combo in itertools.combinations(range(m), size):
-            removed = set(combo)
-            if not _keeps_connected(sys.n, pairs, removed):
-                continue
-            keep = [k for k in range(m) if k not in removed]
-            x, r = _solve(Hw[keep], zw[keep])
-            if r <= threshold:
-                return removed, x, r
+        combos = itertools.combinations(range(m), size)
+        chunk, cap = _SCREEN_FIRST_CHUNK, max(1, _SCREEN_CHUNK_ENTRIES // (size * size))
+        while True:
+            flat = itertools.chain.from_iterable(itertools.islice(combos, chunk))
+            block = np.fromiter(flat, dtype=np.intp).reshape(-1, size)
+            if not len(block):
+                break
+            rejected = _screened_residual(omega, r, J, block) > limit
+            for combo, skip in zip(block.tolist(), rejected.tolist()):
+                if skip:
+                    continue
+                removed = set(combo)
+                if not _keeps_connected(sys.n, pairs, removed):
+                    continue
+                keep = [k for k in range(m) if k not in removed]
+                x, r_norm = _solve(Hw[keep], zw[keep])
+                if r_norm <= threshold:
+                    return removed, x, r_norm
+            chunk = min(4 * chunk, cap)
     return None
+
+
+def _screened_residual(omega, r, J, block):
+    """Squared residual left by removing each row set of ``block``, or -inf.
+
+    Removing the rows R of a system with whitened residual r leaves
+    J - r_R^T Omega_RR^-1 r_R (Monticelli 1999; Mili, Van Cutsem &
+    Ribbens-Pavella 1984). A set whose Omega_RR has an eigenvalue below
+    _SCREEN_EIGEN_FLOOR gets -inf, so the screen never rejects it.
+    """
+    sub = omega[block[:, :, None], block[:, None, :]]
+    eigenvalues, vectors = np.linalg.eigh(sub)
+    along = np.einsum("kij,ki->kj", vectors, r[block])
+    explained = np.sum(along**2 / np.maximum(eigenvalues, _SCREEN_EIGEN_FLOOR), axis=1)
+    return np.where(eigenvalues[:, 0] >= _SCREEN_EIGEN_FLOOR, J - explained, -np.inf)
 
 
 def _greedy_removal(sys, Hw, zw, threshold, budget):

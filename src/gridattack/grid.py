@@ -10,6 +10,7 @@ when its edges form a cut of that graph.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -73,7 +74,7 @@ class Measurement:
         if not valid_susceptance(self.susceptance):
             raise ValueError(f"measurement {self.id}: susceptance outside {SUSCEPTANCE_RANGE}")
 
-    @property
+    @cached_property
     def endpoints(self) -> tuple[int, int]:
         """Graph endpoints; angles attach to the reference node."""
         if self.kind is MeasurementKind.LINE_FLOW:
@@ -146,12 +147,14 @@ class MeasurementSystem:
     def matrix(self) -> np.ndarray:
         """Read-only measurement matrix; see ``build_matrix``."""
         check_observable(self)
-        n = self.n
-        H = np.zeros((self.m, n + 1))
+        width = self.n + 1
+        flat = array("d", bytes(8 * self.m * width))
         for k, meas in enumerate(self.measurements):
             u, v = meas.endpoints
-            H[k, _column(n, u)] = meas.susceptance
-            H[k, _column(n, v)] = -meas.susceptance
+            row = k * width - 1  # bus i is column i - 1, the reference the last
+            flat[row + (u or width)] = meas.susceptance
+            flat[row + (v or width)] = -meas.susceptance
+        H = np.frombuffer(flat).reshape(self.m, width)
         H.setflags(write=False)
         return H
 
@@ -187,21 +190,18 @@ class MeasurementGraph:
 
     @cached_property
     def cut_memo(self) -> dict:
-        """Cut searches already run on this graph object, for the designers.
+        """Cut searches already run on this graph object, for the designers,
+        and the oracle's cut census.
 
-        Keyed by (search, constraint, secure weight, insecure weight). It is
-        held per object, not by value: a value-equal graph built separately
-        starts with an empty memo.
+        Keyed by (search, constraint, secure weight, insecure weight), or by
+        ("census",). It is held per object, not by value: a value-equal graph
+        built separately starts with an empty memo.
         """
         return {}
 
     def state_index(self, node: int) -> int:
         """Column position of a node: bus i -> i-1, reference -> last."""
         return len(self.nodes) - 1 if node == REFERENCE_BUS else node - 1
-
-
-def _column(n: int, bus: int) -> int:
-    return n if bus == REFERENCE_BUS else bus - 1
 
 
 def build_matrix(sys: MeasurementSystem) -> np.ndarray:
@@ -229,23 +229,32 @@ def check_observable(sys: MeasurementSystem) -> None:
 
 
 def connected(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> bool:
-    """Union-find connectivity over the given node set."""
-    parent = {v: v for v in nodes}
-    if not parent:
+    """Whether the pairs link every node of the set, by bitmask labelling.
+
+    Each node gets one bit; the label of the first node's component grows by
+    the neighbour masks of its frontier until it stops, and the set is
+    connected when that label holds every bit.
+    """
+    position: dict[int, int] = {}
+    for v in nodes:
+        position.setdefault(v, len(position))
+    if not position:
         return True
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    adjacent = [0] * len(position)
     for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    roots = {find(v) for v in parent}
-    return len(roots) == 1
+        i, j = position[a], position[b]
+        adjacent[i] |= 1 << j
+        adjacent[j] |= 1 << i
+    label = frontier = 1
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= adjacent[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & ~label
+        label |= frontier
+    return label == (1 << len(position)) - 1
 
 
 def build_graph(sys: MeasurementSystem) -> MeasurementGraph:

@@ -20,10 +20,9 @@ p_jam_secure*kjs``.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional, Union
 
-from .attack import AttackPlan, AttackType, CostModel, Infeasible, _plan
+from .attack import AttackPlan, AttackType, CostModel, Infeasible, _memoized, _plan
 from .errors import TooLarge
 from .grid import MeasurementGraph
 from .mincut import CutResult
@@ -50,13 +49,17 @@ def _spans(mask: int, adjacent: list[int]) -> bool:
     return reach == mask
 
 
-@lru_cache(maxsize=256)
 def _cut_census(graph: MeasurementGraph) -> Census:
     """Every unit-weight cut whose two sides both induce connected subgraphs.
 
     Also returns, for each (n_secure, n_insecure) class, the census index of
-    its first cut, in order of that index.
+    its first cut, in order of that index. Taken once per graph object and
+    kept in its ``cut_memo``.
     """
+    return _memoized(graph, ("census",), lambda: _take_census(graph))
+
+
+def _take_census(graph: MeasurementGraph) -> Census:
     position = {v: i for i, v in enumerate(graph.nodes)}
     adjacent = [0] * len(graph.nodes)
     ends = []

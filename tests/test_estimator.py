@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gridattack as ga
-from conftest import triangle_system, random_system
+from gridattack import estimator
+from conftest import random_edge_list, triangle_system, random_system
 
 EXHAUSTIVE = ga.DetectorConfig(removal_mode=ga.RemovalMode.EXHAUSTIVE_MINIMAL)
 GREEDY = ga.DetectorConfig(removal_mode=ga.RemovalMode.GREEDY_NORMALIZED_RESIDUAL)
@@ -228,3 +230,149 @@ def test_noisy_run_with_chi_square_threshold():
         report = ga.detect_and_remove(sys_, z, cfg)
         false_alarms += report.detected
     assert false_alarms <= trials // 4  # 2.5% nominal rate, generous margin
+
+
+# --- the exhaustive-removal screen against the unscreened subset search ---
+
+
+def _reference_connected(nodes, pairs):
+    """Dict union-find, the connectivity check the estimator used before bitmasks."""
+    parent = {v: v for v in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return len({find(v) for v in parent}) <= 1
+
+
+def _reference_exhaustive_removal(sys_, Hw, zw, threshold, budget):
+    """Unscreened search: a connectivity check and an lstsq for every subset, in order."""
+    pairs = [meas.endpoints for meas in sys_.measurements]
+    for size in range(1, budget + 1):
+        for combo in itertools.combinations(range(sys_.m), size):
+            kept = [p for k, p in enumerate(pairs) if k not in combo]
+            if not _reference_connected(range(sys_.n + 1), kept):
+                continue
+            keep = [k for k in range(sys_.m) if k not in combo]
+            x, *_ = np.linalg.lstsq(Hw[keep], zw[keep], rcond=None)
+            r = float(np.linalg.norm(zw[keep] - Hw[keep] @ x))
+            if r <= threshold:
+                return set(combo), x, r
+    return None
+
+
+def _assert_same_removal(sys_, z, threshold, budget):
+    Hw, w = estimator._whitened(sys_)
+    zw = z * w
+    got = estimator._exhaustive_removal(sys_, Hw, zw, threshold, budget)
+    want = _reference_exhaustive_removal(sys_, Hw, zw, threshold, budget)
+    if want is None:
+        assert got is None
+        return None
+    assert got is not None
+    removed, x, r = got
+    ids = {sys_.measurements[k].id for k in removed}
+    assert ids == {sys_.measurements[k].id for k in want[0]}
+    assert x.tobytes() == want[1].tobytes()
+    assert r.hex() == want[2].hex()
+    return ids
+
+
+_SUSCEPTANCES = st.one_of(
+    st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]),
+    st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+)
+_MAGNITUDES = st.sampled_from([0.0, 1e-7, 1e-3, 0.3, 1.0, 1e3])
+
+
+@st.composite
+def _removal_cases(draw):
+    """A system with parallel meters, extreme susceptances and critical sets, and
+    corrupted, optionally noisy, measurements under a range of thresholds."""
+    n_buses = draw(st.integers(1, 4))
+    m = draw(st.integers(n_buses, 10))  # m == n_buses: every measurement is critical
+    rng = draw(st.randoms(use_true_random=False))
+    measurements = []
+    for mid, (u, v) in enumerate(random_edge_list(rng, n_buses, m)):
+        if u == ga.REFERENCE_BUS:
+            measurements.append(ga.Measurement(mid, ga.MeasurementKind.PHASE_ANGLE, v))
+        else:
+            measurements.append(ga.Measurement(mid, ga.MeasurementKind.LINE_FLOW, u, v,
+                                               susceptance=draw(_SUSCEPTANCES)))
+    variances = draw(st.one_of(
+        st.just(()),
+        st.lists(st.sampled_from([1e-8, 1e-4, 1e-2, 1.0]), min_size=m, max_size=m).map(tuple),
+    ))
+    lines = sorted({(me.bus_i, me.bus_j) for me in measurements if me.bus_j is not None})
+    sys_ = ga.MeasurementSystem(
+        buses=(ga.Bus(0, is_reference=True),) + tuple(ga.Bus(i) for i in range(1, n_buses + 1)),
+        lines=tuple((i, j, 1.0) for i, j in lines),
+        measurements=tuple(measurements),
+        noise_variance=variances,
+    )
+    state = draw(st.lists(st.one_of(_MAGNITUDES, st.floats(-2.0, 2.0)),
+                          min_size=n_buses, max_size=n_buses))
+    z = ga.build_matrix(sys_) @ np.array(state + [0.0])
+    for k, sign, size in draw(st.lists(st.tuples(st.integers(0, m - 1), st.sampled_from([-1, 1]),
+                                                 _MAGNITUDES), min_size=1, max_size=3)):
+        z[k] += sign * size
+    noise = draw(st.sampled_from([0.0, 0.0, 1e-3, 1.0]))
+    if noise:
+        z += noise * np.sqrt(sys_.noise_variance) * np.random.default_rng(rng.getrandbits(32)).normal(size=m)
+    threshold = draw(st.sampled_from([ga.DetectorConfig().threshold, 1e-3, 1.0, 3.0]))
+    budget = draw(st.integers(0, sys_.m - sys_.n))
+    return sys_, z, threshold, budget
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_removal_cases())
+def test_screened_exhaustive_removal_matches_unscreened(case):
+    """Same subset, estimate bytes and residual as the unscreened search, or None for both."""
+    _assert_same_removal(*case)
+
+
+def test_screen_passes_ill_conditioned_subset_through():
+    """Removing the 1e6 flow alone keeps 1-2 joined by the 1e-6 flow, so the graph stays
+    connected while its Omega_RR is about 5e-13: the screen must leave it to lstsq."""
+    flow, angle = ga.MeasurementKind.LINE_FLOW, ga.MeasurementKind.PHASE_ANGLE
+    sys_ = ga.MeasurementSystem(
+        buses=(ga.Bus(0, is_reference=True), ga.Bus(1), ga.Bus(2)),
+        lines=((1, 2, 1.0),),
+        measurements=(
+            ga.Measurement(0, flow, 1, 2, susceptance=1e6),
+            ga.Measurement(1, angle, 1),
+            ga.Measurement(2, flow, 1, 2, susceptance=1e-6),
+            ga.Measurement(3, angle, 2),
+        ),
+    )
+    for corruption in (1.0, 1e3):
+        z = ga.build_matrix(sys_) @ np.array([0.3, -0.2, 0.0])
+        z[0] += corruption
+        assert _assert_same_removal(sys_, z, ga.DetectorConfig().threshold, 2) == {0}
+        report = ga.detect_and_remove(sys_, z, EXHAUSTIVE)
+        assert report.detected and report.removed == frozenset({0})
+
+
+def test_screen_margin_covers_residual_rounding_of_large_measurements():
+    """A consistent flow of -1e9 at weight 100 rounds the full residual to about 1e-5,
+    far above the 1e-6 threshold; the screen must not reject the passing angle removal."""
+    flow, angle = ga.MeasurementKind.LINE_FLOW, ga.MeasurementKind.PHASE_ANGLE
+    sys_ = ga.MeasurementSystem(
+        buses=(ga.Bus(0, is_reference=True), ga.Bus(1), ga.Bus(2)),
+        lines=((1, 2, 1.0),),
+        measurements=(
+            ga.Measurement(0, flow, 1, 2, susceptance=1e6),
+            ga.Measurement(1, angle, 1),
+            ga.Measurement(2, angle, 1),
+        ),
+        noise_variance=(1e-4, 1e-4, 1e-4),
+    )
+    z = ga.build_matrix(sys_) @ np.array([0.0, 1e3, 0.0])
+    assert _assert_same_removal(sys_, z, ga.DetectorConfig().threshold, 1) == {1}

@@ -5,7 +5,8 @@ seed, so any engine change that keeps the answers keeps these digests. The
 sweep CSV does not show which side of the cut a plan reports; the
 ``attack --json`` digests cover ``cut_side`` as well. The random-graph
 digest covers every result field of all six designers and of the oracle's
-witness plan on a seeded batch of small systems.
+witness plan on a seeded batch of small systems. The ``execute`` digest
+covers every verdict and estimation-report field, arrays by their bytes.
 
 To retake a digest after an intended change of answers, run the test and
 copy the digest printed in the failure message.
@@ -15,9 +16,11 @@ import hashlib
 import os
 import random
 
+import numpy as np
 import pytest
 
 import gridattack as ga
+from gridattack import oracle
 from gridattack.attack import AttackType
 from gridattack.cli import main
 from gridattack.experiment import run_sweep, write_csv
@@ -129,3 +132,97 @@ def test_random_graph_digest():
                 h.update(f"{k} {cost}\n{design}\n{witness}\n".encode())
     digest = h.hexdigest()
     assert digest == RANDOM_DIGEST, f"random-graph digest is {digest}"
+
+
+EXECUTE_SEED = 6
+EXECUTE_SYSTEMS = 30
+EXECUTE_IEEE14_SEEDS = 3
+EXECUTE_DIGEST = "0e69584f2f90dc3bcdbd69894a705c87ab5350ff2ada5d3566726f654bfe5e87"
+
+EXHAUSTIVE = ga.DetectorConfig(removal_mode=ga.RemovalMode.EXHAUSTIVE_MINIMAL)
+GREEDY = ga.DetectorConfig(removal_mode=ga.RemovalMode.GREEDY_NORMALIZED_RESIDUAL)
+
+
+def _exact(value) -> str:
+    """A verdict or report field at full precision: arrays by their bytes, floats by hex."""
+    if value is None:
+        return "None"
+    if hasattr(value, "tobytes"):
+        return f"{value.dtype}{value.shape}:{value.tobytes().hex()}"
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, frozenset):
+        return repr(sorted(value))
+    return repr(value)
+
+
+def _describe_verdict(verdict) -> str:
+    """Every ``VerificationVerdict`` field and every ``EstimationReport`` field."""
+    fields = [
+        f"{name}={_exact(getattr(verdict, name))}"
+        for name in ("attack_type", "observability_ok", "stealthy", "estimate_changed",
+                     "survived_injection", "removal_failed", "matches_declared_type",
+                     "final_shift")
+    ]
+    report = verdict.report
+    if report is not None:
+        fields += [
+            f"{name}={_exact(getattr(report, name))}"
+            for name in ("estimate", "residual_norm", "detected", "removed",
+                         "final_estimate", "final_residual_norm")
+        ]
+    return " ".join(fields)
+
+
+def _execute_all(h, label, system, costs, modes) -> None:
+    """Hash the verdict of every designed plan and oracle witness under each mode.
+
+    A mode is (name, config, noise seed or None); noisy modes draw their
+    measurement noise from a fresh generator per verdict.
+    """
+    graph = ga.build_graph(system)
+    truth = np.linspace(-0.5, 0.5, system.n + 1)
+    truth[-1] = 0.0
+    for cost in costs:
+        for attack_type in AttackType:
+            plans = [ga.design(attack_type, graph, cost)]
+            if len(graph.nodes) <= oracle.MAX_ORACLE_NODES:
+                plans.append(ga.optimal_cost(graph, cost, attack_type))
+            for source, plan in zip(("design", "oracle"), plans):
+                if isinstance(plan, tuple):
+                    plan = plan[1]
+                if not isinstance(plan, ga.AttackPlan):
+                    continue
+                for mode_name, cfg, noise_seed in modes:
+                    noise = None if noise_seed is None else np.random.default_rng(noise_seed)
+                    try:
+                        verdict = _describe_verdict(ga.execute(system, truth, plan, cfg,
+                                                               noise_rng=noise))
+                    except ga.GridAttackError as exc:
+                        verdict = f"{type(exc).__name__}: {exc}"
+                    h.update(f"{label} {cost} {source} {mode_name}\n{verdict}\n".encode())
+
+
+def test_execute_digest():
+    """Every verdict and report field of ``execute``: exhaustive, greedy and noisy
+    exhaustive (chi-square threshold) on small random systems, greedy on placed
+    IEEE-14 systems; designed plans and oracle witnesses."""
+    rng = random.Random(EXECUTE_SEED)
+    h = hashlib.sha256()
+    for k in range(EXECUTE_SYSTEMS):
+        system = random_system(rng, m=rng.randint(5, 14))
+        costs = [random_cost(rng, interval) for interval in ga.CostInterval]
+        modes = [("exhaustive", EXHAUSTIVE, None), ("greedy", GREEDY, None)]
+        if system.m > system.n:
+            noisy = ga.DetectorConfig(threshold=ga.chi_square_threshold(system.m, system.n))
+            modes.append(("noisy", noisy, k))
+        _execute_all(h, f"small {k}", system, costs, modes)
+    case = ga.load_case("ieee14")
+    costs = [ga.CostModel(*map(float, c)) for c in ATTACK_COSTS]
+    for seed in range(EXECUTE_IEEE14_SEEDS):
+        for fraction in (0.0, 0.3):
+            system = ga.place_measurements(case, 0.6, fraction, SEED + seed)
+            _execute_all(h, f"ieee14 {seed} {fraction}", system, costs,
+                         [("greedy", GREEDY, None)])
+    digest = h.hexdigest()
+    assert digest == EXECUTE_DIGEST, f"execute digest is {digest}"

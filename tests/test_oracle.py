@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridattack as ga
-from gridattack import oracle
+from gridattack import estimator, oracle
 from gridattack.attack import AttackType
 from gridattack.grid import connected
 from gridattack.mincut import cut_from_side
@@ -238,9 +238,29 @@ def test_property_designers_against_oracle(sys_, cost):
             assert got.total_cost >= want[0] - 1e-12, t
 
 
-# fewer examples: exhaustive removal enumerates every subset up to the
-# residue size, which takes seconds on a wide parallel bundle
-@settings(_PROPERTY, max_examples=30)
+def test_parallel_bundle_witness_verifies_in_two_solves(monkeypatch):
+    """18 parallel angle meters: the detectable-injection witness injects 10 and leaves
+    8 untouched, so removal must discard those 8. Of the 106,761 subsets of up to 8
+    meters, the residual screen leaves only the passing one to lstsq."""
+    angle = ga.MeasurementKind.PHASE_ANGLE
+    sys_ = ga.MeasurementSystem(
+        buses=(ga.Bus(0, is_reference=True), ga.Bus(1)),
+        lines=(),
+        measurements=tuple(ga.Measurement(k, angle, 1) for k in range(18)),
+    )
+    _, plan = ga.optimal_cost(ga.build_graph(sys_), ga.CostModel(1, 0.8, 0.6),
+                              AttackType.DETECTABLE_INJECTION)
+    assert len(plan.injected) == 10 and len(plan.untouched) == 8
+    solves = []
+    real = estimator._solve
+    monkeypatch.setattr(estimator, "_solve", lambda *args: solves.append(1) or real(*args))
+    verdict = ga.execute(sys_, np.zeros(2), plan, EXHAUSTIVE)
+    assert verdict.success
+    assert verdict.report.removed == plan.untouched
+    assert len(solves) <= 2  # the detection solve and the passing subset
+
+
+@settings(_PROPERTY, max_examples=100)
 @given(_systems(), _COSTS)
 def test_property_oracle_witnesses_verify(sys_, cost):
     graph = ga.build_graph(sys_)
