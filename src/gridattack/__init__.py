@@ -57,7 +57,6 @@ from .mincut import (
     CutSolver,
     WeightedEdge,
     WeightedGraph,
-    enumerate_cuts,
     global_min_cut,
     min_st_cut,
 )

@@ -247,28 +247,21 @@ def _secure_free_min_cut(graph: MeasurementGraph) -> Optional[CutResult]:
 
 
 def constrained_min_cut(
-    weighted: WeightedGraph,
-    constraint: CutConstraint,
-    beta: float = INFINITY,
-    gamma: float = INFINITY,
-    max_boosts: Optional[int] = None,
+    weighted: WeightedGraph, constraint: CutConstraint, gamma: float = INFINITY
 ) -> Union[CutResult, NoSolutionFound]:
     """Iterative minimum-weight cut subject to a composition constraint.
 
     Recomputes the global minimum cut, and while the constraint fails,
-    raises the weight of one violating cut edge by ``beta`` (the edge of
-    minimum current weight, largest id on ties; a secure edge under the
-    minority constraint, an insecure edge under the weak-majority one,
-    except that a cut with no insecure edge gets a secure edge pushed to
-    infinity). One solver serves the whole search and takes each boost in
-    place. Gives up once the working cut weight reaches ``gamma`` or after
-    ``max_boosts`` reweighting steps (defaults to the edge count). The
-    returned cut reports its weight under the original weights.
+    boosts one violating cut edge to +inf in place: the lightest, largest
+    id on ties; a secure edge under the minority constraint or when the cut
+    has no insecure edge, else an insecure one. The returned cut reports
+    its weight under the original weights.
+
+    It ends: a boost happens only while the cut is finite, so it hits an
+    edge not yet boosted; once all are, every nonempty cut is infinite and
+    the ``gamma`` stop fires. An empty cut (a disconnected graph) gives up.
     """
-    working = {e.id: e.weight for e in weighted.edges}
-    secure = {e.id: e.secure for e in weighted.edges}
-    cap = len(weighted.edges) if max_boosts is None else max_boosts
-    boosts = 0
+    by_id = {e.id: e for e in weighted.edges}
     solver = CutSolver(weighted)
     while True:
         _, cut = solver.global_min_cut()
@@ -281,21 +274,11 @@ def constrained_min_cut(
             return cut_from_side(weighted.edges, cut.side_a)
         if cut.weight >= gamma:
             return NoSolutionFound(f"working cut weight {cut.weight} reached gamma {gamma}")
-        if boosts >= cap:
-            return NoSolutionFound(f"no constrained cut after {boosts} reweighting steps")
-        if constraint is CutConstraint.SECURE_MINORITY:
-            candidates = [i for i in cut.edges if secure[i]]
-            step = beta
-        elif n_ins == 0:
-            candidates = [i for i in cut.edges if secure[i]]
-            step = INFINITY
-        else:
-            candidates = [i for i in cut.edges if not secure[i]]
-            step = beta
-        target = min(candidates, key=lambda i: (working[i], -i))
-        working[target] = working[target] + step
-        solver.set_weight(target, working[target])
-        boosts += 1
+        if not cut.edges:
+            return NoSolutionFound("the global cut is empty: the graph is disconnected")
+        boost_secure = constraint is CutConstraint.SECURE_MINORITY or n_ins == 0
+        candidates = [i for i in cut.edges if by_id[i].secure == boost_secure]
+        solver.set_weight(min(candidates, key=lambda i: (by_id[i].weight, -i)), INFINITY)
 
 
 def hidden_injection(graph: MeasurementGraph, cost: CostModel) -> DesignResult:
@@ -322,12 +305,17 @@ def hidden_generalized(graph: MeasurementGraph, cost: CostModel) -> DesignResult
     is the cut weight plus the inject/jam-insecure cost difference. Exact
     for every permissible cost triple.
     """
+    return _single_injection_plan(AttackType.HIDDEN_GENERALIZED, graph, cost)
+
+
+def _single_injection_plan(
+    attack_type: AttackType, graph: MeasurementGraph, cost: CostModel
+) -> Union[AttackPlan, Infeasible]:
+    """Inject one insecure edge of the lightest jamming-cost cut and jam the rest."""
     cut = _sweep_min_cut(graph, cost.p_jam_secure, cost.p_jam_insecure)
     if cut is None:
         return Infeasible("no insecure measurement to inject into")
-    return _plan(
-        AttackType.HIDDEN_GENERALIZED, graph, cut, cost, 1, cut.n_insecure - 1, cut.n_secure
-    )
+    return _plan(attack_type, graph, cut, cost, 1, cut.n_insecure - 1, cut.n_secure)
 
 
 def _constrained_plan(
@@ -431,11 +419,7 @@ def detectable_generalized(graph: MeasurementGraph, cost: CostModel) -> DesignRe
     if not graph.insecure_ids:
         return Infeasible("no insecure measurement to inject into")
     if classify_interval(cost) is CostInterval.III:
-        cut = _sweep_min_cut(graph, cost.p_jam_secure, cost.p_jam_insecure)
-        assert cut is not None
-        return _plan(
-            AttackType.DETECTABLE_GENERALIZED, graph, cut, cost, 1, cut.n_insecure - 1, cut.n_secure
-        )
+        return _single_injection_plan(AttackType.DETECTABLE_GENERALIZED, graph, cost)
     # interval I is exactly p_jam_insecure >= p_inject / 2, case A's unit weighting
     plan_a = _case_a(AttackType.DETECTABLE_GENERALIZED, graph, cost)
     # the relative 1e-9 slack keeps rounding from skipping a case B that could win

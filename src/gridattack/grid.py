@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from .errors import UnobservableSystem
-from .mincut import CutResult, WeightedEdge, cut_from_side
+from .mincut import CutResult, WeightedEdge, _reach, cut_from_side
 
 REFERENCE_BUS = 0
 
@@ -229,11 +229,10 @@ def check_observable(sys: MeasurementSystem) -> None:
 
 
 def connected(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> bool:
-    """Whether the pairs link every node of the set, by bitmask labelling.
+    """Whether the pairs link every node of the set.
 
-    Each node gets one bit; the label of the first node's component grows by
-    the neighbour masks of its frontier until it stops, and the set is
-    connected when that label holds every bit.
+    Each node gets one bit, and the set is connected when the first node
+    reaches every bit (``mincut._reach``).
     """
     position: dict[int, int] = {}
     for v in nodes:
@@ -245,16 +244,7 @@ def connected(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> bool:
         i, j = position[a], position[b]
         adjacent[i] |= 1 << j
         adjacent[j] |= 1 << i
-    label = frontier = 1
-    while frontier:
-        grown = 0
-        while frontier:
-            low = frontier & -frontier
-            grown |= adjacent[low.bit_length() - 1]
-            frontier ^= low
-        frontier = grown & ~label
-        label |= frontier
-    return label == (1 << len(position)) - 1
+    return _reach(1, adjacent) == (1 << len(position)) - 1
 
 
 def build_graph(sys: MeasurementSystem) -> MeasurementGraph:

@@ -1,4 +1,4 @@
-"""Weighted cut engines: s-t min cut, global min cut, exhaustive enumeration.
+"""Weighted cut engines: s-t min cut, global min cut, bitmask reachability.
 
 The s-t cut is a Dinic max-flow; the global cut is Stoer-Wagner (Stoer &
 Wagner, "A simple min-cut algorithm", JACM 1997) with a heap-ordered
@@ -27,9 +27,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
-
-from .errors import TooLarge
+from typing import Iterable, Mapping, Optional
 
 INFINITY = math.inf
 
@@ -201,6 +199,20 @@ class _Dinic:
         return seen
 
 
+def _reach(seed: int, adjacent: list[int], within: int = -1) -> int:
+    """Nodes that ``seed`` reaches inside ``within``; ``adjacent[i]`` holds node i's neighbours."""
+    label = frontier = seed
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= adjacent[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & within & ~label
+        label |= frontier
+    return label
+
+
 def _quantum(weight: float) -> Optional[int]:
     """Quantized weight, or None for +inf."""
     return None if math.isinf(weight) else round(weight * _SCALE)
@@ -341,18 +353,20 @@ class CutSolver:
         Returns each node's merged label and the packed capacities between
         labels. Labels are numbered in node order, so the first node's is 0.
         """
-        parent = list(range(len(self._nodes)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        adjacent = [0] * len(self._nodes)
         for a, b in self._inf_pairs:
-            parent[find(a)] = find(b)
-        names: dict[int, int] = {}
-        labels = [names.setdefault(find(i), len(names)) for i in range(len(parent))]
+            adjacent[a] |= 1 << b
+            adjacent[b] |= 1 << a
+        labels = [-1] * len(adjacent)
+        count = 0
+        for i in range(len(labels)):
+            if labels[i] < 0:
+                group = _reach(1 << i, adjacent)
+                while group:
+                    low = group & -group
+                    labels[low.bit_length() - 1] = count
+                    group ^= low
+                count += 1
         caps: dict[tuple[int, int], int] = {}
         for (a, b), cap in self._pair_caps.items():
             la, lb = labels[a], labels[b]
@@ -393,16 +407,3 @@ def global_min_cut(g: WeightedGraph) -> CutResult:
     """Minimum weight cut over all proper bipartitions."""
     return CutSolver(g).global_min_cut()[1]
 
-
-def enumerate_cuts(g: WeightedGraph, max_nodes: int = 16) -> Iterator[CutResult]:
-    """Every distinct cut of a small graph, one per proper bipartition.
-
-    Yields 2**(n-1) - 1 cuts; the side reported never contains the first
-    node. Raises TooLarge beyond ``max_nodes`` nodes.
-    """
-    if len(g.nodes) > max_nodes:
-        raise TooLarge(f"{len(g.nodes)} nodes exceeds enumeration cap {max_nodes}")
-    others = list(g.nodes[1:])
-    for mask in range(1, 1 << len(others)):
-        side = frozenset(v for i, v in enumerate(others) if mask >> i & 1)
-        yield cut_from_side(g.edges, side)

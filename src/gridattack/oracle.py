@@ -10,6 +10,7 @@ each count class is priced once.
 Census order: with ``others = graph.nodes[1:]``, mask ``1 .. 2**len(others)
 - 1`` puts ``others[i]`` on ``side_a`` when bit ``i`` is set; the first node
 (the reference) is never on ``side_a``. Cuts appear in increasing mask order.
+This census is the package's one cut enumeration; sides are tested by ``_reach``.
 
 Tie-breaks. The witness is the first census cut of the cheapest class; of
 classes tied in value, the one whose first cut comes earlier wins. Within a
@@ -25,7 +26,7 @@ from typing import Optional, Union
 from .attack import AttackPlan, AttackType, CostModel, Infeasible, _memoized, _plan
 from .errors import TooLarge
 from .grid import MeasurementGraph
-from .mincut import CutResult
+from .mincut import CutResult, _reach
 
 MAX_ORACLE_NODES = 12
 
@@ -33,20 +34,6 @@ MAX_ORACLE_NODES = 12
 _NO_SECURE_JAM = (AttackType.HIDDEN_INJECTION, AttackType.HIDDEN_JAMMING)
 
 Census = tuple[tuple[CutResult, ...], tuple[tuple[tuple[int, int], int], ...]]
-
-
-def _spans(mask: int, adjacent: list[int]) -> bool:
-    """Whether the node bitmask induces a connected subgraph (bit-parallel BFS)."""
-    reach = frontier = mask & -mask
-    while frontier:
-        grown = 0
-        while frontier:
-            low = frontier & -frontier
-            grown |= adjacent[low.bit_length() - 1]
-            frontier ^= low
-        frontier = grown & mask & ~reach
-        reach |= frontier
-    return reach == mask
 
 
 def _cut_census(graph: MeasurementGraph) -> Census:
@@ -74,7 +61,8 @@ def _take_census(graph: MeasurementGraph) -> Census:
     firsts: dict[tuple[int, int], int] = {}
     for mask in range(1, 1 << len(others)):
         side = mask << 1
-        if not (_spans(side, adjacent) and _spans(full ^ side, adjacent)):
+        rest = full ^ side  # holds the first node, bit 0
+        if _reach(side & -side, adjacent, side) != side or _reach(1, adjacent, rest) != rest:
             continue
         members = [(i, sec) for i, both, sec in ends if (side & both) not in (0, both)]
         n_sec = sum(1 for _, sec in members if sec)
@@ -121,14 +109,11 @@ def _best_split(
 
 
 def optimal_cost(
-    graph: MeasurementGraph,
-    cost: CostModel,
-    attack_type: AttackType,
-    max_nodes: int = MAX_ORACLE_NODES,
+    graph: MeasurementGraph, cost: CostModel, attack_type: AttackType
 ) -> Union[tuple[float, AttackPlan], Infeasible]:
-    """True minimum attack cost and a witness plan, by full enumeration."""
-    if len(graph.nodes) > max_nodes:
-        raise TooLarge(f"{len(graph.nodes)} nodes exceeds the oracle cap {max_nodes}")
+    """True minimum attack cost and a witness plan, by full enumeration (TooLarge past the cap)."""
+    if len(graph.nodes) > MAX_ORACLE_NODES:
+        raise TooLarge(f"{len(graph.nodes)} nodes exceeds the oracle cap {MAX_ORACLE_NODES}")
     cuts, classes = _cut_census(graph)
     best: Optional[tuple[float, int, tuple[int, int, int]]] = None
     for (n_sec, n_ins), first in classes:  # in census order, so a tie keeps the earlier

@@ -1,4 +1,9 @@
-"""Shared builders: a triangle example, random systems, and random cost triples."""
+"""Shared builders and references.
+
+Builders: a triangle example, random systems and random cost triples.
+References kept apart from the package code they check: a dict union-find
+for connectivity and a brute-force cut enumeration.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +11,7 @@ import random
 from typing import Optional
 
 import gridattack as ga
+from gridattack.mincut import cut_from_side
 
 
 def triangle_system(secure=(False, True, False)) -> ga.MeasurementSystem:
@@ -97,3 +103,39 @@ def random_weighted_graph(rng: random.Random, weights=(0.25, 0.5, 0.6, 0.8, 1.0)
         for k, (u, v) in enumerate(edges)
     )
     return ga.WeightedGraph(nodes=tuple(range(n_nodes)), edges=weighted)
+
+
+def reference_labels(nodes, pairs) -> list[int]:
+    """Component label of each distinct node, numbered in node order, by a dict union-find."""
+    parent = {v: v for v in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    names = {}
+    return [names.setdefault(find(v), len(names)) for v in parent]
+
+
+def reference_connected(nodes, pairs) -> bool:
+    """Whether the pairs link every node of the set."""
+    return len(set(reference_labels(nodes, pairs))) <= 1
+
+
+def all_cuts(g: ga.WeightedGraph) -> list[ga.CutResult]:
+    """Every cut of a small graph, one per proper bipartition, by brute force.
+
+    Census mask order: bit i of the mask puts ``g.nodes[1:][i]`` on
+    ``side_a``, so the first node is never on it.
+    """
+    others = list(g.nodes[1:])
+    return [
+        cut_from_side(g.edges, frozenset(v for i, v in enumerate(others) if mask >> i & 1))
+        for mask in range(1, 1 << len(others))
+    ]

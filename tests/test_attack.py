@@ -9,7 +9,7 @@ import pytest
 import gridattack as ga
 from gridattack import attack as attack_module
 from gridattack.attack import AttackType
-from conftest import triangle_graph, random_cost, random_system
+from conftest import all_cuts, triangle_graph, random_cost, random_system
 
 BASE_COST = ga.CostModel(1.0, 0.5, 0.25)
 
@@ -218,7 +218,7 @@ def test_hidden_generalized_uniform_costs_is_min_cardinality():
         if not isinstance(plan, ga.AttackPlan):
             continue
         best = min(
-            (len(c.edges) for c in ga.enumerate_cuts(
+            (len(c.edges) for c in all_cuts(
                 ga.WeightedGraph.from_measurement_graph(g, 1.0, 1.0))
              if c.n_insecure > 0),
         )
@@ -462,13 +462,17 @@ def test_constrained_min_cut_gamma_stops_search():
     assert isinstance(result, ga.NoSolutionFound)
 
 
-def test_constrained_min_cut_finite_beta_mode():
-    weighted = ga.WeightedGraph.from_measurement_graph(triangle_graph(), 0.8, 0.2)
-    cut = ga.constrained_min_cut(
-        weighted, ga.CutConstraint.SECURE_WEAK_MAJORITY, beta=0.2, max_boosts=50
+@pytest.mark.parametrize("constraint", list(ga.CutConstraint))
+def test_constrained_min_cut_empty_global_cut_gives_up(constraint):
+    """A disconnected graph's global cut is empty, so there is no edge to boost."""
+    disconnected = ga.WeightedGraph(
+        nodes=(0, 1, 2), edges=(ga.WeightedEdge(0, 0, 1, 1.0, secure=True),)
     )
-    assert isinstance(cut, ga.CutResult)
-    assert cut.weight == pytest.approx(1.0)
+    edgeless = ga.WeightedGraph(nodes=(0, 1), edges=())
+    for g in (disconnected, edgeless):
+        result = ga.constrained_min_cut(g, constraint)
+        assert isinstance(result, ga.NoSolutionFound)
+        assert result.reason == "the global cut is empty: the graph is disconnected"
 
 
 # -- cross-designer invariants ----------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import gridattack as ga
 from gridattack import estimator
-from conftest import random_edge_list, triangle_system, random_system
+from conftest import random_edge_list, reference_connected, triangle_system, random_system
 
 EXHAUSTIVE = ga.DetectorConfig(removal_mode=ga.RemovalMode.EXHAUSTIVE_MINIMAL)
 GREEDY = ga.DetectorConfig(removal_mode=ga.RemovalMode.GREEDY_NORMALIZED_RESIDUAL)
@@ -235,30 +235,13 @@ def test_noisy_run_with_chi_square_threshold():
 # --- the exhaustive-removal screen against the unscreened subset search ---
 
 
-def _reference_connected(nodes, pairs):
-    """Dict union-find, the connectivity check the estimator used before bitmasks."""
-    parent = {v: v for v in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(v) for v in parent}) <= 1
-
-
 def _reference_exhaustive_removal(sys_, Hw, zw, threshold, budget):
     """Unscreened search: a connectivity check and an lstsq for every subset, in order."""
     pairs = [meas.endpoints for meas in sys_.measurements]
     for size in range(1, budget + 1):
         for combo in itertools.combinations(range(sys_.m), size):
             kept = [p for k, p in enumerate(pairs) if k not in combo]
-            if not _reference_connected(range(sys_.n + 1), kept):
+            if not reference_connected(range(sys_.n + 1), kept):
                 continue
             keep = [k for k in range(sys_.m) if k not in combo]
             x, *_ = np.linalg.lstsq(Hw[keep], zw[keep], rcond=None)

@@ -5,8 +5,10 @@ seed, so any engine change that keeps the answers keeps these digests. The
 sweep CSV does not show which side of the cut a plan reports; the
 ``attack --json`` digests cover ``cut_side`` as well. The random-graph
 digest covers every result field of all six designers and of the oracle's
-witness plan on a seeded batch of small systems. The ``execute`` digest
-covers every verdict and estimation-report field, arrays by their bytes.
+witness plan on a seeded batch of small systems, and the census digest
+every cut and class of the oracle's cut census on the same batch. The
+``execute`` digest covers every verdict and estimation-report field, arrays
+by their bytes.
 
 To retake a digest after an intended change of answers, run the test and
 copy the digest printed in the failure message.
@@ -99,6 +101,7 @@ def test_attack_json_digest(attack_type, capsys):
 RANDOM_SEED = 4
 RANDOM_SYSTEMS = 40
 RANDOM_DIGEST = "4edb99c43eeb60d02bac91d822ad6263590635dca77cd76d45539354d34caec9"
+CENSUS_DIGEST = "81801f9755b7253527639cc7f5350279f302f4129a395dccc775044c990fbb3b"
 
 
 def _describe(result) -> str:
@@ -118,20 +121,40 @@ def _describe(result) -> str:
     )
 
 
-def test_random_graph_digest():
-    """All six designers and the oracle witness, one cost triple per interval."""
+def _random_batch():
+    """The seeded batch of small systems, each with one cost triple per interval."""
     rng = random.Random(RANDOM_SEED)
-    h = hashlib.sha256()
     for k in range(RANDOM_SYSTEMS):
         graph = ga.build_graph(random_system(rng))
-        for interval in ga.CostInterval:
-            cost = random_cost(rng, interval)
+        yield k, graph, [random_cost(rng, interval) for interval in ga.CostInterval]
+
+
+def test_random_graph_digest():
+    """All six designers and the oracle witness, one cost triple per interval."""
+    h = hashlib.sha256()
+    for k, graph, costs in _random_batch():
+        for cost in costs:
             for attack_type in AttackType:
                 design = _describe(ga.design(attack_type, graph, cost))
                 witness = _describe(ga.optimal_cost(graph, cost, attack_type))
                 h.update(f"{k} {cost}\n{design}\n{witness}\n".encode())
     digest = h.hexdigest()
     assert digest == RANDOM_DIGEST, f"random-graph digest is {digest}"
+
+
+def test_census_digest():
+    """Every census cut, in order, and every class with its first index, on the same batch."""
+    h = hashlib.sha256()
+    for k, graph, _ in _random_batch():
+        cuts, classes = oracle._cut_census(graph)
+        for cut in cuts:
+            h.update(
+                f"{k} side={sorted(cut.side_a)} edges={cut.edges} weight={cut.weight!r} "
+                f"n_secure={cut.n_secure} n_insecure={cut.n_insecure}\n".encode()
+            )
+        h.update(f"{k} classes={classes}\n".encode())
+    digest = h.hexdigest()
+    assert digest == CENSUS_DIGEST, f"census digest is {digest}"
 
 
 EXECUTE_SEED = 6

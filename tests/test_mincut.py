@@ -11,7 +11,11 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 import gridattack as ga
-from conftest import random_weighted_graph
+from conftest import (
+    all_cuts, random_weighted_graph, reference_connected, reference_labels,
+)
+from gridattack.grid import connected
+from gridattack.mincut import _reach
 
 
 def _graph(nodes, edges):
@@ -55,19 +59,68 @@ def test_infinite_weight_absorbing():
 
 
 def test_enumerate_counts():
+    """The brute-force reference: one cut per proper bipartition, in mask order."""
     tri = _graph([0, 1, 2], [(0, 0, 1, 1.0), (1, 1, 2, 1.0), (2, 0, 2, 1.0)])
-    cuts = list(ga.enumerate_cuts(tri))
+    cuts = all_cuts(tri)
     assert len(cuts) == 3
     assert sorted(c.edges for c in cuts) == [(0, 1), (0, 2), (1, 2)]
+    assert [sorted(c.side_a) for c in cuts] == [[1], [2], [1, 2]]
     four = _graph([0, 1, 2, 3], [(0, 0, 1, 1.0), (1, 1, 2, 1.0), (2, 2, 3, 1.0)])
-    assert len(list(ga.enumerate_cuts(four))) == 7
+    cuts = all_cuts(four)
+    assert len(cuts) == 7
+    assert all(0 not in c.side_a for c in cuts)
 
 
-def test_enumerate_too_large():
-    nodes = tuple(range(17))
-    edges = tuple(ga.WeightedEdge(i, i, i + 1, 1.0) for i in range(16))
-    with pytest.raises(ga.TooLarge):
-        list(ga.enumerate_cuts(ga.WeightedGraph(nodes=nodes, edges=edges)))
+def test_reachability_matches_union_find_reference():
+    """``grid.connected``, ``_reach`` inside a mask, and the labels of
+    ``CutSolver._contracted`` all agree with the conftest union-find.
+
+    Random node sets in shuffled order: the empty set, isolated nodes,
+    parallel pairs, disconnected sets, and sets of more than 64 nodes.
+    """
+    rng = random.Random(18)
+    seen = collections.Counter()
+    for k in range(400):
+        n = 0 if k % 40 == 0 else rng.choice((rng.randint(1, 10), rng.randint(65, 90)))
+        nodes = rng.sample(range(3 * n + 5), n)
+        pairs = []
+        if n >= 2:
+            if rng.random() < 0.5:  # a spanning tree, so large sets are connected too
+                pairs = [(v, rng.choice(nodes[:i])) for i, v in enumerate(nodes[1:], 1)]
+            pairs += [tuple(rng.sample(nodes, 2)) for _ in range(rng.randint(0, n))]
+            pairs += rng.sample(pairs, min(len(pairs), rng.randint(0, 3)))
+            rng.shuffle(pairs)
+        want = reference_connected(nodes, pairs)
+        assert connected(nodes, pairs) == want
+        seen["empty" if not n else (n > 64, want)] += 1
+        seen["isolated"] += n > 1 and bool(set(nodes) - {v for p in pairs for v in p})
+        seen["parallel"] += len({frozenset(p) for p in pairs}) < len(pairs)
+
+        position = {v: i for i, v in enumerate(nodes)}
+        adjacent = [0] * n
+        for a, b in pairs:
+            adjacent[position[a]] |= 1 << position[b]
+            adjacent[position[b]] |= 1 << position[a]
+        within = rng.getrandbits(n) if n else 0
+        if within:
+            inside = [v for v in nodes if within >> position[v] & 1]
+            induced = [(a, b) for a, b in pairs if a in inside and b in inside]
+            got = _reach(within & -within, adjacent, within) == within
+            assert got == reference_connected(inside, induced)
+            seen["induced", got] += 1
+
+        if n:
+            edges = tuple(
+                ga.WeightedEdge(i, a, b, math.inf if rng.random() < 0.6 else 1.0)
+                for i, (a, b) in enumerate(pairs)
+            )
+            labels, _ = ga.CutSolver(ga.WeightedGraph(nodes=tuple(nodes), edges=edges))._contracted()
+            infinite = [(e.u, e.v) for e in edges if math.isinf(e.weight)]
+            assert labels == reference_labels(nodes, infinite)
+            seen["merged"] += len(set(labels)) < n
+    assert seen["empty"] == 10 and seen["isolated"] >= 50 and seen["parallel"] >= 50
+    assert min(seen[True, True], seen[True, False], seen[False, True], seen[False, False]) >= 20
+    assert min(seen["induced", True], seen["induced", False]) >= 50 and seen["merged"] >= 100
 
 
 def test_triangle_unit_global_cut():
@@ -105,7 +158,7 @@ def test_parallel_edges_reported_individually():
 
 def _min_enumerated(g, separating=None):
     best = None
-    for cut in ga.enumerate_cuts(g):
+    for cut in all_cuts(g):
         if separating is not None:
             s, t = separating
             if (s in cut.side_a) == (t in cut.side_a):
@@ -130,7 +183,7 @@ def test_global_min_matches_enumeration():
         g = random_weighted_graph(rng, weights=(0.25, 0.5, 0.6, 1.0, math.inf))
         with_inf += any(math.isinf(e.weight) for e in g.edges)
         with_parallel += len({(e.u, e.v) for e in g.edges}) < len(g.edges)
-        want = min(ga.enumerate_cuts(g), key=lambda c: _tie_break_key(g, c))
+        want = min(all_cuts(g), key=lambda c: _tie_break_key(g, c))
         got = ga.global_min_cut(g)
         assert got.edges == want.edges
         assert got.weight == want.weight
@@ -151,7 +204,7 @@ def test_global_min_when_infinite_edges_join_every_node():
     """Merging the infinite pairs leaves one node, so the phases run unmerged."""
     g = _graph([0, 1, 2], [(0, 0, 1, math.inf), (1, 1, 2, math.inf), (2, 0, 2, 1.0)])
     cut = ga.global_min_cut(g)
-    want = min(ga.enumerate_cuts(g), key=lambda c: _tie_break_key(g, c))
+    want = min(all_cuts(g), key=lambda c: _tie_break_key(g, c))
     assert cut.edges == want.edges == (0, 2)
     assert math.isinf(cut.weight)
     assert cut.side_a == frozenset({0})

@@ -9,9 +9,7 @@ from hypothesis import given, settings, strategies as st
 import gridattack as ga
 from gridattack import estimator, oracle
 from gridattack.attack import AttackType
-from gridattack.grid import connected
-from gridattack.mincut import cut_from_side
-from conftest import triangle_graph, random_cost, random_system
+from conftest import all_cuts, reference_connected, triangle_graph, random_cost, random_system
 
 EXHAUSTIVE = ga.DetectorConfig(removal_mode=ga.RemovalMode.EXHAUSTIVE_MINIMAL)
 
@@ -131,20 +129,17 @@ def _reference_best_split(attack_type, n_sec, n_ins, cost):
 
 
 def _reference_census(graph):
-    """Every cut with both sides connected, by frozensets and union-find."""
+    """Every cut with both sides connected: the conftest enumeration and union-find."""
 
     def induced_connected(side):
-        return connected(side, [(e.u, e.v) for e in graph.edges if e.u in side and e.v in side])
+        pairs = [(e.u, e.v) for e in graph.edges if e.u in side and e.v in side]
+        return reference_connected(side, pairs)
 
-    unit = ga.WeightedGraph.from_measurement_graph(graph, 1.0, 1.0)
-    others = list(graph.nodes[1:])
     all_nodes = frozenset(graph.nodes)
-    cuts = []
-    for mask in range(1, 1 << len(others)):
-        side = frozenset(v for i, v in enumerate(others) if mask >> i & 1)
-        if induced_connected(side) and induced_connected(all_nodes - side):
-            cuts.append(cut_from_side(unit.edges, side))
-    return cuts
+    return [
+        cut for cut in all_cuts(ga.WeightedGraph.from_measurement_graph(graph, 1.0, 1.0))
+        if induced_connected(cut.side_a) and induced_connected(all_nodes - cut.side_a)
+    ]
 
 
 BOUNDARY_COSTS = [(1, .5, .5), (1, .8, .4), (2, 1, 1), (1, 1, 1), (1, .75, .5)]
