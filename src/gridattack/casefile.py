@@ -168,14 +168,16 @@ CASE_DIR_ENV = "GRIDATTACK_CASE_DIR"
 
 def load_case(name_or_path: str) -> CaseFile:
     """Read a case from a path, the GRIDATTACK_CASE_DIR directory, or the bundle."""
-    path = Path(name_or_path)
-    if path.exists():
-        return parse_case(path.read_text(), name=path.stem)
+    path, name = Path(name_or_path), Path(name_or_path).stem
     case_dir = os.environ.get(CASE_DIR_ENV)
-    if case_dir:
-        candidate = Path(case_dir) / f"{name_or_path}.grid"
-        if candidate.exists():
-            return parse_case(candidate.read_text(), name=name_or_path)
+    if not path.exists() and case_dir:
+        path, name = Path(case_dir) / f"{name_or_path}.grid", name_or_path
+    if path.exists():
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+        return parse_case(text, name=name)
     if name_or_path in BUNDLED:
         text = resources.files("gridattack").joinpath(f"data/{name_or_path}.grid").read_text()
         return parse_case(text, name=name_or_path)

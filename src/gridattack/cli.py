@@ -222,7 +222,7 @@ def main(argv=None) -> int:
     except (ParseError, TopologyError) as exc:
         print(f"grid-attack: case error: {exc}", file=sys.stderr)
         return EX_DATA
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"grid-attack: {exc}", file=sys.stderr)
         return EX_DATA
     except UnobservableSystem as exc:

@@ -140,16 +140,16 @@ def _format_row(row: SweepRow) -> str:
 
 
 def write_csv(rows: Sequence[SweepRow], out_path: str) -> None:
-    """Write rows as CSV; '-' means standard output; partial files are removed."""
+    """Write rows as CSV; '-' means standard output; a partial file is removed."""
     lines = [CSV_HEADER] + [_format_row(r) for r in rows]
     text = "\n".join(lines) + "\n"
     if out_path == "-":
         sys.stdout.write(text)
         return
+    fh = open(out_path, "w")  # a failed open leaves any existing file alone
     try:
-        with open(out_path, "w") as fh:
+        with fh:
             fh.write(text)
     except BaseException:
-        if os.path.exists(out_path):
-            os.unlink(out_path)
+        os.unlink(out_path)
         raise

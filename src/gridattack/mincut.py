@@ -1,8 +1,9 @@
 """Weighted cut engines: s-t min cut, global min cut, bitmask reachability.
 
-The s-t cut is a Dinic max-flow; the global cut is Stoer-Wagner (Stoer &
-Wagner, "A simple min-cut algorithm", JACM 1997) with a heap-ordered
-maximum-adjacency search. Both run on the same packed integer capacities.
+The s-t cut is a shortest-augmenting-path max-flow (Edmonds & Karp, JACM
+1972); the global cut is Stoer-Wagner (Stoer & Wagner, "A simple min-cut
+algorithm", JACM 1997) with a heap-ordered maximum-adjacency search. Both
+run on one adjacency of packed integer capacities (``_adjacency``).
 Parallel edges are merged per node pair inside the solvers but cuts are
 always reported edge-by-edge. Weights may be +inf, which is absorbing: an
 infinite edge never enters a returned cut while any finite cut exists, so
@@ -25,9 +26,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 INFINITY = math.inf
 
@@ -116,89 +116,6 @@ def cut_from_side(edges: Iterable[WeightedEdge], side: frozenset[int]) -> CutRes
     )
 
 
-class _Dinic:
-    """Max-flow over arbitrary-precision integer capacities."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-
-    def add_undirected(self, u: int, v: int, c: int) -> None:
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(c)
-
-    def max_flow(self, s: int, t: int) -> int:
-        total = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for a in self.adj[u]:
-                    v = self.to[a]
-                    if self.cap[a] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                return total
-            total += self._blocking_flow(s, t, level)
-
-    def _blocking_flow(self, s: int, t: int, level: list[int]) -> int:
-        """Augment along the level graph until it is blocked.
-
-        The search keeps its path on an explicit stack rather than the call
-        stack, so path length is not bounded by the recursion limit.
-        """
-        to, cap, adj = self.to, self.cap, self.adj
-        it = [0] * self.n
-        total = 0
-        path: list[int] = []  # arc ids from s to u
-        u = s
-        while True:
-            if u == t:
-                pushed = min(cap[a] for a in path)
-                for a in path:
-                    cap[a] -= pushed
-                    cap[a ^ 1] += pushed
-                total += pushed
-                path.clear()
-                u = s
-                continue
-            arcs = adj[u]
-            while it[u] < len(arcs):
-                a = arcs[it[u]]
-                if cap[a] > 0 and level[to[a]] == level[u] + 1:
-                    break
-                it[u] += 1
-            else:
-                if u == s:
-                    return total
-                u = to[path.pop() ^ 1]  # dead end: retire the arc into it
-                it[u] += 1
-                continue
-            path.append(a)
-            u = to[a]
-
-    def reachable(self, s: int) -> set[int]:
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for a in self.adj[u]:
-                v = self.to[a]
-                if self.cap[a] > 0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
-
-
 def _reach(seed: int, adjacent: list[int], within: int = -1) -> int:
     """Nodes that ``seed`` reaches inside ``within``; ``adjacent[i]`` holds node i's neighbours."""
     label = frontier = seed
@@ -218,18 +135,65 @@ def _quantum(weight: float) -> Optional[int]:
     return None if math.isinf(weight) else round(weight * _SCALE)
 
 
-def _stoer_wagner(n: int, pair_caps: Mapping[tuple[int, int], int]) -> tuple[int, set[int]]:
-    """Packed minimum cut value over nodes 0..n-1 and its side holding node 0.
-
-    Each phase grows a maximum-adjacency order, takes the cut isolating the
-    last node added, and merges the last two. On a disconnected graph the
-    side is node 0's component, at value 0.
-    """
-    adj: list[dict[int, int]] = [{} for _ in range(n)]
+def _adjacency(labels: Sequence[int], pair_caps: Mapping[tuple[int, int], int]) -> list[dict[int, int]]:
+    """Symmetric packed capacities between labels; nodes that share a label are merged."""
+    adj: list[dict[int, int]] = [{} for _ in range(max(labels) + 1)]
     for (a, b), cap in pair_caps.items():
-        adj[a][b] = cap
-        adj[b][a] = cap
-    groups: dict[int, list[int]] = {i: [i] for i in range(n)}
+        la, lb = labels[a], labels[b]
+        if la != lb:
+            adj[la][lb] = adj[la].get(lb, 0) + cap
+            adj[lb][la] = adj[lb].get(la, 0) + cap
+    return adj
+
+
+def _max_flow(n: int, pair_caps: Mapping[tuple[int, int], int], s: int, t: int) -> tuple[int, set[int]]:
+    """Packed max-flow value from s to t over nodes 0..n-1, and the nodes s then reaches.
+
+    Augments along breadth-first shortest paths in the residual capacities
+    (Edmonds & Karp, JACM 1972). The search that no longer reaches t reaches
+    the smallest source side of a minimum cut, the same for every maximum
+    flow.
+    """
+    residual = _adjacency(range(n), pair_caps)
+    total = 0
+    while True:
+        parent = [-1] * n
+        parent[s] = s
+        queue = [s]
+        for u in queue:
+            for v, cap in residual[u].items():
+                if cap and parent[v] < 0:
+                    parent[v] = u
+                    queue.append(v)
+            if parent[t] >= 0:
+                break
+        else:
+            return total, set(queue)
+        path = []
+        v = t
+        while v != s:
+            path.append((parent[v], v))
+            v = parent[v]
+        pushed = min(residual[u][v] for u, v in path)
+        for u, v in path:
+            residual[u][v] -= pushed
+            residual[v][u] += pushed
+        total += pushed
+
+
+def _stoer_wagner(labels: Sequence[int], pair_caps: Mapping[tuple[int, int], int]) -> tuple[int, set[int]]:
+    """Packed minimum cut value and its side holding node 0, as node indices.
+
+    Nodes that share a label are merged first. Each phase grows a
+    maximum-adjacency order, takes the cut isolating the last node added,
+    and merges the last two. On a disconnected graph the side is node 0's
+    component, at value 0.
+    """
+    adj = _adjacency(labels, pair_caps)
+    n = len(adj)
+    groups: dict[int, list[int]] = {label: [] for label in range(n)}  # label -> its nodes
+    for i, label in enumerate(labels):
+        groups[label].append(i)
     best: tuple[int, list[int]] | None = None
     push, pop = heapq.heappush, heapq.heappop
     while len(groups) > 1:
@@ -240,7 +204,7 @@ def _stoer_wagner(n: int, pair_caps: Mapping[tuple[int, int], int]) -> tuple[int
         prev = last = 0
         while left:
             if not heap:  # the first node's component is closed: a cut of weight 0
-                return 0, {i for i in range(n) if added[i]}
+                return 0, {i for i, label in enumerate(labels) if added[label]}
             v = pop(heap)[1]
             if added[v]:
                 continue  # stale entry left by a key increase
@@ -262,7 +226,7 @@ def _stoer_wagner(n: int, pair_caps: Mapping[tuple[int, int], int]) -> tuple[int
             del adj[u][last]
     assert best is not None
     value, group = best
-    return value, set(group) if 0 in group else set(range(n)) - set(group)
+    return value, set(group) if 0 in group else set(range(len(labels))) - set(group)
 
 
 class CutSolver:
@@ -308,7 +272,9 @@ class CutSolver:
         """
         if math.isnan(weight) or weight < 0:
             raise ValueError(f"edge {edge_id} weight must be nonnegative")
-        k = self._slot[edge_id]
+        k = self._slot.get(edge_id)
+        if k is None:
+            raise ValueError(f"edge {edge_id} is not in the graph")
         e = self._edges[k]
         self._edges[k] = WeightedEdge(e.id, e.u, e.v, weight, e.secure)
         old, new = self._quanta[k], _quantum(weight)
@@ -332,26 +298,20 @@ class CutSolver:
             inf_pairs[key] = inf_pairs.get(key, 0) + 1
         caps[key] += (new_inf if new is None else new) * unit
 
-    def _network(self) -> _Dinic:
-        net = _Dinic(len(self._nodes))
-        for (a, b), cap in sorted(self._pair_caps.items()):
-            net.add_undirected(a, b, cap)
-        return net
-
     def min_st_cut(self, s: int, t: int) -> tuple[int, CutResult]:
         """Packed cut value and the unique optimal cut separating s and t."""
+        for v in (s, t):
+            if v not in self._index:
+                raise ValueError(f"node {v} is not in the graph")
         if s == t:
             raise ValueError("s and t must differ")
-        net = self._network()
-        value = net.max_flow(self._index[s], self._index[t])
-        side = frozenset(self._nodes[i] for i in net.reachable(self._index[s]))
-        return value, cut_from_side(self._edges, side)
+        value, side = _max_flow(len(self._nodes), self._pair_caps, self._index[s], self._index[t])
+        return value, cut_from_side(self._edges, frozenset(self._nodes[i] for i in side))
 
-    def _contracted(self) -> tuple[list[int], dict[tuple[int, int], int]]:
-        """Merge every node pair joined by a +inf edge.
+    def _labels(self) -> list[int]:
+        """Each node's label once every node pair joined by a +inf edge is merged.
 
-        Returns each node's merged label and the packed capacities between
-        labels. Labels are numbered in node order, so the first node's is 0.
+        Labels are numbered in node order, so the first node's is 0.
         """
         adjacent = [0] * len(self._nodes)
         for a, b in self._inf_pairs:
@@ -367,13 +327,7 @@ class CutSolver:
                     labels[low.bit_length() - 1] = count
                     group ^= low
                 count += 1
-        caps: dict[tuple[int, int], int] = {}
-        for (a, b), cap in self._pair_caps.items():
-            la, lb = labels[a], labels[b]
-            if la != lb:
-                key = (la, lb) if la < lb else (lb, la)
-                caps[key] = caps.get(key, 0) + cap
-        return labels, caps
+        return labels
 
     def global_min_cut(self) -> tuple[int, CutResult]:
         """Packed value and the unique minimum cut over all proper bipartitions.
@@ -388,14 +342,11 @@ class CutSolver:
         n = len(self._nodes)
         if n < 2:
             raise ValueError("global min cut needs at least two nodes")
-        labels, caps = list(range(n)), self._pair_caps
-        if self._inf_pairs:
-            merged, merged_caps = self._contracted()
-            if max(merged):  # at least two nodes are left
-                labels, caps = merged, merged_caps
-        value, side_labels = _stoer_wagner(max(labels) + 1, caps)
-        side = frozenset(v for v, label in zip(self._nodes, labels) if label in side_labels)
-        return value, cut_from_side(self._edges, side)
+        labels = self._labels() if self._inf_pairs else range(n)
+        if not max(labels):  # every node merged into one
+            labels = range(n)
+        value, side = _stoer_wagner(labels, self._pair_caps)
+        return value, cut_from_side(self._edges, frozenset(self._nodes[i] for i in side))
 
 
 def min_st_cut(g: WeightedGraph, s: int, t: int) -> CutResult:

@@ -1,10 +1,13 @@
 """Command-line interface: exit codes, output forms, CSV determinism."""
 
+import builtins
+import errno
 import json
 
 import pytest
 
 import gridattack as ga
+from gridattack import experiment
 from gridattack.cli import main
 from gridattack.experiment import CSV_HEADER, run_sweep, summarize, write_csv
 from gridattack.attack import AttackType
@@ -176,6 +179,40 @@ def test_attack_missing_case_exit_65(capsys):
     assert code == 65
 
 
+def test_attack_case_directory_exit_65(tmp_path, capsys):
+    code = main([
+        "attack", "--case", str(tmp_path), "--type", "hidden-generalized",
+        "--pi", "1", "--pjs", ".5", "--pjsc", ".25",
+    ])
+    err = capsys.readouterr().err
+    assert code == 65
+    assert err.count("\n") == 1 and "Is a directory" in err
+
+
+def test_attack_case_not_utf8_exit_65(tmp_path, capsys):
+    bad = tmp_path / "latin1.grid"
+    bad.write_bytes("# caf\u00e9\nbuses 2\nlines\n1 2\n".encode("latin-1"))
+    code = main([
+        "attack", "--case", str(bad), "--type", "hidden-generalized",
+        "--pi", "1", "--pjs", ".5", "--pjsc", ".25",
+    ])
+    err = capsys.readouterr().err
+    assert code == 65
+    assert err.count("\n") == 1 and err.startswith("grid-attack: case error: ")
+    assert "not UTF-8" in err
+
+
+def test_sweep_out_directory_exit_65(tmp_path, capsys):
+    code = main([
+        "sweep", "--types", "hidden-generalized", "--pi", "1", "--pjs", ".5",
+        "--pjsc", ".25", "--fractions", "0", "--trials", "1", "--out", str(tmp_path),
+    ])
+    err = capsys.readouterr().err
+    assert code == 65
+    assert err.count("\n") == 1 and "Is a directory" in err
+    assert tmp_path.is_dir()
+
+
 SECURE_MAJORITY_CASE = """
 buses 3
 lines
@@ -297,3 +334,31 @@ def test_write_csv_removes_partial_output(tmp_path, monkeypatch):
     with pytest.raises(FileNotFoundError):
         write_csv(rows, str(target))  # parent dir missing
     assert not target.exists()
+
+    real_open = builtins.open
+
+    def open_then_fail_write(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        real_write = fh.write
+
+        def write(text):
+            real_write(text[:10])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        fh.write = write
+        return fh
+
+    target = tmp_path / "sweep.csv"
+    monkeypatch.setattr(experiment, "open", open_then_fail_write, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        write_csv(rows, str(target))
+    assert not target.exists()  # this call truncated it, so it is removed
+
+    def refuse_open(path, mode="r", *args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied", path)
+
+    target.write_bytes(b"kept\n")
+    monkeypatch.setattr(experiment, "open", refuse_open, raising=False)
+    with pytest.raises(PermissionError):
+        write_csv(rows, str(target))
+    assert target.read_bytes() == b"kept\n"  # never opened, so never removed

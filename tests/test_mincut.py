@@ -72,8 +72,8 @@ def test_enumerate_counts():
 
 
 def test_reachability_matches_union_find_reference():
-    """``grid.connected``, ``_reach`` inside a mask, and the labels of
-    ``CutSolver._contracted`` all agree with the conftest union-find.
+    """``grid.connected``, ``_reach`` inside a mask, and the infinite-pair
+    merge labels of ``CutSolver._labels`` all agree with the conftest union-find.
 
     Random node sets in shuffled order: the empty set, isolated nodes,
     parallel pairs, disconnected sets, and sets of more than 64 nodes.
@@ -114,7 +114,7 @@ def test_reachability_matches_union_find_reference():
                 ga.WeightedEdge(i, a, b, math.inf if rng.random() < 0.6 else 1.0)
                 for i, (a, b) in enumerate(pairs)
             )
-            labels, _ = ga.CutSolver(ga.WeightedGraph(nodes=tuple(nodes), edges=edges))._contracted()
+            labels = ga.CutSolver(ga.WeightedGraph(nodes=tuple(nodes), edges=edges))._labels()
             infinite = [(e.u, e.v) for e in edges if math.isinf(e.weight)]
             assert labels == reference_labels(nodes, infinite)
             seen["merged"] += len(set(labels)) < n
@@ -264,6 +264,19 @@ def test_set_weight_rejects_bad_weights():
             solver.set_weight(0, bad)
 
 
+def test_set_weight_rejects_unknown_edge():
+    solver = ga.CutSolver(_graph([0, 1], [(0, 0, 1, 1.0)]))
+    with pytest.raises(ValueError, match="edge 9"):
+        solver.set_weight(9, 1.0)
+
+
+def test_st_cut_rejects_unknown_node():
+    g = _graph([0, 1, 2], [(0, 0, 1, 1.0), (1, 1, 2, 1.0)])
+    for s, t in ((0, 5), (5, 0)):
+        with pytest.raises(ValueError, match="node 5"):
+            ga.min_st_cut(g, s, t)
+
+
 def test_long_path_lightest_edge():
     """1,200-node path, distinct weights: both engines cut the lightest edge."""
     n = 1200
@@ -278,16 +291,59 @@ def test_long_path_lightest_edge():
     assert glob.side_a == frozenset(range(lightest + 1))
 
 
+def _assert_st_exact(g, cuts, s, t, got):
+    """``got`` is the tie-break minimum of ``cuts`` separating s and t, and its
+    side is that cut's s side inside s's component. Returns whether t lies
+    outside s's component, where the side is that whole component.
+    """
+    want = min(
+        (c for c in cuts if (s in c.side_a) != (t in c.side_a)),
+        key=lambda c: _tie_break_key(g, c),
+    )
+    assert got.edges == want.edges
+    labels = dict(zip(g.nodes, reference_labels(g.nodes, [(e.u, e.v) for e in g.edges])))
+    component = frozenset(v for v in g.nodes if labels[v] == labels[s])
+    s_side = want.side_a if s in want.side_a else frozenset(g.nodes) - want.side_a
+    assert got.side_a == s_side & component
+    return t not in component
+
+
 def test_st_min_matches_enumeration():
+    """The s-t engine returns exactly the enumerated tie-break minimum and its s side.
+
+    Connected random graphs, then multigraphs with weights 0, 1e-13 (below
+    the 1e-12 quantum) and +inf, a third of them split into two parts.
+    """
     rng = random.Random(12)
     for _ in range(25):
         g = random_weighted_graph(rng)
         nodes = list(g.nodes)
+        cuts = all_cuts(g)
         for s, t in itertools.combinations(nodes, 2):
             want = _min_enumerated(g, separating=(s, t))
             got = ga.min_st_cut(g, s, t)
             assert got.weight == pytest.approx(want, abs=1e-12)
             assert (s in got.side_a) != (t in got.side_a)
+            _assert_st_exact(g, cuts, s, t, got)
+    seen = collections.Counter()
+    for k in range(45):
+        n = rng.randint(2, 7)
+        split = rng.randint(1, n - 1) if k % 3 == 0 else n  # no edge joins the two parts
+        edges = []
+        for eid in range(rng.randint(0, 12)):
+            u, v = rng.sample(range(n), 2)
+            if (u < split) == (v < split):
+                weight = rng.choice((0.0, 1e-13, 0.5, 1.0, math.inf))
+                edges.append(ga.WeightedEdge(eid, u, v, weight, rng.random() < 0.4))
+        g = ga.WeightedGraph(nodes=tuple(rng.sample(range(n), n)), edges=tuple(edges))
+        cuts = all_cuts(g)
+        for s, t in itertools.permutations(g.nodes, 2):
+            got = ga.min_st_cut(g, s, t)
+            assert (s in got.side_a) != (t in got.side_a)
+            seen["apart"] += _assert_st_exact(g, cuts, s, t, got)
+            seen["infinite"] += math.isinf(got.weight)
+            seen["zero"] += got.weight == 0 and len(got.edges) > 0
+    assert seen["apart"] >= 200 and seen["infinite"] >= 60 and seen["zero"] >= 30
 
 
 def test_duality_against_independent_flow_solver():
