@@ -23,18 +23,22 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 from .errors import ParseError, TopologyError
 from .grid import (
+    DEFAULT_NOISE_STD,
+    REFERENCE_BUS,
     SUSCEPTANCE_RANGE,
     Bus,
     Measurement,
     MeasurementKind,
     MeasurementSystem,
     check_observable,
+    unchecked,
     valid_susceptance,
 )
 
@@ -53,6 +57,23 @@ class CaseFile:
     lines: tuple[tuple[int, int, float], ...]
     measurements: Optional[tuple[tuple, ...]] = None  # ("flow", i, j, B) | ("angle", i)
     secure_ids: Optional[frozenset[int]] = None
+
+    @cached_property
+    def placement_buses(self) -> tuple[Bus, ...]:
+        """The buses of every placement, once the lines pass as flow rows.
+
+        Runs the ``Measurement`` and ``MeasurementSystem`` checks on one flow
+        row per line, once per case object, and raises their ValueError on a
+        bad line (nothing is cached then). Every placement adds only angle
+        meters on buses 1..n and secure flags, which those checks accept.
+        """
+        buses = _buses(self.n_buses)
+        flows = tuple(
+            Measurement(mid, MeasurementKind.LINE_FLOW, i, j, susceptance=b)
+            for mid, (i, j, b) in enumerate(self.lines)
+        )
+        MeasurementSystem(buses=buses, lines=self.lines, measurements=flows)
+        return buses
 
 
 def _check_bus(case_name: str, n: int, bus: int, line_no: int) -> None:
@@ -222,9 +243,14 @@ def place_measurements(
     Angle meters go on round(angle_fraction * n) distinct buses, never the
     reference; round(secure_fraction * m) measurements are flagged secure.
     Counts round half to even. Pure function of (case, fractions, seed).
+    The case's lines are checked once per case object
+    (``CaseFile.placement_buses``), so the rows and the system are built
+    without rerunning their checks, each row with its endpoints; the result
+    equals the checked build.
     """
     if not 0 <= angle_fraction <= 1 or not 0 <= secure_fraction <= 1:
         raise ValueError("fractions must lie in [0, 1]")
+    buses = case.placement_buses
     rng = random.Random(seed)
     n = case.n_buses
     n_angles = round(angle_fraction * n)
@@ -232,22 +258,20 @@ def place_measurements(
     m = len(case.lines) + n_angles
     n_secure = round(secure_fraction * m)
     secure = set(rng.sample(range(m), n_secure))
-    measurements = []
-    for i, j, b in case.lines:
-        mid = len(measurements)
-        measurements.append(
-            Measurement(mid, MeasurementKind.LINE_FLOW, i, j, susceptance=b,
-                        secure=mid in secure)
-        )
-    for bus in angle_buses:
-        mid = len(measurements)
-        measurements.append(
-            Measurement(mid, MeasurementKind.PHASE_ANGLE, bus, secure=mid in secure)
-        )
-    system = MeasurementSystem(
-        buses=_buses(n),
+    flow, angle = MeasurementKind.LINE_FLOW, MeasurementKind.PHASE_ANGLE
+    rows = [(flow, i, j, b, (i, j)) for i, j, b in case.lines]
+    rows += [(angle, bus, None, 1.0, (bus, REFERENCE_BUS)) for bus in angle_buses]
+    measurements = tuple(
+        unchecked(Measurement, id=mid, kind=kind, bus_i=i, bus_j=j, susceptance=b,
+                  secure=mid in secure, endpoints=ends)
+        for mid, (kind, i, j, b, ends) in enumerate(rows)
+    )
+    system = unchecked(
+        MeasurementSystem,
+        buses=buses,
         lines=case.lines,
-        measurements=tuple(measurements),
+        measurements=measurements,
+        noise_variance=(DEFAULT_NOISE_STD**2,) * m,
     )
     check_observable(system)
     return system

@@ -13,7 +13,7 @@ from .attack import AttackPlan, AttackType, CostModel, Infeasible, NoSolutionFou
 from .casefile import load_case, place_measurements, system_from_case
 from .errors import InvalidCosts, ParseError, TopologyError, UnobservableSystem
 from .estimator import DetectorConfig, RemovalMode
-from .experiment import MAX_FRACTIONS, MAX_TRIALS, run_sweep, summarize, write_csv
+from .experiment import MAX_FRACTIONS, MAX_TRIALS, check_out_path, run_sweep, summarize, write_csv
 from .grid import build_graph
 from .verify import execute
 
@@ -193,6 +193,7 @@ def _cmd_sweep(args) -> int:
         return _usage_error(args, exc)
     case = load_case(args.case)
     cost = CostModel(args.pi, args.pjs, args.pjsc)
+    check_out_path(args.out)  # before the sweep, which can run for minutes
     rows, cond_ok = run_sweep(
         case, types, cost, fractions, args.trials, args.seed,
         angle_fraction=args.angle_fraction, condition=condition,

@@ -56,6 +56,11 @@ def run_sweep(
 ) -> tuple[list[SweepRow], dict[tuple[float, int], bool]]:
     """Design and verify every requested type per randomized trial.
 
+    Within a trial the system, truth and detector are fixed and no noise is
+    drawn, so a verdict depends only on the plan's jammed set, injected set
+    and state shift, and on whether its type is hidden. Each distinct
+    combination is verified once per trial; the memo dies with the trial.
+
     Returns the rows plus, per (fraction, trial), whether the conditioning
     attack type was feasible there (all True when no condition is given).
     """
@@ -82,6 +87,7 @@ def run_sweep(
             condition_ok[(fraction, trial)] = (
                 isinstance(plans[condition], AttackPlan) if condition else True
             )
+            verdicts = {}  # verification key -> verdict, for this trial only
             for attack_type in types:
                 outcome = plans[attack_type]
                 if not isinstance(outcome, AttackPlan):
@@ -89,7 +95,11 @@ def run_sweep(
                         SweepRow(fraction, trial, attack_type, interval, False, None, None, None)
                     )
                     continue
-                verdict = execute(system, truth, outcome, cfg)
+                key = (outcome.jammed, outcome.injected, outcome.injection_state_shift,
+                       attack_type.hidden)
+                verdict = verdicts.get(key)
+                if verdict is None:
+                    verdict = verdicts[key] = execute(system, truth, outcome, cfg)
                 rows.append(
                     SweepRow(
                         fraction,
@@ -153,3 +163,17 @@ def write_csv(rows: Sequence[SweepRow], out_path: str) -> None:
     except BaseException:
         os.unlink(out_path)
         raise
+
+
+def check_out_path(out_path: str) -> None:
+    """Raise the OSError that opening ``out_path`` for writing would raise.
+
+    '-' always passes. An existing file is opened for appending and left as
+    it is; a file the check creates is removed again.
+    """
+    if out_path == "-":
+        return
+    existed = os.path.lexists(out_path)
+    open(out_path, "a").close()
+    if not existed:
+        os.unlink(out_path)

@@ -286,11 +286,22 @@ def remove_measurements(sys: MeasurementSystem, ids: Iterable[int]) -> Measureme
     """
     drop = set(ids)
     keep = [k for k, m in enumerate(sys.measurements) if m.id not in drop]
-    reduced = object.__new__(MeasurementSystem)
-    reduced.__dict__.update(
+    return unchecked(
+        MeasurementSystem,
         buses=sys.buses,
         lines=sys.lines,
         measurements=tuple(sys.measurements[k] for k in keep),
         noise_variance=tuple(sys.noise_variance[k] for k in keep),
     )
-    return reduced
+
+
+def unchecked(cls, **fields):
+    """An instance of a frozen dataclass built without running ``__post_init__``.
+
+    Only for values whose checks are known to pass, such as rows and
+    systems derived from checked ones. Every field must be given; a cached
+    property may be given its value too.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj

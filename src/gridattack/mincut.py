@@ -2,13 +2,15 @@
 
 The s-t cut is a shortest-augmenting-path max-flow (Edmonds & Karp, JACM
 1972); the global cut is Stoer-Wagner (Stoer & Wagner, "A simple min-cut
-algorithm", JACM 1997) with a heap-ordered maximum-adjacency search. Both
-run on one adjacency of packed integer capacities (``_adjacency``).
-Parallel edges are merged per node pair inside the solvers but cuts are
-always reported edge-by-edge. Weights may be +inf, which is absorbing: an
-infinite edge never enters a returned cut while any finite cut exists, so
-the global cut first merges every node pair an infinite edge joins and runs
-its phases on the smaller graph. A solver reweights one edge in place
+algorithm", JACM 1997) with a heap-ordered maximum-adjacency search, whose
+phases also merge every pair the Nagamochi-Ono-Ibaraki test proves
+inseparable by a lighter cut (Math. Programming 1994). Both run on one
+adjacency of packed integer capacities (``_adjacency``). Parallel edges are
+merged per node pair inside the solvers but cuts are always reported
+edge-by-edge. Weights may be +inf, which is absorbing: an infinite edge
+never enters a returned cut while any finite cut exists, so the global cut
+first merges every node pair an infinite edge joins and runs its phases on
+the smaller graph. A solver reweights one edge in place
 (``CutSolver.set_weight``), which is how the iterative constrained search
 boosts an edge without rebuilding it.
 
@@ -184,9 +186,15 @@ def _max_flow(n: int, pair_caps: Mapping[tuple[int, int], int], s: int, t: int) 
 def _stoer_wagner(labels: Sequence[int], pair_caps: Mapping[tuple[int, int], int]) -> tuple[int, set[int]]:
     """Packed minimum cut value and its side holding node 0, as node indices.
 
-    Nodes that share a label are merged first. Each phase grows a
-    maximum-adjacency order, takes the cut isolating the last node added,
-    and merges the last two. On a disconnected graph the side is node 0's
+    Nodes that share a label are merged first. The best cut starts as the
+    lightest single label. Each phase grows a maximum-adjacency order from
+    label 0, records the cut isolating the last label added if it is
+    lighter, and merges the last two labels. It also merges every pair
+    (v, u) whose key reached the best value while v was scanned (Nagamochi,
+    Ono & Ibaraki, Math. Programming 1994): the order gives
+    λ(v, u) >= key[u], so a cut separating them is no lighter than the best,
+    and packed values make the minimum unique. Merges keep the lower label,
+    so label 0 survives. On a disconnected graph the side is node 0's
     component, at value 0.
     """
     adj = _adjacency(labels, pair_caps)
@@ -194,7 +202,8 @@ def _stoer_wagner(labels: Sequence[int], pair_caps: Mapping[tuple[int, int], int
     groups: dict[int, list[int]] = {label: [] for label in range(n)}  # label -> its nodes
     for i, label in enumerate(labels):
         groups[label].append(i)
-    best: tuple[int, list[int]] | None = None
+    best_value, lightest = min((sum(row.values()), label) for label, row in enumerate(adj))
+    best_group = groups[lightest]
     push, pop = heapq.heappush, heapq.heappop
     while len(groups) > 1:
         key = [0] * n
@@ -202,6 +211,7 @@ def _stoer_wagner(labels: Sequence[int], pair_caps: Mapping[tuple[int, int], int
         heap = [(0, 0)]
         left = len(groups)
         prev = last = 0
+        merges = []
         while left:
             if not heap:  # the first node's component is closed: a cut of weight 0
                 return 0, {i for i, label in enumerate(labels) if added[label]}
@@ -215,18 +225,29 @@ def _stoer_wagner(labels: Sequence[int], pair_caps: Mapping[tuple[int, int], int
                 if not added[u]:
                     k = key[u] = key[u] + cap
                     push(heap, (-k, u))
-        if best is None or key[last] < best[0]:
-            best = (key[last], groups[last])
-        # merge the last node into the one before it
-        groups[prev].extend(groups.pop(last))
-        for u, cap in adj[last].items():
-            if u != prev:
-                adj[prev][u] = adj[prev].get(u, 0) + cap
-                adj[u][prev] = adj[u].get(prev, 0) + cap
-            del adj[u][last]
-    assert best is not None
-    value, group = best
-    return value, set(group) if 0 in group else set(range(len(labels))) - set(group)
+                    if k >= best_value:
+                        merges.append((v, u))
+        if key[last] < best_value:
+            best_value, best_group = key[last], groups[last]
+        merges.append((prev, last))
+        into: dict[int, int] = {}  # merged label -> the label it went into
+        for a, b in merges:
+            while a in into:
+                a = into[a]
+            while b in into:
+                b = into[b]
+            if a == b:
+                continue
+            if b < a:
+                a, b = b, a
+            into[b] = a
+            groups[a] = groups[a] + groups.pop(b)  # a new list: best_group may hold the old one
+            for u, cap in adj[b].items():
+                if u != a:
+                    adj[a][u] = adj[a].get(u, 0) + cap
+                    adj[u][a] = adj[u].get(a, 0) + cap
+                del adj[u][b]
+    return best_value, set(best_group) if 0 in best_group else set(range(len(labels))) - set(best_group)
 
 
 class CutSolver:

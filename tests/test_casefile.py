@@ -1,9 +1,14 @@
 """Case parsing, bundled topologies, and randomized placement."""
 
+import random
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gridattack as ga
+from gridattack.casefile import CaseFile
+from gridattack.experiment import trial_seed
 
 MINIMAL = """
 buses 2
@@ -190,6 +195,59 @@ def test_round_half_to_even_counts():
     sys_ = ga.place_measurements(case, angle_fraction=0.75, secure_fraction=0.0, seed=0)
     angles = [m for m in sys_.measurements if m.kind is ga.MeasurementKind.PHASE_ANGLE]
     assert len(angles) == 2  # 1.5 rounds to 2
+
+
+def _checked_placement(case, angle_fraction, secure_fraction, seed):
+    """Reference: the same draws as ``place_measurements``, every row and
+    the system built through their checking constructors."""
+    rng = random.Random(seed)
+    n = case.n_buses
+    n_angles = round(angle_fraction * n)
+    angle_buses = sorted(rng.sample(range(1, n + 1), n_angles))
+    m = len(case.lines) + n_angles
+    secure = set(rng.sample(range(m), round(secure_fraction * m)))
+    rows = [
+        ga.Measurement(mid, ga.MeasurementKind.LINE_FLOW, i, j, susceptance=b, secure=mid in secure)
+        for mid, (i, j, b) in enumerate(case.lines)
+    ]
+    rows += [
+        ga.Measurement(len(case.lines) + k, ga.MeasurementKind.PHASE_ANGLE, bus,
+                       secure=len(case.lines) + k in secure)
+        for k, bus in enumerate(angle_buses)
+    ]
+    buses = (ga.Bus(0, is_reference=True),) + tuple(ga.Bus(i) for i in range(1, n + 1))
+    return ga.MeasurementSystem(buses=buses, lines=case.lines, measurements=tuple(rows))
+
+
+@pytest.mark.parametrize("name", ["ieee14", "ieee57"])
+def test_placement_equals_checked_constructors(name):
+    """Every placement of the criterion-7 sweeps (11 fractions, 100 trials,
+    seed 20250809, 60% angle meters) equals the checked build, row by row."""
+    case = ga.load_case(name)
+    fractions = [round(0.05 * k, 2) for k in range(11)]
+    for f_idx, fraction in enumerate(fractions):
+        for trial in range(100):
+            seed = trial_seed(20250809, f_idx, trial)
+            got = ga.place_measurements(case, 0.6, fraction, seed)
+            want = _checked_placement(case, 0.6, fraction, seed)
+            assert got == want
+            assert [r.endpoints for r in got.measurements] == [r.endpoints for r in want.measurements]
+            assert all(type(r) is ga.Measurement for r in got.measurements)
+
+
+@pytest.mark.parametrize("lines, message", [
+    (((1, 2, 1.0), (2, 9, 1.0)), "line (2,9) has endpoints outside 1..3"),
+    (((1, 2, 1.0), (0, 2, 1.0)), "measurement 1: flows connect real buses only"),
+    (((1, 2, 1.0), (2, 3, 1e9)), "measurement 1: susceptance outside (1e-06, 1000000.0)"),
+    (((1, 2, 1.0), (2, 2, 1.0)), "measurement 1: flow endpoints must differ"),
+])
+def test_placement_rejects_bad_hand_built_case(lines, message):
+    """A ``CaseFile`` built by hand skips the parser; placement still raises
+    the row and system checks' ValueError, on every call."""
+    case = CaseFile("bad", 3, lines)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ga.place_measurements(case, 0.6, 0.3, seed=1)
 
 
 def test_fraction_bounds_validated():

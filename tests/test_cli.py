@@ -4,10 +4,11 @@ import builtins
 import errno
 import json
 
+import numpy as np
 import pytest
 
 import gridattack as ga
-from gridattack import experiment
+from gridattack import cli, experiment
 from gridattack.cli import main
 from gridattack.experiment import CSV_HEADER, run_sweep, summarize, write_csv
 from gridattack.attack import AttackType
@@ -202,15 +203,61 @@ def test_attack_case_not_utf8_exit_65(tmp_path, capsys):
     assert "not UTF-8" in err
 
 
-def test_sweep_out_directory_exit_65(tmp_path, capsys):
-    code = main([
-        "sweep", "--types", "hidden-generalized", "--pi", "1", "--pjs", ".5",
-        "--pjsc", ".25", "--fractions", "0", "--trials", "1", "--out", str(tmp_path),
-    ])
+def _no_sweep(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_sweep", refuse)
+
+
+SWEEP_ARGS = ["sweep", "--types", "hidden-generalized", "--pi", "1", "--pjs", ".5", "--pjsc", ".25"]
+
+
+def test_sweep_out_directory_exit_65(tmp_path, capsys, monkeypatch):
+    _no_sweep(monkeypatch)
+    code = main(SWEEP_ARGS + ["--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 65
     assert err.count("\n") == 1 and "Is a directory" in err
     assert tmp_path.is_dir()
+
+
+def test_sweep_out_checked_before_the_sweep(tmp_path, capsys, monkeypatch):
+    """A missing directory, a path under a regular file and an existing file
+    that cannot be opened each exit 65 with one stderr line, and no trial runs.
+    """
+    _no_sweep(monkeypatch)
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(b"kept\n")
+    for out, message in (
+        (tmp_path / "missing" / "sweep.csv", "No such file or directory"),
+        (plain / "sweep.csv", "Not a directory"),
+    ):
+        assert main(SWEEP_ARGS + ["--out", str(out)]) == 65
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not out.exists()
+
+    def refuse_open(path, mode="r", *args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied", path)
+
+    monkeypatch.setattr(experiment, "open", refuse_open, raising=False)
+    assert main(SWEEP_ARGS + ["--out", str(plain)]) == 65
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Permission denied" in err
+    assert plain.read_bytes() == b"kept\n"
+
+
+def test_sweep_out_check_leaves_files_alone(tmp_path):
+    """A passing check keeps an existing file's bytes and leaves no new file."""
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"kept\n")
+    experiment.check_out_path(str(kept))
+    assert kept.read_bytes() == b"kept\n"
+    fresh = tmp_path / "fresh.csv"
+    experiment.check_out_path(str(fresh))
+    assert not fresh.exists()
+    experiment.check_out_path("-")
 
 
 SECURE_MAJORITY_CASE = """
@@ -275,6 +322,63 @@ def test_sweep_stdout(capsys):
     assert code == 0
     assert captured.out.splitlines()[0] == CSV_HEADER
 
+
+def test_sweep_verifies_each_distinct_plan_once_per_trial(monkeypatch):
+    """On an IEEE-14 sweep of all six types, ``execute`` runs once per
+    distinct (jammed, injected, shift, hidden) key within a trial, in first
+    appearance order and never again for a repeated key, and the rows equal
+    those of a loop that verifies every plan fresh.
+    """
+    trials = []  # per trial: (system, designed plans, plans given to execute)
+    real_place, real_design = experiment.place_measurements, experiment.design
+    real_execute = experiment.execute
+
+    def place(*args):
+        trials.append((real_place(*args), [], []))
+        return trials[-1][0]
+
+    def design(attack_type, graph, cost):
+        trials[-1][1].append(real_design(attack_type, graph, cost))
+        return trials[-1][1][-1]
+
+    def execute(system, truth, plan, cfg):
+        trials[-1][2].append(plan)
+        return real_execute(system, truth, plan, cfg)
+
+    monkeypatch.setattr(experiment, "place_measurements", place)
+    monkeypatch.setattr(experiment, "design", design)
+    monkeypatch.setattr(experiment, "execute", execute)
+    types = list(AttackType)
+    cost = ga.CostModel(1, 0.8, 0.25)
+    fractions = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+    rows, _ = run_sweep(ga.load_case("ieee14"), types, cost, fractions, trials=5, seed=3)
+
+    def key(plan):
+        return plan.jammed, plan.injected, plan.injection_state_shift, plan.attack_type.hidden
+
+    cfg = ga.DetectorConfig(removal_mode=ga.RemovalMode.GREEDY_NORMALIZED_RESIDUAL)
+    fresh = []
+    repeats = shared_jams = 0
+    for (system, designed, executed), (fraction, trial) in zip(
+        trials, [(f, t) for f in fractions for t in range(5)], strict=True
+    ):
+        plans = [p for p in designed if isinstance(p, ga.AttackPlan)]
+        assert [key(p) for p in executed] == list(dict.fromkeys(key(p) for p in plans))
+        repeats += len(plans) - len(executed)
+        shared_jams += len({p.jammed for p in executed}) < len(executed)
+        for attack_type, plan in zip(types, designed, strict=True):
+            if isinstance(plan, ga.AttackPlan):
+                verdict = ga.execute(system, np.zeros(system.n + 1), plan, cfg)
+                fresh.append(experiment.SweepRow(
+                    fraction, trial, attack_type, "II", True, plan.total_cost,
+                    verdict.success, not verdict.success,
+                ))
+            else:
+                fresh.append(experiment.SweepRow(
+                    fraction, trial, attack_type, "II", False, None, None, None
+                ))
+    assert rows == fresh
+    assert repeats >= 30 and shared_jams >= 10
 
 def test_sweep_summary_matches_row_means():
     case = ga.load_case("ieee14")

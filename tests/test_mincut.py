@@ -1,6 +1,7 @@
 """Cut engines against exhaustive enumeration and an independent flow solver."""
 
 import collections
+import heapq
 import itertools
 import math
 import random
@@ -15,7 +16,7 @@ from conftest import (
     all_cuts, random_weighted_graph, reference_connected, reference_labels,
 )
 from gridattack.grid import connected
-from gridattack.mincut import _reach
+from gridattack.mincut import _adjacency, _reach, _stoer_wagner, cut_from_side
 
 
 def _graph(nodes, edges):
@@ -213,6 +214,107 @@ def test_global_min_when_infinite_edges_join_every_node():
     cut = ga.global_min_cut(split)
     assert cut.edges == () and cut.weight == 0
     assert cut.side_a == frozenset({0, 1})
+
+
+def _plain_stoer_wagner(labels, pair_caps):
+    """Reference: Stoer–Wagner phases that merge only the last two labels.
+
+    Each phase grows a maximum-adjacency order from label 0, takes the cut
+    isolating the last label added, and merges it into the one before. On a
+    disconnected graph the side is node 0's component, at value 0.
+    """
+    adj = _adjacency(labels, pair_caps)
+    n = len(adj)
+    groups = {label: [] for label in range(n)}
+    for i, label in enumerate(labels):
+        groups[label].append(i)
+    best = None
+    while len(groups) > 1:
+        key = [0] * n
+        added = [False] * n
+        heap = [(0, 0)]
+        left = len(groups)
+        prev = last = 0
+        while left:
+            if not heap:
+                return 0, {i for i, label in enumerate(labels) if added[label]}
+            v = heapq.heappop(heap)[1]
+            if added[v]:
+                continue
+            added[v] = True
+            left -= 1
+            prev, last = last, v
+            for u, cap in adj[v].items():
+                if not added[u]:
+                    key[u] += cap
+                    heapq.heappush(heap, (-key[u], u))
+        if best is None or key[last] < best[0]:
+            best = (key[last], groups[last])
+        groups[prev].extend(groups.pop(last))
+        for u, cap in adj[last].items():
+            if u != prev:
+                adj[prev][u] = adj[prev].get(u, 0) + cap
+                adj[u][prev] = adj[u].get(prev, 0) + cap
+            del adj[u][last]
+    value, group = best
+    return value, set(group) if 0 in group else set(range(len(labels))) - set(group)
+
+
+def test_contracting_engine_matches_plain_phases():
+    """``_stoer_wagner`` with Nagamochi–Ono–Ibaraki contraction returns the
+    plain phase loop's value, edge set and side.
+
+    360 random multigraphs of 2–16 nodes in shuffled order, with parallel
+    edges and weights 0, 1e-13 (below the 1e-12 quantum), 0.5, 1 and +inf.
+    Every fourth graph is split into parts no edge joins, every fourth has
+    a spanning tree of infinite edges, so merging the infinite pairs leaves
+    one node, and every fourth has a finite spanning tree. Each graph runs on unmerged labels and, when it has
+    infinite edges, on the merged labels ``global_min_cut`` uses, unless they
+    leave one node.
+    """
+    rng = random.Random(19)
+    seen = collections.Counter()
+    for k in range(360):
+        n = rng.randint(2, 16)
+        split = rng.randint(1, n - 1) if k % 4 == 0 else n
+        pairs = []
+        if k % 4 in (1, 2):  # a spanning tree, infinite or finite
+            finite = (0.0, 1e-13, 0.5, 1.0)
+            pairs = [(v, rng.randrange(v), math.inf if k % 4 == 1 else rng.choice(finite))
+                     for v in range(1, n)]
+        for _ in range(rng.randint(0, 3 * n)):
+            u, v = rng.sample(range(n), 2)
+            if (u < split) == (v < split):
+                pairs.append((u, v, rng.choice((0.0, 1e-13, 0.5, 1.0, math.inf))))
+        pairs += rng.sample(pairs, min(len(pairs), rng.randint(0, 3)))  # parallel edges
+        rng.shuffle(pairs)
+        edges = tuple(
+            ga.WeightedEdge(eid, u, v, w, rng.random() < 0.4) for eid, (u, v, w) in enumerate(pairs)
+        )
+        g = ga.WeightedGraph(nodes=tuple(rng.sample(range(n), n)), edges=edges)
+        solver = ga.CutSolver(g)
+        runs = [range(n)]
+        if solver._inf_pairs:
+            merged = solver._labels()
+            if max(merged):
+                runs.append(merged)
+            seen["all merged"] += not max(merged)
+        for labels in runs:
+            got = _stoer_wagner(labels, solver._pair_caps)
+            want = _plain_stoer_wagner(labels, solver._pair_caps)
+            assert got[0] == want[0]
+            assert got[1] == want[1]
+            cut = cut_from_side(g.edges, frozenset(g.nodes[i] for i in got[1]))
+            assert cut == cut_from_side(g.edges, frozenset(g.nodes[i] for i in want[1]))
+            seen["merged"] += max(labels) < n - 1
+            seen["disconnected" if cut.edges == () else "connected"] += 1
+            seen["infinite"] += math.isinf(cut.weight)
+            seen["zero"] += cut.weight == 0 and len(cut) > 0
+            seen["not single"] += 1 < len(got[1]) < n - 1
+        seen["parallel"] += len({frozenset((e.u, e.v)) for e in edges}) < len(edges)
+    assert seen["disconnected"] >= 90 and seen["connected"] >= 200
+    assert seen["all merged"] >= 90 and seen["merged"] >= 150 and seen["parallel"] >= 200
+    assert seen["infinite"] >= 90 and seen["zero"] >= 20 and seen["not single"] >= 50
 
 
 def _everything_cut(solver, nodes):
