@@ -35,8 +35,7 @@ class SweepRow:
     interval: str
     feasible: bool
     cost: Optional[float]
-    verified: Optional[bool]
-    greedy_escape: Optional[bool]
+    verified: Optional[bool]  # None on an infeasible row; the greedy_escape column is its negation
 
 
 def trial_seed(base: int, fraction_index: int, trial: int) -> int:
@@ -92,7 +91,7 @@ def run_sweep(
                 outcome = plans[attack_type]
                 if not isinstance(outcome, AttackPlan):
                     rows.append(
-                        SweepRow(fraction, trial, attack_type, interval, False, None, None, None)
+                        SweepRow(fraction, trial, attack_type, interval, False, None, None)
                     )
                     continue
                 key = (outcome.jammed, outcome.injected, outcome.injection_state_shift,
@@ -109,7 +108,6 @@ def run_sweep(
                         True,
                         outcome.total_cost,
                         verdict.success,
-                        not verdict.success,
                     )
                 )
     return rows, condition_ok
@@ -130,7 +128,7 @@ def summarize(
         cell["count"] += 1
         cell["_total"] += row.cost
         cell["verified"] += bool(row.verified)
-        cell["greedy_escapes"] += bool(row.greedy_escape)
+        cell["greedy_escapes"] += not row.verified
     for cell in summary.values():
         if cell["count"]:
             cell["mean_cost"] = cell.pop("_total") / cell["count"]
@@ -142,7 +140,7 @@ def summarize(
 def _format_row(row: SweepRow) -> str:
     cost = "" if row.cost is None else f"{row.cost:.10g}"
     verified = "" if row.verified is None else str(int(row.verified))
-    escape = "" if row.greedy_escape is None else str(int(row.greedy_escape))
+    escape = "" if row.verified is None else str(int(not row.verified))
     return (
         f"{row.fraction:.10g},{row.trial},{row.attack_type.value},"
         f"{row.interval},{int(row.feasible)},{cost},{verified},{escape}"

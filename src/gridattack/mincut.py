@@ -8,11 +8,11 @@ inseparable by a lighter cut (Math. Programming 1994). Both run on one
 adjacency of packed integer capacities (``_adjacency``). Parallel edges are
 merged per node pair inside the solvers but cuts are always reported
 edge-by-edge. Weights may be +inf, which is absorbing: an infinite edge
-never enters a returned cut while any finite cut exists, so the global cut
-first merges every node pair an infinite edge joins and runs its phases on
-the smaller graph. A solver reweights one edge in place
-(``CutSolver.set_weight``), which is how the iterative constrained search
-boosts an edge without rebuilding it.
+packs heavier than all finite edges together, so it never enters a returned
+cut while any finite cut exists, and the global cut's contraction merges the
+pair it joins once a finite cut is found. A solver reweights one edge in
+place (``CutSolver.set_weight``), which is how the iterative constrained
+search boosts an edge without rebuilding it.
 
 Tie-breaking is exact and deterministic. Each edge weight is quantized to
 1e-12 and packed into a single integer together with an edge-count term and
@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping
 
 INFINITY = math.inf
 
@@ -54,6 +54,8 @@ class WeightedGraph:
 
     def __post_init__(self):
         node_set = set(self.nodes)
+        if len(node_set) != len(self.nodes):
+            raise ValueError("duplicate node id")
         seen = set()
         for e in self.edges:
             if e.u == e.v or e.u not in node_set or e.v not in node_set:
@@ -132,19 +134,11 @@ def _reach(seed: int, adjacent: list[int], within: int = -1) -> int:
     return label
 
 
-def _quantum(weight: float) -> Optional[int]:
-    """Quantized weight, or None for +inf."""
-    return None if math.isinf(weight) else round(weight * _SCALE)
-
-
-def _adjacency(labels: Sequence[int], pair_caps: Mapping[tuple[int, int], int]) -> list[dict[int, int]]:
-    """Symmetric packed capacities between labels; nodes that share a label are merged."""
-    adj: list[dict[int, int]] = [{} for _ in range(max(labels) + 1)]
+def _adjacency(n: int, pair_caps: Mapping[tuple[int, int], int]) -> list[dict[int, int]]:
+    """Symmetric packed capacities between nodes 0..n-1; ``pair_caps`` holds each pair once."""
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
     for (a, b), cap in pair_caps.items():
-        la, lb = labels[a], labels[b]
-        if la != lb:
-            adj[la][lb] = adj[la].get(lb, 0) + cap
-            adj[lb][la] = adj[lb].get(la, 0) + cap
+        adj[a][b] = adj[b][a] = cap
     return adj
 
 
@@ -156,7 +150,7 @@ def _max_flow(n: int, pair_caps: Mapping[tuple[int, int], int], s: int, t: int) 
     the smallest source side of a minimum cut, the same for every maximum
     flow.
     """
-    residual = _adjacency(range(n), pair_caps)
+    residual = _adjacency(n, pair_caps)
     total = 0
     while True:
         parent = [-1] * n
@@ -183,25 +177,21 @@ def _max_flow(n: int, pair_caps: Mapping[tuple[int, int], int], s: int, t: int) 
         total += pushed
 
 
-def _stoer_wagner(labels: Sequence[int], pair_caps: Mapping[tuple[int, int], int]) -> tuple[int, set[int]]:
-    """Packed minimum cut value and its side holding node 0, as node indices.
+def _stoer_wagner(n: int, pair_caps: Mapping[tuple[int, int], int]) -> tuple[int, set[int]]:
+    """Packed minimum cut value over nodes 0..n-1 and its side holding node 0.
 
-    Nodes that share a label are merged first. The best cut starts as the
-    lightest single label. Each phase grows a maximum-adjacency order from
-    label 0, records the cut isolating the last label added if it is
-    lighter, and merges the last two labels. It also merges every pair
-    (v, u) whose key reached the best value while v was scanned (Nagamochi,
-    Ono & Ibaraki, Math. Programming 1994): the order gives
-    λ(v, u) >= key[u], so a cut separating them is no lighter than the best,
-    and packed values make the minimum unique. Merges keep the lower label,
-    so label 0 survives. On a disconnected graph the side is node 0's
-    component, at value 0.
+    The best cut starts as the lightest single node. Each phase grows a
+    maximum-adjacency order from label 0, records the cut isolating the
+    last label added if it is lighter, and merges the last two labels. It
+    also merges every pair (v, u) whose key reached the best value while v
+    was scanned (Nagamochi, Ono & Ibaraki, Math. Programming 1994): the
+    order gives λ(v, u) >= key[u], so a cut separating them is no lighter
+    than the best, and packed values make the minimum unique. Merges keep
+    the lower label, so label 0 survives. On a disconnected graph the side
+    is node 0's component, at value 0.
     """
-    adj = _adjacency(labels, pair_caps)
-    n = len(adj)
-    groups: dict[int, list[int]] = {label: [] for label in range(n)}  # label -> its nodes
-    for i, label in enumerate(labels):
-        groups[label].append(i)
+    adj = _adjacency(n, pair_caps)
+    groups = {v: [v] for v in range(n)}  # label -> its nodes
     best_value, lightest = min((sum(row.values()), label) for label, row in enumerate(adj))
     best_group = groups[lightest]
     push, pop = heapq.heappush, heapq.heappop
@@ -214,7 +204,7 @@ def _stoer_wagner(labels: Sequence[int], pair_caps: Mapping[tuple[int, int], int
         merges = []
         while left:
             if not heap:  # the first node's component is closed: a cut of weight 0
-                return 0, {i for i, label in enumerate(labels) if added[label]}
+                return 0, {v for v in range(n) if added[v]}
             v = pop(heap)[1]
             if added[v]:
                 continue  # stale entry left by a key increase
@@ -247,7 +237,7 @@ def _stoer_wagner(labels: Sequence[int], pair_caps: Mapping[tuple[int, int], int
                     adj[a][u] = adj[a].get(u, 0) + cap
                     adj[u][a] = adj[u].get(a, 0) + cap
                 del adj[u][b]
-    return best_value, set(best_group) if 0 in best_group else set(range(len(labels))) - set(best_group)
+    return best_value, set(best_group) if 0 in best_group else set(range(n)) - set(best_group)
 
 
 class CutSolver:
@@ -255,8 +245,9 @@ class CutSolver:
 
     Cut values are compared as packed integers (weight, edge count,
     edge-id lexicography), so results are exact and identical across calls.
-    ``set_weight`` changes one edge in place and leaves the solver exactly
-    as a fresh one built on the reweighted graph.
+    The solver's state is its edges at their current weights; the packed
+    capacities are derived from them, so ``set_weight`` leaves the solver
+    exactly as a fresh one built on the reweighted graph.
     """
 
     def __init__(self, graph: WeightedGraph):
@@ -268,29 +259,31 @@ class CutSolver:
         ranks = {eid: r for r, eid in enumerate(sorted(self._slot))}
         count_unit = 1 << (m + 2)
         self._weight_unit = (m + 2) * count_unit
-        self._quanta = [_quantum(e.weight) for e in self._edges]
-        self._finite_total = sum(q for q in self._quanta if q is not None)
-        inf_quantum = self._finite_total + 1  # outweighs every finite cut
-        self._pairs: list[tuple[int, int]] = []  # node-index pair of each edge
-        self._pair_caps: dict[tuple[int, int], int] = {}
-        self._inf_pairs: dict[tuple[int, int], int] = {}  # pair -> its +inf edge count
-        for e, q in zip(self._edges, self._quanta):
+        self._layout: list[tuple[tuple[int, int], int]] = []  # node-index pair, count term less marker
+        for e in self._edges:
             a, b = self._index[e.u], self._index[e.v]
-            key = (a, b) if a < b else (b, a)
-            self._pairs.append(key)
-            if q is None:
-                q = inf_quantum
-                self._inf_pairs[key] = self._inf_pairs.get(key, 0) + 1
             marker = 1 << (m - 1 - ranks[e.id])
-            composite = q * self._weight_unit + count_unit - marker
-            self._pair_caps[key] = self._pair_caps.get(key, 0) + composite
+            self._layout.append(((a, b) if a < b else (b, a), count_unit - marker))
+        self._packed: dict[tuple[int, int], int] | None = None
+
+    def _pair_caps(self) -> dict[tuple[int, int], int]:
+        """Packed capacity of each node-index pair at the current weights.
+
+        Weights are quantized to 1e-12, and +inf packs as the sum of the
+        finite quanta plus one, so it outweighs every finite cut. Cached
+        until the next ``set_weight``.
+        """
+        if self._packed is None:
+            quanta = [None if math.isinf(e.weight) else round(e.weight * _SCALE) for e in self._edges]
+            inf_quantum = sum(q for q in quanta if q is not None) + 1
+            caps: dict[tuple[int, int], int] = {}
+            for (key, low), q in zip(self._layout, quanta):
+                caps[key] = caps.get(key, 0) + (inf_quantum if q is None else q) * self._weight_unit + low
+            self._packed = caps
+        return self._packed
 
     def set_weight(self, edge_id: int, weight: float) -> None:
-        """Reweight one edge in place.
-
-        The +inf quantum is the finite quanta's sum plus one, so a change to
-        that sum also moves every pair that holds an infinite edge.
-        """
+        """Reweight one edge in place; the next cut repacks the capacities."""
         if math.isnan(weight) or weight < 0:
             raise ValueError(f"edge {edge_id} weight must be nonnegative")
         k = self._slot.get(edge_id)
@@ -298,26 +291,7 @@ class CutSolver:
             raise ValueError(f"edge {edge_id} is not in the graph")
         e = self._edges[k]
         self._edges[k] = WeightedEdge(e.id, e.u, e.v, weight, e.secure)
-        old, new = self._quanta[k], _quantum(weight)
-        if old == new:
-            return
-        self._quanta[k] = new
-        old_inf = self._finite_total + 1
-        self._finite_total += (new or 0) - (old or 0)
-        new_inf = self._finite_total + 1
-        key, unit = self._pairs[k], self._weight_unit
-        caps, inf_pairs = self._pair_caps, self._inf_pairs
-        caps[key] -= (old_inf if old is None else old) * unit
-        if old is None:
-            inf_pairs[key] -= 1
-            if not inf_pairs[key]:
-                del inf_pairs[key]
-        if new_inf != old_inf:
-            for pair, count in inf_pairs.items():
-                caps[pair] += count * (new_inf - old_inf) * unit
-        if new is None:
-            inf_pairs[key] = inf_pairs.get(key, 0) + 1
-        caps[key] += (new_inf if new is None else new) * unit
+        self._packed = None
 
     def min_st_cut(self, s: int, t: int) -> tuple[int, CutResult]:
         """Packed cut value and the unique optimal cut separating s and t."""
@@ -326,47 +300,21 @@ class CutSolver:
                 raise ValueError(f"node {v} is not in the graph")
         if s == t:
             raise ValueError("s and t must differ")
-        value, side = _max_flow(len(self._nodes), self._pair_caps, self._index[s], self._index[t])
+        value, side = _max_flow(len(self._nodes), self._pair_caps(), self._index[s], self._index[t])
         return value, cut_from_side(self._edges, frozenset(self._nodes[i] for i in side))
-
-    def _labels(self) -> list[int]:
-        """Each node's label once every node pair joined by a +inf edge is merged.
-
-        Labels are numbered in node order, so the first node's is 0.
-        """
-        adjacent = [0] * len(self._nodes)
-        for a, b in self._inf_pairs:
-            adjacent[a] |= 1 << b
-            adjacent[b] |= 1 << a
-        labels = [-1] * len(adjacent)
-        count = 0
-        for i in range(len(labels)):
-            if labels[i] < 0:
-                group = _reach(1 << i, adjacent)
-                while group:
-                    low = group & -group
-                    labels[low.bit_length() - 1] = count
-                    group ^= low
-                count += 1
-        return labels
 
     def global_min_cut(self) -> tuple[int, CutResult]:
         """Packed value and the unique minimum cut over all proper bipartitions.
 
-        Stoer-Wagner, run after merging every node pair joined by a +inf
-        edge: such an edge never enters the minimum while a finite cut
-        exists, so the answer is unchanged. When merging leaves one node,
-        every cut is infinite and the phases run on the unmerged graph. The
-        reported side contains the first node; on a disconnected graph it is
-        that node's component.
+        Stoer-Wagner with Nagamochi-Ono-Ibaraki contraction. An infinite
+        edge needs no special case: once a phase finds a finite cut, the
+        pair it joins is merged. The reported side contains the first node;
+        on a disconnected graph it is that node's component.
         """
         n = len(self._nodes)
         if n < 2:
             raise ValueError("global min cut needs at least two nodes")
-        labels = self._labels() if self._inf_pairs else range(n)
-        if not max(labels):  # every node merged into one
-            labels = range(n)
-        value, side = _stoer_wagner(labels, self._pair_caps)
+        value, side = _stoer_wagner(n, self._pair_caps())
         return value, cut_from_side(self._edges, frozenset(self._nodes[i] for i in side))
 
 

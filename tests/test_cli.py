@@ -371,11 +371,11 @@ def test_sweep_verifies_each_distinct_plan_once_per_trial(monkeypatch):
                 verdict = ga.execute(system, np.zeros(system.n + 1), plan, cfg)
                 fresh.append(experiment.SweepRow(
                     fraction, trial, attack_type, "II", True, plan.total_cost,
-                    verdict.success, not verdict.success,
+                    verdict.success,
                 ))
             else:
                 fresh.append(experiment.SweepRow(
-                    fraction, trial, attack_type, "II", False, None, None, None
+                    fraction, trial, attack_type, "II", False, None, None
                 ))
     assert rows == fresh
     assert repeats >= 30 and shared_jams >= 10

@@ -16,7 +16,7 @@ from conftest import (
     all_cuts, random_weighted_graph, reference_connected, reference_labels,
 )
 from gridattack.grid import connected
-from gridattack.mincut import _adjacency, _reach, _stoer_wagner, cut_from_side
+from gridattack.mincut import _reach, _stoer_wagner, cut_from_side
 
 
 def _graph(nodes, edges):
@@ -73,8 +73,8 @@ def test_enumerate_counts():
 
 
 def test_reachability_matches_union_find_reference():
-    """``grid.connected``, ``_reach`` inside a mask, and the infinite-pair
-    merge labels of ``CutSolver._labels`` all agree with the conftest union-find.
+    """``grid.connected`` and ``_reach`` inside a mask agree with the
+    conftest union-find.
 
     Random node sets in shuffled order: the empty set, isolated nodes,
     parallel pairs, disconnected sets, and sets of more than 64 nodes.
@@ -109,19 +109,9 @@ def test_reachability_matches_union_find_reference():
             got = _reach(within & -within, adjacent, within) == within
             assert got == reference_connected(inside, induced)
             seen["induced", got] += 1
-
-        if n:
-            edges = tuple(
-                ga.WeightedEdge(i, a, b, math.inf if rng.random() < 0.6 else 1.0)
-                for i, (a, b) in enumerate(pairs)
-            )
-            labels = ga.CutSolver(ga.WeightedGraph(nodes=tuple(nodes), edges=edges))._labels()
-            infinite = [(e.u, e.v) for e in edges if math.isinf(e.weight)]
-            assert labels == reference_labels(nodes, infinite)
-            seen["merged"] += len(set(labels)) < n
     assert seen["empty"] == 10 and seen["isolated"] >= 50 and seen["parallel"] >= 50
     assert min(seen[True, True], seen[True, False], seen[False, True], seen[False, False]) >= 20
-    assert min(seen["induced", True], seen["induced", False]) >= 50 and seen["merged"] >= 100
+    assert min(seen["induced", True], seen["induced", False]) >= 50
 
 
 def test_triangle_unit_global_cut():
@@ -202,28 +192,40 @@ def test_global_min_disconnected_reports_first_component():
 
 
 def test_global_min_when_infinite_edges_join_every_node():
-    """Merging the infinite pairs leaves one node, so the phases run unmerged."""
+    """Infinite edges join every node: each cut is infinite, and the tie-break still holds."""
     g = _graph([0, 1, 2], [(0, 0, 1, math.inf), (1, 1, 2, math.inf), (2, 0, 2, 1.0)])
     cut = ga.global_min_cut(g)
     want = min(all_cuts(g), key=lambda c: _tie_break_key(g, c))
     assert cut.edges == want.edges == (0, 2)
     assert math.isinf(cut.weight)
     assert cut.side_a == frozenset({0})
-    # two components, each merged to one node: the first node's component, at weight 0
+    # two components, each joined by an infinite edge: the first node's component, at weight 0
     split = _graph([0, 1, 2, 3], [(0, 0, 1, math.inf), (1, 2, 3, math.inf)])
     cut = ga.global_min_cut(split)
     assert cut.edges == () and cut.weight == 0
     assert cut.side_a == frozenset({0, 1})
 
 
+def _merged_adjacency(labels, pair_caps):
+    """Symmetric packed capacities between labels; nodes that share a label are merged."""
+    adj = [{} for _ in range(max(labels) + 1)]
+    for (a, b), cap in pair_caps.items():
+        la, lb = labels[a], labels[b]
+        if la != lb:
+            adj[la][lb] = adj[la].get(lb, 0) + cap
+            adj[lb][la] = adj[lb].get(la, 0) + cap
+    return adj
+
+
 def _plain_stoer_wagner(labels, pair_caps):
     """Reference: Stoer–Wagner phases that merge only the last two labels.
 
-    Each phase grows a maximum-adjacency order from label 0, takes the cut
-    isolating the last label added, and merges it into the one before. On a
-    disconnected graph the side is node 0's component, at value 0.
+    Nodes that share a label are merged first. Each phase grows a
+    maximum-adjacency order from label 0, takes the cut isolating the last
+    label added, and merges it into the one before. On a disconnected graph
+    the side is node 0's component, at value 0.
     """
-    adj = _adjacency(labels, pair_caps)
+    adj = _merged_adjacency(labels, pair_caps)
     n = len(adj)
     groups = {label: [] for label in range(n)}
     for i, label in enumerate(labels):
@@ -262,15 +264,16 @@ def _plain_stoer_wagner(labels, pair_caps):
 
 def test_contracting_engine_matches_plain_phases():
     """``_stoer_wagner`` with Nagamochi–Ono–Ibaraki contraction returns the
-    plain phase loop's value, edge set and side.
+    plain phase loop's value, edge set and side, with and without merging
+    the infinite pairs first.
 
     360 random multigraphs of 2–16 nodes in shuffled order, with parallel
     edges and weights 0, 1e-13 (below the 1e-12 quantum), 0.5, 1 and +inf.
     Every fourth graph is split into parts no edge joins, every fourth has
     a spanning tree of infinite edges, so merging the infinite pairs leaves
-    one node, and every fourth has a finite spanning tree. Each graph runs on unmerged labels and, when it has
-    infinite edges, on the merged labels ``global_min_cut`` uses, unless they
-    leave one node.
+    one node, and every fourth has a finite spanning tree. The plain loop
+    runs on unmerged nodes and, when the graph has infinite edges, on the
+    union-find labels of the infinite pairs, unless they leave one node.
     """
     rng = random.Random(19)
     seen = collections.Counter()
@@ -292,16 +295,18 @@ def test_contracting_engine_matches_plain_phases():
             ga.WeightedEdge(eid, u, v, w, rng.random() < 0.4) for eid, (u, v, w) in enumerate(pairs)
         )
         g = ga.WeightedGraph(nodes=tuple(rng.sample(range(n), n)), edges=edges)
-        solver = ga.CutSolver(g)
+        caps = ga.CutSolver(g)._pair_caps()
+        position = {v: i for i, v in enumerate(g.nodes)}
+        infinite = [(position[e.u], position[e.v]) for e in edges if math.isinf(e.weight)]
         runs = [range(n)]
-        if solver._inf_pairs:
-            merged = solver._labels()
+        if infinite:
+            merged = reference_labels(range(n), infinite)
             if max(merged):
                 runs.append(merged)
             seen["all merged"] += not max(merged)
+        got = _stoer_wagner(n, caps)
         for labels in runs:
-            got = _stoer_wagner(labels, solver._pair_caps)
-            want = _plain_stoer_wagner(labels, solver._pair_caps)
+            want = _plain_stoer_wagner(labels, caps)
             assert got[0] == want[0]
             assert got[1] == want[1]
             cut = cut_from_side(g.edges, frozenset(g.nodes[i] for i in got[1]))
@@ -353,7 +358,7 @@ def test_set_weight_matches_fresh_solver():
             weights[eid] = new
             solver.set_weight(eid, new)
             fresh = ga.CutSolver(g.reweighted(weights))
-            assert solver._pair_caps == fresh._pair_caps
+            assert solver._pair_caps() == fresh._pair_caps()
             assert _everything_cut(solver, g.nodes) == _everything_cut(fresh, g.nodes)
     assert disconnected >= 10
     assert min(moves[False, True], moves[True, False]) >= 40 and moves[False, False] >= 40
@@ -487,3 +492,8 @@ def test_determinism():
 def test_negative_weight_rejected():
     with pytest.raises(ValueError):
         _graph([0, 1], [(0, 0, 1, -1.0)])
+
+
+def test_duplicate_node_rejected():
+    with pytest.raises(ValueError, match="duplicate node"):
+        _graph([0, 1, 1, 2], [(0, 0, 1, 1.0), (1, 1, 2, 2.0)])
