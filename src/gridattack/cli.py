@@ -54,6 +54,8 @@ def _fractions(text: str) -> list[float]:
         values = [float(p) for p in text.split(",") if p]
         if len(set(values)) > MAX_FRACTIONS:
             raise ValueError(too_many)
+    if not values:
+        raise ValueError(f"--fractions {text!r} gives no fraction")
     for value in values:
         _check_fraction("--fractions", value)
     return values
@@ -187,6 +189,8 @@ def _cmd_sweep(args) -> int:
             raise ValueError(f"--trials must lie in 1..{MAX_TRIALS}, got {args.trials}")
         _check_fraction("--angle-fraction", args.angle_fraction)
         types = [AttackType(t.strip()) for t in args.types.split(",") if t.strip()]
+        if not types:
+            raise ValueError(f"--types {args.types!r} names no attack type")
         fractions = _fractions(args.fractions)
         condition = None if args.condition == "none" else AttackType(args.condition)
     except ValueError as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -33,9 +33,12 @@ class SweepRow:
     trial: int
     attack_type: AttackType
     interval: str
-    feasible: bool
-    cost: Optional[float]
+    cost: Optional[float]  # None on an infeasible row
     verified: Optional[bool]  # None on an infeasible row; the greedy_escape column is its negation
+
+    @property
+    def feasible(self) -> bool:
+        return self.cost is not None
 
 
 def trial_seed(base: int, fraction_index: int, trial: int) -> int:
@@ -56,9 +59,10 @@ def run_sweep(
     """Design and verify every requested type per randomized trial.
 
     Within a trial the system, truth and detector are fixed and no noise is
-    drawn, so a verdict depends only on the plan's jammed set, injected set
-    and state shift, and on whether its type is hidden. Each distinct
-    combination is verified once per trial; the memo dies with the trial.
+    drawn, so the estimator run depends only on the plan's jammed set,
+    injected set and state shift. Each distinct combination is executed once
+    per trial, and every row re-types that verdict to judge it as its own
+    attack type; the memo dies with the trial.
 
     Returns the rows plus, per (fraction, trial), whether the conditioning
     attack type was feasible there (all True when no condition is given).
@@ -70,6 +74,7 @@ def run_sweep(
         raise ValueError("sweep grid too large for the per-trial seed scheme")
     interval = classify_interval(cost).value
     cfg = DetectorConfig(removal_mode=RemovalMode.GREEDY_NORMALIZED_RESIDUAL)
+    wanted = list(types) + ([condition] if condition and condition not in types else [])
     rows: list[SweepRow] = []
     condition_ok: dict[tuple[float, int], bool] = {}
     for f_idx, fraction in enumerate(fractions):
@@ -79,10 +84,7 @@ def run_sweep(
             )
             graph = build_graph(system)
             truth = np.zeros(system.n + 1)
-            plans: dict[AttackType, object] = {}
-            wanted = list(types) + ([condition] if condition and condition not in types else [])
-            for attack_type in wanted:
-                plans[attack_type] = design(attack_type, graph, cost)
+            plans = {attack_type: design(attack_type, graph, cost) for attack_type in wanted}
             condition_ok[(fraction, trial)] = (
                 isinstance(plans[condition], AttackPlan) if condition else True
             )
@@ -90,25 +92,15 @@ def run_sweep(
             for attack_type in types:
                 outcome = plans[attack_type]
                 if not isinstance(outcome, AttackPlan):
-                    rows.append(
-                        SweepRow(fraction, trial, attack_type, interval, False, None, None)
-                    )
+                    rows.append(SweepRow(fraction, trial, attack_type, interval, None, None))
                     continue
-                key = (outcome.jammed, outcome.injected, outcome.injection_state_shift,
-                       attack_type.hidden)
+                key = (outcome.jammed, outcome.injected, outcome.injection_state_shift)
                 verdict = verdicts.get(key)
                 if verdict is None:
                     verdict = verdicts[key] = execute(system, truth, outcome, cfg)
+                verified = replace(verdict, attack_type=attack_type).success
                 rows.append(
-                    SweepRow(
-                        fraction,
-                        trial,
-                        attack_type,
-                        interval,
-                        True,
-                        outcome.total_cost,
-                        verdict.success,
-                    )
+                    SweepRow(fraction, trial, attack_type, interval, outcome.total_cost, verified)
                 )
     return rows, condition_ok
 

@@ -134,11 +134,6 @@ class MeasurementSystem:
         return len(self.measurements)
 
     @cached_property
-    def index_of(self) -> Mapping[int, int]:
-        """Measurement id -> row position."""
-        return {m.id: k for k, m in enumerate(self.measurements)}
-
-    @cached_property
     def observable(self) -> bool:
         """Whether the measurements connect every bus to the reference; see ``check_observable``."""
         return connected((b.id for b in self.buses), (m.endpoints for m in self.measurements))
@@ -257,24 +252,16 @@ def build_graph(sys: MeasurementSystem) -> MeasurementGraph:
     return MeasurementGraph(nodes=nodes, edges=edges)
 
 
-def cut_edges(
-    graph: MeasurementGraph,
-    node_set: Iterable[int],
-    weights: Optional[Mapping[int, float]] = None,
-) -> CutResult:
-    """Edges with exactly one endpoint inside ``node_set``.
+def cut_edges(graph: MeasurementGraph, node_set: Iterable[int]) -> CutResult:
+    """Edges with exactly one endpoint inside ``node_set``, at unit weight.
 
-    ``weights`` maps every measurement id to its edge weight; unit weights
-    by default. ``node_set`` must be a proper nonempty subset of the nodes.
+    ``node_set`` must be a proper nonempty subset of the nodes.
     """
     side = frozenset(node_set)
     all_nodes = set(graph.nodes)
     if not side or side == all_nodes or not side <= all_nodes:
         raise ValueError("node_set must be a proper nonempty subset of the graph nodes")
-    edges = (
-        WeightedEdge(e.id, e.u, e.v, 1.0 if weights is None else weights[e.id], e.secure)
-        for e in graph.edges
-    )
+    edges = (WeightedEdge(e.id, e.u, e.v, 1.0, e.secure) for e in graph.edges)
     return cut_from_side(edges, side)
 
 

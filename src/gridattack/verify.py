@@ -1,14 +1,16 @@
 """End-to-end execution of an attack plan against the estimator.
 
 Deletes the plan's jammed rows, builds clean measurements for the rest from
-a ground-truth state, applies the plan's injections, runs detection and
-removal on that reduced system, whose one matrix the estimator reuses, and
-classifies the outcome against the plan's declared attack type: hidden
-plans must leave the residual test silent while shifting the estimate;
-detectable plans must shift the estimate with at least one injected
-measurement surviving removal and the final residual test passing. The
-input system's matrix is never built: its graph, a superset of the reduced
-one, is checked for observability only when the reduced system fails.
+a ground-truth state, applies the plan's injections, and runs detection and
+removal on that reduced system, whose one matrix the estimator reuses. The
+verdict records only what that run did; the attack type judges those facts:
+a hidden plan must leave the residual test silent while shifting the
+estimate; a detectable plan must shift the estimate with at least one
+injected measurement surviving removal and the final residual test
+passing. The run does not depend on the type, so one verdict, re-typed with
+``dataclasses.replace``, judges a plan as any type. The input system's
+matrix is never built: its graph, a superset of the reduced one, is checked
+for observability only when the reduced system fails.
 """
 
 from __future__ import annotations
@@ -28,15 +30,28 @@ ESTIMATE_CHANGE_TOL = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class VerificationVerdict:
+    """The facts of one estimator run, judged as ``attack_type``.
+
+    ``matches_declared_type`` (alias ``success``) and ``reason`` are computed
+    from the type and the facts, so ``dataclasses.replace(verdict,
+    attack_type=other)`` judges the same run as ``other``.
+    """
+
     attack_type: object
     observability_ok: bool
     stealthy: bool
     estimate_changed: bool
     survived_injection: bool
     removal_failed: bool
-    matches_declared_type: bool
     final_shift: Optional[np.ndarray]
     report: Optional[EstimationReport]
+
+    @property
+    def matches_declared_type(self) -> bool:
+        if self.attack_type.hidden:
+            return self.stealthy and self.estimate_changed
+        # the final residual test passed, or removal failed and nothing changed
+        return self.estimate_changed and self.survived_injection
 
     @property
     def success(self) -> bool:
@@ -69,7 +84,6 @@ def _failure(plan: AttackPlan, removal_failed: bool = False, observable: bool = 
         estimate_changed=False,
         survived_injection=False,
         removal_failed=removal_failed,
-        matches_declared_type=False,
         final_shift=None,
         report=None,
     )
@@ -88,13 +102,13 @@ def execute(
     alpha: Optional[float] = None,
     noise_rng: Optional[np.random.Generator] = None,
 ) -> VerificationVerdict:
-    """Run the plan and judge it against its declared attack type.
+    """Run the plan and judge it as its declared attack type.
 
     ``alpha`` scales the injected state shift; ``noise_rng`` optionally adds
     measurement noise to the clean base vector (verification is noiseless
     by default).
     """
-    known = set(sys.index_of)
+    known = {meas.id for meas in sys.measurements}
     referenced = set(plan.cut.edges) | plan.injected | plan.jammed
     if not referenced <= known:
         raise PlanMismatch(f"plan references unknown measurements {sorted(referenced - known)}")
@@ -133,21 +147,13 @@ def execute(
 
     final_shift = report.final_estimate - truth
     estimate_changed = bool(np.max(np.abs(final_shift[:-1])) > ESTIMATE_CHANGE_TOL)
-    stealthy = not report.detected
-    survived = bool(plan.injected - report.removed) if plan.injected else False
-    if plan.attack_type.hidden:
-        success = stealthy and estimate_changed
-    else:
-        # final residual test passed, otherwise RemovalFailed was raised
-        success = estimate_changed and survived
     return VerificationVerdict(
         attack_type=plan.attack_type,
         observability_ok=True,
-        stealthy=stealthy,
+        stealthy=not report.detected,
         estimate_changed=estimate_changed,
-        survived_injection=survived,
+        survived_injection=bool(plan.injected - report.removed),
         removal_failed=False,
-        matches_declared_type=success,
         final_shift=final_shift,
         report=report,
     )

@@ -162,6 +162,10 @@ COSTS = ["--pi", "1", "--pjs", ".5", "--pjsc", ".25"]
         (["sweep", "--trials", "1", "--fractions", "0,1.5"], "--fractions"),
         (["sweep", "--trials", "1", "--fractions", "0:inf:0.1"], "fractions"),
         (["sweep", "--trials", "1", "--condition", "nonsense"], "nonsense"),
+        (["sweep", "--trials", "1", "--fractions", "0:nan:0.1"], "--fractions"),
+        (["sweep", "--trials", "1", "--fractions", "0.5:0:0.1"], "--fractions"),
+        (["sweep", "--trials", "1", "--fractions", ","], "--fractions"),
+        (["sweep", "--trials", "1", "--types", ","], "--types"),
     ],
 )
 def test_out_of_range_options_exit_64(argv, flag, capsys):
@@ -324,10 +328,10 @@ def test_sweep_stdout(capsys):
 
 
 def test_sweep_verifies_each_distinct_plan_once_per_trial(monkeypatch):
-    """On an IEEE-14 sweep of all six types, ``execute`` runs once per
-    distinct (jammed, injected, shift, hidden) key within a trial, in first
-    appearance order and never again for a repeated key, and the rows equal
-    those of a loop that verifies every plan fresh.
+    """On IEEE-14 sweeps of all six types over seeds 3-7, ``execute`` runs
+    once per distinct (jammed, injected, shift) key within a trial, in first
+    appearance order and never again for a repeated key, whatever the type,
+    and the rows equal those of a loop that verifies every plan fresh.
     """
     trials = []  # per trial: (system, designed plans, plans given to execute)
     real_place, real_design = experiment.place_measurements, experiment.design
@@ -351,34 +355,42 @@ def test_sweep_verifies_each_distinct_plan_once_per_trial(monkeypatch):
     types = list(AttackType)
     cost = ga.CostModel(1, 0.8, 0.25)
     fractions = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
-    rows, _ = run_sweep(ga.load_case("ieee14"), types, cost, fractions, trials=5, seed=3)
 
     def key(plan):
-        return plan.jammed, plan.injected, plan.injection_state_shift, plan.attack_type.hidden
+        return plan.jammed, plan.injected, plan.injection_state_shift
 
     cfg = ga.DetectorConfig(removal_mode=ga.RemovalMode.GREEDY_NORMALIZED_RESIDUAL)
-    fresh = []
-    repeats = shared_jams = 0
-    for (system, designed, executed), (fraction, trial) in zip(
-        trials, [(f, t) for f in fractions for t in range(5)], strict=True
-    ):
-        plans = [p for p in designed if isinstance(p, ga.AttackPlan)]
-        assert [key(p) for p in executed] == list(dict.fromkeys(key(p) for p in plans))
-        repeats += len(plans) - len(executed)
-        shared_jams += len({p.jammed for p in executed}) < len(executed)
-        for attack_type, plan in zip(types, designed, strict=True):
-            if isinstance(plan, ga.AttackPlan):
-                verdict = ga.execute(system, np.zeros(system.n + 1), plan, cfg)
-                fresh.append(experiment.SweepRow(
-                    fraction, trial, attack_type, "II", True, plan.total_cost,
-                    verdict.success,
-                ))
-            else:
-                fresh.append(experiment.SweepRow(
-                    fraction, trial, attack_type, "II", False, None, None
-                ))
-    assert rows == fresh
+    repeats = shared_jams = both_families = 0
+    for seed in range(3, 8):
+        trials.clear()
+        rows, _ = run_sweep(ga.load_case("ieee14"), types, cost, fractions, trials=5, seed=seed)
+        fresh = []
+        for (system, designed, executed), (fraction, trial) in zip(
+            trials, [(f, t) for f in fractions for t in range(5)], strict=True
+        ):
+            plans = [p for p in designed if isinstance(p, ga.AttackPlan)]
+            assert [key(p) for p in executed] == list(dict.fromkeys(key(p) for p in plans))
+            repeats += len(plans) - len(executed)
+            shared_jams += len({p.jammed for p in executed}) < len(executed)
+            families = {}
+            for p in plans:
+                families.setdefault(key(p), set()).add(p.attack_type.hidden)
+            both_families += sum(len(hidden) == 2 for hidden in families.values())
+            for attack_type, plan in zip(types, designed, strict=True):
+                if isinstance(plan, ga.AttackPlan):
+                    verdict = ga.execute(system, np.zeros(system.n + 1), plan, cfg)
+                    fresh.append(experiment.SweepRow(
+                        fraction, trial, attack_type, "II", plan.total_cost, verdict.success
+                    ))
+                else:
+                    fresh.append(experiment.SweepRow(
+                        fraction, trial, attack_type, "II", None, None
+                    ))
+        assert rows == fresh
     assert repeats >= 30 and shared_jams >= 10
+    # plans executed once and judged as both a hidden and a detectable type
+    assert both_families >= 200
+
 
 def test_sweep_summary_matches_row_means():
     case = ga.load_case("ieee14")

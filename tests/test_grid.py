@@ -7,6 +7,7 @@ import pytest
 
 import gridattack as ga
 from gridattack import grid as grid_module
+from gridattack.mincut import cut_from_side
 from conftest import triangle_graph, triangle_system, random_system
 
 
@@ -106,8 +107,11 @@ def test_cut_edges_e1_examples():
 
 def test_cut_edges_weighted():
     g = triangle_graph()
-    cut = ga.cut_edges(g, {2}, weights={0: 0.25, 1: 0.5, 2: 0.25})
+    weights = {0: 0.25, 1: 0.5, 2: 0.25}
+    edges = [ga.WeightedEdge(e.id, e.u, e.v, weights[e.id], e.secure) for e in g.edges]
+    cut = cut_from_side(edges, frozenset({2}))
     assert cut.weight == pytest.approx(0.5)
+    assert cut.edges == ga.cut_edges(g, {2}).edges
 
 
 def test_cut_edges_rejects_improper_subsets():

@@ -74,14 +74,19 @@ def test_detectable_generalized_interval_one_on_triangle():
     assert not plan.untouched and verdict.stealthy
 
 
-def test_detectable_with_residue_trips_then_survives_removal():
-    sys_ = ga.MeasurementSystem(
+def _parallel_flows_system() -> ga.MeasurementSystem:
+    """Three parallel flows between buses 1 and 2, and a secure angle on bus 1."""
+    return ga.MeasurementSystem(
         buses=(ga.Bus(0, is_reference=True), ga.Bus(1), ga.Bus(2)),
         lines=((1, 2, 1.0),),
         measurements=tuple(
             ga.Measurement(k, ga.MeasurementKind.LINE_FLOW, 1, 2) for k in range(3)
         ) + (ga.Measurement(3, ga.MeasurementKind.PHASE_ANGLE, 1, secure=True),),
     )
+
+
+def test_detectable_with_residue_trips_then_survives_removal():
+    sys_ = _parallel_flows_system()
     plan = ga.detectable_jamming(ga.build_graph(sys_), ga.CostModel(1, 0.8, 0.6))
     assert plan.untouched  # one flow stays untouched as removal bait
     verdict = ga.execute(sys_, np.zeros(3), plan, EXHAUSTIVE)
@@ -264,13 +269,7 @@ def test_verdict_reason_estimate_unchanged():
 
 def test_verdict_reason_injection_removed():
     # three parallel flows cut bus 2 off; one injected among two untouched is outvoted
-    sys_ = ga.MeasurementSystem(
-        buses=(ga.Bus(0, is_reference=True), ga.Bus(1), ga.Bus(2)),
-        lines=((1, 2, 1.0),),
-        measurements=tuple(
-            ga.Measurement(k, ga.MeasurementKind.LINE_FLOW, 1, 2) for k in range(3)
-        ) + (ga.Measurement(3, ga.MeasurementKind.PHASE_ANGLE, 1, secure=True),),
-    )
+    sys_ = _parallel_flows_system()
     plan = ga.AttackPlan(
         attack_type=AttackType.DETECTABLE_INJECTION,
         cut=ga.cut_edges(ga.build_graph(sys_), {2}),
@@ -283,3 +282,31 @@ def test_verdict_reason_injection_removed():
     verdict = ga.execute(sys_, np.zeros(3), plan, EXHAUSTIVE)
     assert verdict.report.removed == {0}
     assert verdict.reason == "injection-removed"
+
+
+def test_retyped_verdict_judges_like_a_fresh_run():
+    """A verdict re-typed with ``dataclasses.replace`` gives the same success
+    and reason as executing the plan as the other type, also where the two
+    families judge one estimator run differently."""
+    parallel = _parallel_flows_system()
+    trip_then_survive = ga.detectable_jamming(ga.build_graph(parallel), ga.CostModel(1, 0.8, 0.6))
+    cases = [
+        _triangle_plan(AttackType.HIDDEN_GENERALIZED, {1}, {0}),  # detected
+        (triangle_system(), _noop_plan(ga.build_graph(triangle_system()))),
+        (parallel, trip_then_survive),
+        _triangle_plan(AttackType.HIDDEN_GENERALIZED, {1}, {0}, {2}, {1}),  # unobservable
+    ]
+    split_success = split_judgement = 0
+    for sys_, plan in cases:
+        verdict = ga.execute(sys_, np.zeros(3), plan, EXHAUSTIVE)
+        for other in AttackType:
+            fresh = ga.execute(
+                sys_, np.zeros(3), dataclasses.replace(plan, attack_type=other), EXHAUSTIVE
+            )
+            retyped = dataclasses.replace(verdict, attack_type=other)
+            assert (retyped.success, retyped.reason) == (fresh.success, fresh.reason)
+            split_success += retyped.success != verdict.success
+            split_judgement += retyped.reason != verdict.reason
+    # the trip-then-survive plan fails as each hidden type; the detected and
+    # the no-op plans fail as each detectable type for another reason
+    assert split_success == 3 and split_judgement == 9
