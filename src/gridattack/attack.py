@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import InvalidCosts
 from .grid import REFERENCE_BUS, MeasurementGraph
-from .mincut import INFINITY, CutResult, CutSolver, WeightedGraph, cut_from_side
+from .mincut import INFINITY, CutResult, CutSolver, cut_from_side
 
 
 class AttackType(Enum):
@@ -58,15 +58,19 @@ class CutConstraint(Enum):
 class CostModel:
     """Per-measurement adversary costs; jamming never beats injecting."""
 
+    # the cut engines quantize weights to an absolute 1e-12: far smaller costs
+    # round away, and far larger ones overflow the quantization
+    COST_RANGE = (1e-6, 1e6)
+
     p_inject: float
     p_jam_secure: float
     p_jam_insecure: float
 
     def __post_init__(self):
-        ok = 0 < self.p_jam_insecure <= self.p_jam_secure <= self.p_inject < INFINITY
-        if not ok:
+        lo, hi = self.COST_RANGE
+        if not lo <= self.p_jam_insecure <= self.p_jam_secure <= self.p_inject <= hi:
             raise InvalidCosts(
-                f"need 0 < p_jam_insecure <= p_jam_secure <= p_inject < inf, got "
+                f"need {lo:g} <= p_jam_insecure <= p_jam_secure <= p_inject <= {hi:g}, got "
                 f"({self.p_inject}, {self.p_jam_secure}, {self.p_jam_insecure})"
             )
 
@@ -222,20 +226,16 @@ def _sweep(graph: MeasurementGraph, secure_w: float, insecure_w: float) -> Optio
     pairs = _insecure_pairs(graph)
     if not pairs:
         return None
-    solver = CutSolver(WeightedGraph.from_measurement_graph(graph, secure_w, insecure_w))
-    _, cut = solver.global_min_cut()
+    weights = [secure_w if e.secure else insecure_w for e in graph.edges]
+    solver = CutSolver(graph)
+    _, cut = solver.global_min_cut(weights)
     if cut.n_insecure:
         s = next(s for s, t in pairs if (s in cut.side_a) != (t in cut.side_a))
         if s not in cut.side_a:
             cut = replace(cut, side_a=frozenset(graph.nodes) - cut.side_a)
         return cut
-    best: Optional[tuple[int, CutResult]] = None
-    for s, t in pairs:
-        candidate = solver.min_st_cut(s, t)
-        if best is None or candidate[0] < best[0]:
-            best = candidate
-    assert best is not None
-    return best[1]
+    # the first pair with the least packed value; every flow reuses the global cut's packing
+    return min((solver.min_st_cut(weights, s, t) for s, t in pairs), key=lambda vc: vc[0])[1]
 
 
 def _secure_free_min_cut(graph: MeasurementGraph) -> Optional[CutResult]:
@@ -247,13 +247,14 @@ def _secure_free_min_cut(graph: MeasurementGraph) -> Optional[CutResult]:
 
 
 def constrained_min_cut(
-    weighted: WeightedGraph, constraint: CutConstraint, gamma: float = INFINITY
+    graph, weights: Sequence[float], constraint: CutConstraint, gamma: float = INFINITY
 ) -> Union[CutResult, NoSolutionFound]:
     """Iterative minimum-weight cut subject to a composition constraint.
 
-    Recomputes the global minimum cut, and while the constraint fails,
-    boosts one violating cut edge to +inf in place: the lightest, largest
-    id on ties; a secure edge under the minority constraint or when the cut
+    Recomputes the global minimum cut under ``weights``, one per edge of
+    ``graph`` in edge order, and while the constraint fails, boosts one
+    violating cut edge to +inf in a copy of them: the lightest, largest id
+    on ties; a secure edge under the minority constraint or when the cut
     has no insecure edge, else an insecure one. The returned cut reports
     its weight under the original weights.
 
@@ -261,24 +262,25 @@ def constrained_min_cut(
     edge not yet boosted; once all are, every nonempty cut is infinite and
     the ``gamma`` stop fires. An empty cut (a disconnected graph) gives up.
     """
-    by_id = {e.id: e for e in weighted.edges}
-    solver = CutSolver(weighted)
+    slot = {e.id: k for k, e in enumerate(graph.edges)}  # edge id -> its weight's index
+    solver = CutSolver(graph)
+    working = list(weights)
     while True:
-        _, cut = solver.global_min_cut()
+        _, cut = solver.global_min_cut(working)
         n_ins = cut.n_insecure
         if constraint is CutConstraint.SECURE_MINORITY:
             satisfied = 2 * cut.n_secure < len(cut.edges)
         else:
             satisfied = n_ins >= 1 and 2 * n_ins <= len(cut.edges)
         if satisfied:
-            return cut_from_side(weighted.edges, cut.side_a)
+            return cut_from_side(graph.edges, weights, cut.side_a)
         if cut.weight >= gamma:
             return NoSolutionFound(f"working cut weight {cut.weight} reached gamma {gamma}")
         if not cut.edges:
             return NoSolutionFound("the global cut is empty: the graph is disconnected")
         boost_secure = constraint is CutConstraint.SECURE_MINORITY or n_ins == 0
-        candidates = [i for i in cut.edges if by_id[i].secure == boost_secure]
-        solver.set_weight(min(candidates, key=lambda i: (by_id[i].weight, -i)), INFINITY)
+        candidates = [slot[i] for i in cut.edges if graph.edges[slot[i]].secure == boost_secure]
+        working[min(candidates, key=lambda k: (weights[k], -graph.edges[k].id))] = INFINITY
 
 
 def hidden_injection(graph: MeasurementGraph, cost: CostModel) -> DesignResult:
@@ -335,7 +337,7 @@ def _constrained_plan(
     found = _memoized(
         graph, ("constrained", constraint, secure_w, insecure_w),
         lambda: constrained_min_cut(
-            WeightedGraph.from_measurement_graph(graph, secure_w, insecure_w), constraint
+            graph, [secure_w if e.secure else insecure_w for e in graph.edges], constraint
         ),
     )
     if isinstance(found, NoSolutionFound):

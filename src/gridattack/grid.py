@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from .errors import UnobservableSystem
-from .mincut import CutResult, WeightedEdge, _reach, cut_from_side
+from .mincut import CutResult, _reach, cut_from_side
 
 REFERENCE_BUS = 0
 
@@ -261,8 +261,7 @@ def cut_edges(graph: MeasurementGraph, node_set: Iterable[int]) -> CutResult:
     all_nodes = set(graph.nodes)
     if not side or side == all_nodes or not side <= all_nodes:
         raise ValueError("node_set must be a proper nonempty subset of the graph nodes")
-    edges = (WeightedEdge(e.id, e.u, e.v, 1.0, e.secure) for e in graph.edges)
-    return cut_from_side(edges, side)
+    return cut_from_side(graph.edges, [1.0] * len(graph.edges), side)
 
 
 def remove_measurements(sys: MeasurementSystem, ids: Iterable[int]) -> MeasurementSystem:

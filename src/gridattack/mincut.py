@@ -10,9 +10,9 @@ merged per node pair inside the solvers but cuts are always reported
 edge-by-edge. Weights may be +inf, which is absorbing: an infinite edge
 packs heavier than all finite edges together, so it never enters a returned
 cut while any finite cut exists, and the global cut's contraction merges the
-pair it joins once a finite cut is found. A solver reweights one edge in
-place (``CutSolver.set_weight``), which is how the iterative constrained
-search boosts an edge without rebuilding it.
+pair it joins once a finite cut is found. A ``CutSolver`` keeps only a
+graph's structure and each solve takes one weight per edge, so the
+iterative constrained search boosts an edge by setting its weight to +inf.
 
 Tie-breaking is exact and deterministic. Each edge weight is quantized to
 1e-12 and packed into a single integer together with an edge-count term and
@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
 
 INFINITY = math.inf
 
@@ -70,13 +70,7 @@ class WeightedGraph:
     def from_measurement_graph(cls, graph, secure_weight: float, insecure_weight: float):
         """Weight every edge of a measurement graph by its security class."""
         edges = tuple(
-            WeightedEdge(
-                id=e.id,
-                u=e.u,
-                v=e.v,
-                weight=secure_weight if e.secure else insecure_weight,
-                secure=e.secure,
-            )
+            WeightedEdge(e.id, e.u, e.v, secure_weight if e.secure else insecure_weight, e.secure)
             for e in graph.edges
         )
         return cls(nodes=tuple(graph.nodes), edges=edges)
@@ -103,17 +97,21 @@ class CutResult:
         return len(self.edges)
 
 
-def cut_from_side(edges: Iterable[WeightedEdge], side: frozenset[int]) -> CutResult:
-    """Materialize the cut defined by a node subset over the given edges."""
-    members = [e for e in edges if (e.u in side) != (e.v in side)]
-    n_sec = sum(1 for e in members if e.secure)
-    if any(math.isinf(e.weight) for e in members):
+def cut_from_side(edges: Sequence, weights: Sequence[float], side: frozenset[int]) -> CutResult:
+    """Materialize the cut a node subset defines, ``weights[k]`` weighing ``edges[k]``.
+
+    The weight is summed left to right in edge order.
+    """
+    members = [(e, w) for e, w in zip(edges, weights, strict=True)
+               if (e.u in side) != (e.v in side)]
+    n_sec = sum(1 for e, _ in members if e.secure)
+    if any(math.isinf(w) for _, w in members):
         weight = INFINITY
     else:
-        weight = float(sum(e.weight for e in members))
+        weight = float(sum(w for _, w in members))
     return CutResult(
         side_a=side,
-        edges=tuple(sorted(e.id for e in members)),
+        edges=tuple(sorted(e.id for e, _ in members)),
         weight=weight,
         n_secure=n_sec,
         n_insecure=len(members) - n_sec,
@@ -241,22 +239,21 @@ def _stoer_wagner(n: int, pair_caps: Mapping[tuple[int, int], int]) -> tuple[int
 
 
 class CutSolver:
-    """Reusable exact min-cut solver for one weighted graph.
+    """Reusable exact min-cut solver for one graph's structure.
 
-    Cut values are compared as packed integers (weight, edge count,
-    edge-id lexicography), so results are exact and identical across calls.
-    The solver's state is its edges at their current weights; the packed
-    capacities are derived from them, so ``set_weight`` leaves the solver
-    exactly as a fresh one built on the reweighted graph.
+    The graph's edges carry ``id``, ``u``, ``v`` and ``secure``, as in a
+    ``MeasurementGraph`` or a ``WeightedGraph``; each solve takes
+    ``weights``, one per edge in edge order. Cut values are compared as
+    packed integers (weight, edge count, edge-id lexicography), so results
+    are exact and identical across calls.
     """
 
-    def __init__(self, graph: WeightedGraph):
+    def __init__(self, graph):
         self._nodes = list(graph.nodes)
         self._index = {v: i for i, v in enumerate(self._nodes)}
-        self._edges = list(graph.edges)  # current weights, reported in cuts
-        self._slot = {e.id: k for k, e in enumerate(self._edges)}
+        self._edges = graph.edges
         m = len(self._edges)
-        ranks = {eid: r for r, eid in enumerate(sorted(self._slot))}
+        ranks = {eid: r for r, eid in enumerate(sorted(e.id for e in self._edges))}
         count_unit = 1 << (m + 2)
         self._weight_unit = (m + 2) * count_unit
         self._layout: list[tuple[tuple[int, int], int]] = []  # node-index pair, count term less marker
@@ -264,46 +261,41 @@ class CutSolver:
             a, b = self._index[e.u], self._index[e.v]
             marker = 1 << (m - 1 - ranks[e.id])
             self._layout.append(((a, b) if a < b else (b, a), count_unit - marker))
-        self._packed: dict[tuple[int, int], int] | None = None
+        self._packed: tuple[tuple[float, ...], dict[tuple[int, int], int]] | None = None
 
-    def _pair_caps(self) -> dict[tuple[int, int], int]:
-        """Packed capacity of each node-index pair at the current weights.
+    def _pair_caps(self, weights: Sequence[float]) -> dict[tuple[int, int], int]:
+        """Packed capacity of each node-index pair under ``weights``.
 
         Weights are quantized to 1e-12, and +inf packs as the sum of the
-        finite quanta plus one, so it outweighs every finite cut. Cached
-        until the next ``set_weight``.
+        finite quanta plus one, so it outweighs every finite cut. The last
+        packing is kept, keyed by the weights' values, so a global cut and
+        the s-t flows that follow it under the same weights pack once.
         """
-        if self._packed is None:
-            quanta = [None if math.isinf(e.weight) else round(e.weight * _SCALE) for e in self._edges]
+        key = tuple(weights)
+        if self._packed is None or self._packed[0] != key:
+            if len(key) != len(self._layout) or any(math.isnan(w) or w < 0 for w in key):
+                raise ValueError(f"need {len(self._layout)} nonnegative weights, one per edge")
+            quanta = [None if math.isinf(w) else round(w * _SCALE) for w in key]
             inf_quantum = sum(q for q in quanta if q is not None) + 1
             caps: dict[tuple[int, int], int] = {}
-            for (key, low), q in zip(self._layout, quanta):
-                caps[key] = caps.get(key, 0) + (inf_quantum if q is None else q) * self._weight_unit + low
-            self._packed = caps
-        return self._packed
+            for (pair, low), q in zip(self._layout, quanta):
+                q = inf_quantum if q is None else q
+                caps[pair] = caps.get(pair, 0) + q * self._weight_unit + low
+            self._packed = key, caps
+        return self._packed[1]
 
-    def set_weight(self, edge_id: int, weight: float) -> None:
-        """Reweight one edge in place; the next cut repacks the capacities."""
-        if math.isnan(weight) or weight < 0:
-            raise ValueError(f"edge {edge_id} weight must be nonnegative")
-        k = self._slot.get(edge_id)
-        if k is None:
-            raise ValueError(f"edge {edge_id} is not in the graph")
-        e = self._edges[k]
-        self._edges[k] = WeightedEdge(e.id, e.u, e.v, weight, e.secure)
-        self._packed = None
-
-    def min_st_cut(self, s: int, t: int) -> tuple[int, CutResult]:
+    def min_st_cut(self, weights: Sequence[float], s: int, t: int) -> tuple[int, CutResult]:
         """Packed cut value and the unique optimal cut separating s and t."""
         for v in (s, t):
             if v not in self._index:
                 raise ValueError(f"node {v} is not in the graph")
         if s == t:
             raise ValueError("s and t must differ")
-        value, side = _max_flow(len(self._nodes), self._pair_caps(), self._index[s], self._index[t])
-        return value, cut_from_side(self._edges, frozenset(self._nodes[i] for i in side))
+        caps = self._pair_caps(weights)
+        value, side = _max_flow(len(self._nodes), caps, self._index[s], self._index[t])
+        return value, cut_from_side(self._edges, weights, frozenset(self._nodes[i] for i in side))
 
-    def global_min_cut(self) -> tuple[int, CutResult]:
+    def global_min_cut(self, weights: Sequence[float]) -> tuple[int, CutResult]:
         """Packed value and the unique minimum cut over all proper bipartitions.
 
         Stoer-Wagner with Nagamochi-Ono-Ibaraki contraction. An infinite
@@ -314,16 +306,15 @@ class CutSolver:
         n = len(self._nodes)
         if n < 2:
             raise ValueError("global min cut needs at least two nodes")
-        value, side = _stoer_wagner(n, self._pair_caps())
-        return value, cut_from_side(self._edges, frozenset(self._nodes[i] for i in side))
+        value, side = _stoer_wagner(n, self._pair_caps(weights))
+        return value, cut_from_side(self._edges, weights, frozenset(self._nodes[i] for i in side))
 
 
 def min_st_cut(g: WeightedGraph, s: int, t: int) -> CutResult:
     """Minimum weight cut separating s and t; weight equals the max flow."""
-    return CutSolver(g).min_st_cut(s, t)[1]
+    return CutSolver(g).min_st_cut([e.weight for e in g.edges], s, t)[1]
 
 
 def global_min_cut(g: WeightedGraph) -> CutResult:
     """Minimum weight cut over all proper bipartitions."""
-    return CutSolver(g).global_min_cut()[1]
-
+    return CutSolver(g).global_min_cut([e.weight for e in g.edges])[1]

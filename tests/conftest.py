@@ -135,7 +135,8 @@ def all_cuts(g: ga.WeightedGraph) -> list[ga.CutResult]:
     ``side_a``, so the first node is never on it.
     """
     others = list(g.nodes[1:])
+    weights = [e.weight for e in g.edges]
     return [
-        cut_from_side(g.edges, frozenset(v for i, v in enumerate(others) if mask >> i & 1))
+        cut_from_side(g.edges, weights, frozenset(v for i, v in enumerate(others) if mask >> i & 1))
         for mask in range(1, 1 << len(others))
     ]

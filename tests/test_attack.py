@@ -14,6 +14,11 @@ from conftest import all_cuts, triangle_graph, random_cost, random_system
 BASE_COST = ga.CostModel(1.0, 0.5, 0.25)
 
 
+def class_weights(graph, secure_w, insecure_w):
+    """One weight per edge by its security class, in edge order, as the designers pass them."""
+    return [secure_w if e.secure else insecure_w for e in graph.edges]
+
+
 def parallel_flow_graph(n_flows: int) -> ga.MeasurementGraph:
     """n insecure parallel flows between buses 1 and 2, one secure angle on 1."""
     measurements = tuple(
@@ -54,6 +59,12 @@ def test_cost_model_validation():
         ga.CostModel(0.5, 0.8, 0.2)  # jam secure above inject
     with pytest.raises(ga.InvalidCosts):
         ga.CostModel(1.0, 0.5, 0.0)  # costs must be positive
+    # outside CostModel.COST_RANGE: 1e300 overflows the 1e-12 weight quantization,
+    # and 1e-12 rounds away under it (HG came out dearer on ieee14)
+    for triple in ((1e300, 1e300, 1e300), (1e-12, 8e-13, 6e-13),
+                   (1.0000001e6, 1.0, 1.0), (1.0, 1.0, 0.9999999e-6)):
+        with pytest.raises(ga.InvalidCosts, match="1e-06 <= p_jam_insecure"):
+            ga.CostModel(*triple)
 
 
 @pytest.mark.parametrize("triple", [
@@ -66,6 +77,18 @@ def test_cost_model_validation():
 def test_cost_model_rejects_non_finite(triple):
     with pytest.raises(ga.InvalidCosts):
         ga.CostModel(*triple)
+
+
+def test_cost_model_accepts_range_ends():
+    """The range is closed, and at both ends HG picks the plan it picks at unit costs."""
+    lo, hi = ga.CostModel.COST_RANGE
+    ga.CostModel(hi, lo, lo)
+    g = ga.build_graph(ga.place_measurements(ga.load_case("ieee14"), 0.6, 0.3, 3))
+    unit = ga.hidden_generalized(g, ga.CostModel(1.0, 1.0, 1.0))
+    for scale in (lo, hi):
+        plan = ga.hidden_generalized(g, ga.CostModel(scale, scale, scale))
+        assert plan.cut.edges == unit.cut.edges and plan.injected == unit.injected
+        assert plan.total_cost == pytest.approx(scale * unit.total_cost, rel=1e-12)
 
 
 def test_classify_interval_reported_cost_points():
@@ -307,9 +330,10 @@ def test_detectable_generalized_case_b_not_stopped_by_gamma_bound():
     assert plan.injected == frozenset({4}) and plan.jammed_secure == frozenset({1})
     assert not plan.jammed_insecure
     assert plan.total_cost == pytest.approx(1.8)
-    weighted = ga.WeightedGraph.from_measurement_graph(g, 0.8, 0.2)
     assert isinstance(
-        ga.constrained_min_cut(weighted, ga.CutConstraint.SECURE_WEAK_MAJORITY, gamma=1.2),
+        ga.constrained_min_cut(
+            g, class_weights(g, 0.8, 0.2), ga.CutConstraint.SECURE_WEAK_MAJORITY, gamma=1.2
+        ),
         ga.NoSolutionFound,
     )
 
@@ -394,11 +418,11 @@ def test_detectable_generalized_skips_case_b_below_floor(monkeypatch):
 
 def _pair_sweep(graph, secure_w, insecure_w):
     """Reference: s-t cut of every insecure pair, first minimum in sorted order."""
-    weighted = ga.WeightedGraph.from_measurement_graph(graph, secure_w, insecure_w)
-    solver = ga.CutSolver(weighted)
+    weights = class_weights(graph, secure_w, insecure_w)
+    solver = ga.CutSolver(graph)
     best = None
     for s, t in attack_module._insecure_pairs(graph):
-        candidate = solver.min_st_cut(s, t)
+        candidate = solver.min_st_cut(weights, s, t)
         if best is None or candidate[0] < best[0]:
             best = candidate
     return best[1]
@@ -435,29 +459,31 @@ def test_sweep_min_cut_shortcut_matches_pair_sweep():
 
 def test_constrained_min_cut_immediate():
     g = triangle_graph(secure=(False, False, False))
-    unit = ga.WeightedGraph.from_measurement_graph(g, 1.0, 1.0)
-    cut = ga.constrained_min_cut(unit, ga.CutConstraint.SECURE_MINORITY)
+    cut = ga.constrained_min_cut(g, class_weights(g, 1.0, 1.0), ga.CutConstraint.SECURE_MINORITY)
     assert len(cut.edges) == 2
 
 
 def test_constrained_min_cut_case_b_triangle():
-    weighted = ga.WeightedGraph.from_measurement_graph(triangle_graph(), 0.8, 0.2)
-    cut = ga.constrained_min_cut(weighted, ga.CutConstraint.SECURE_WEAK_MAJORITY, gamma=10.0)
+    g = triangle_graph()
+    cut = ga.constrained_min_cut(
+        g, class_weights(g, 0.8, 0.2), ga.CutConstraint.SECURE_WEAK_MAJORITY, gamma=10.0
+    )
     assert cut.edges == (0, 1)
     assert cut.weight == pytest.approx(1.0)
 
 
 def test_constrained_min_cut_case_b_unsatisfiable():
     g = triangle_graph(secure=(True, True, True))
-    weighted = ga.WeightedGraph.from_measurement_graph(g, 0.8, 0.2)
-    result = ga.constrained_min_cut(weighted, ga.CutConstraint.SECURE_WEAK_MAJORITY)
+    result = ga.constrained_min_cut(
+        g, class_weights(g, 0.8, 0.2), ga.CutConstraint.SECURE_WEAK_MAJORITY
+    )
     assert isinstance(result, ga.NoSolutionFound)
 
 
 def test_constrained_min_cut_gamma_stops_search():
-    weighted = ga.WeightedGraph.from_measurement_graph(triangle_graph(), 0.8, 0.2)
+    g = triangle_graph()
     result = ga.constrained_min_cut(
-        weighted, ga.CutConstraint.SECURE_WEAK_MAJORITY, gamma=0.3
+        g, class_weights(g, 0.8, 0.2), ga.CutConstraint.SECURE_WEAK_MAJORITY, gamma=0.3
     )
     assert isinstance(result, ga.NoSolutionFound)
 
@@ -470,7 +496,7 @@ def test_constrained_min_cut_empty_global_cut_gives_up(constraint):
     )
     edgeless = ga.WeightedGraph(nodes=(0, 1), edges=())
     for g in (disconnected, edgeless):
-        result = ga.constrained_min_cut(g, constraint)
+        result = ga.constrained_min_cut(g, [e.weight for e in g.edges], constraint)
         assert isinstance(result, ga.NoSolutionFound)
         assert result.reason == "the global cut is empty: the graph is disconnected"
 

@@ -3,6 +3,10 @@
 import builtins
 import errno
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,11 +68,16 @@ def test_attack_invalid_costs_exit_64(capsys):
     assert code == 64
 
 
-@pytest.mark.parametrize("costs", [("inf", "1", "1"), ("1", "nan", ".25")])
+@pytest.mark.parametrize("costs", [
+    ("inf", "1", "1"),
+    ("1", "nan", ".25"),
+    ("1e300", "1e300", "1e300"),  # outside CostModel.COST_RANGE, like the two below
+    ("1e-12", "8e-13", "6e-13", "--seed", "3", "--secure-fraction", ".3"),
+])
 def test_attack_non_finite_costs_exit_64(costs, capsys):
-    pi, pjs, pjsc = costs
+    pi, pjs, pjsc, *more = costs
     code = main([
-        "attack", "--type", "hidden-generalized", "--pi", pi, "--pjs", pjs, "--pjsc", pjsc,
+        "attack", "--type", "hidden-generalized", "--pi", pi, "--pjs", pjs, "--pjsc", pjsc, *more,
     ])
     assert code == 64
     assert "invalid costs" in capsys.readouterr().err
@@ -421,6 +430,40 @@ def test_sweep_fraction_zero_all_feasible_and_dominated():
         by_trial.setdefault(r.trial, {})[r.attack_type] = r.cost
     for costs in by_trial.values():
         assert costs[AttackType.HIDDEN_GENERALIZED] <= costs[AttackType.HIDDEN_INJECTION] + 1e-12
+
+
+def test_outputs_identical_across_hash_seeds_and_blas_threads(capsys):
+    """Sweep CSV and ``attack --json`` bytes depend only on case, flags and seed.
+
+    Each command runs in child processes under ``PYTHONHASHSEED`` 0, 1, 2
+    and 3, paired with ``OPENBLAS_NUM_THREADS`` 1, 2, 1 and 2, both set
+    only on the children, and once in this process.
+    """
+    sweep = [
+        "sweep", "--case", "ieee14", "--types", ",".join(t.value for t in AttackType),
+        "--pi", "1", "--pjs", ".8", "--pjsc", ".25", "--fractions", "0:0.3:0.1",
+        "--trials", "3", "--seed", "5", "--out", "-",
+    ]
+    attack = [
+        "attack", "--case", "ieee14", "--type", "detectable-generalized", "--pi", "1",
+        "--pjs", ".8", "--pjsc", ".6", "--secure-fraction", ".3", "--seed", "7", "--json",
+    ]
+    src = Path(ga.__file__).resolve().parent.parent
+    varied = ("PYTHONHASHSEED", "OPENBLAS_NUM_THREADS")
+    base = {k: v for k, v in os.environ.items() if k not in varied}
+    for argv in (sweep, attack):
+        assert main(argv) == 0
+        outputs = {capsys.readouterr().out.encode()}
+        for hash_seed, threads in ((0, 1), (1, 2), (2, 1), (3, 2)):
+            env = {**base, "PYTHONPATH": str(src), "PYTHONHASHSEED": str(hash_seed),
+                   "OPENBLAS_NUM_THREADS": str(threads)}
+            child = subprocess.run(
+                [sys.executable, "-m", "gridattack.cli", *argv],
+                env=env, capture_output=True, check=True, timeout=120,
+            )
+            outputs.add(child.stdout)
+        assert len(outputs) == 1, argv[0]
+        assert len(outputs.pop().splitlines()) > 10, argv[0]  # rows or a plan, not an error
 
 
 def test_sweep_rows_pure_function_of_inputs():

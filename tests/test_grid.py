@@ -108,8 +108,7 @@ def test_cut_edges_e1_examples():
 def test_cut_edges_weighted():
     g = triangle_graph()
     weights = {0: 0.25, 1: 0.5, 2: 0.25}
-    edges = [ga.WeightedEdge(e.id, e.u, e.v, weights[e.id], e.secure) for e in g.edges]
-    cut = cut_from_side(edges, frozenset({2}))
+    cut = cut_from_side(g.edges, [weights[e.id] for e in g.edges], frozenset({2}))
     assert cut.weight == pytest.approx(0.5)
     assert cut.edges == ga.cut_edges(g, {2}).edges
 

@@ -295,7 +295,8 @@ def test_contracting_engine_matches_plain_phases():
             ga.WeightedEdge(eid, u, v, w, rng.random() < 0.4) for eid, (u, v, w) in enumerate(pairs)
         )
         g = ga.WeightedGraph(nodes=tuple(rng.sample(range(n), n)), edges=edges)
-        caps = ga.CutSolver(g)._pair_caps()
+        weights = [e.weight for e in edges]
+        caps = ga.CutSolver(g)._pair_caps(weights)
         position = {v: i for i, v in enumerate(g.nodes)}
         infinite = [(position[e.u], position[e.v]) for e in edges if math.isinf(e.weight)]
         runs = [range(n)]
@@ -309,8 +310,8 @@ def test_contracting_engine_matches_plain_phases():
             want = _plain_stoer_wagner(labels, caps)
             assert got[0] == want[0]
             assert got[1] == want[1]
-            cut = cut_from_side(g.edges, frozenset(g.nodes[i] for i in got[1]))
-            assert cut == cut_from_side(g.edges, frozenset(g.nodes[i] for i in want[1]))
+            cut = cut_from_side(g.edges, weights, frozenset(g.nodes[i] for i in got[1]))
+            assert cut == cut_from_side(g.edges, weights, frozenset(g.nodes[i] for i in want[1]))
             seen["merged"] += max(labels) < n - 1
             seen["disconnected" if cut.edges == () else "connected"] += 1
             seen["infinite"] += math.isinf(cut.weight)
@@ -322,18 +323,20 @@ def test_contracting_engine_matches_plain_phases():
     assert seen["infinite"] >= 90 and seen["zero"] >= 20 and seen["not single"] >= 50
 
 
-def _everything_cut(solver, nodes):
-    """The global cut and every s-t cut, each with its packed value."""
-    return [solver.global_min_cut()] + [
-        solver.min_st_cut(s, t) for s, t in itertools.permutations(nodes, 2)
+def _everything_cut(solver, weights, nodes):
+    """The global cut and every s-t cut under ``weights``, each with its packed value."""
+    return [solver.global_min_cut(weights)] + [
+        solver.min_st_cut(weights, s, t) for s, t in itertools.permutations(nodes, 2)
     ]
 
 
-def test_set_weight_matches_fresh_solver():
-    """Reweighting in place leaves the solver as a fresh one on the reweighted graph.
+def test_packing_memo_follows_weights_edited_in_place():
+    """A solver's kept packing follows the weights' values, not the list object.
 
     Random multigraphs with parallel edges, zero and infinite weights, some
-    disconnected, each take a random sequence of reweightings.
+    disconnected. Each takes a random sequence of in-place edits to one
+    weights list, with a solve after each edit. The packing and every cut
+    then equal those of a fresh solver given a copy of the list.
     """
     rng = random.Random(17)
     choices = (0.0, 1e-13, 0.25, 1.0, 2.5, math.inf)
@@ -350,31 +353,32 @@ def test_set_weight_matches_fresh_solver():
         g = ga.WeightedGraph(nodes=tuple(range(n)), edges=tuple(edges))
         disconnected += ga.global_min_cut(g).edges == ()
         solver = ga.CutSolver(g)
-        weights = {e.id: e.weight for e in edges}
+        weights = [e.weight for e in edges]
+        solver.global_min_cut(weights)
+        slot = {e.id: k for k, e in enumerate(edges)}
         for _ in range(8 if edges else 0):
-            eid = rng.choice(sorted(weights))
+            k = slot[rng.choice(sorted(slot))]
             new = rng.choice(choices)
-            moves[math.isinf(weights[eid]), math.isinf(new)] += 1
-            weights[eid] = new
-            solver.set_weight(eid, new)
-            fresh = ga.CutSolver(g.reweighted(weights))
-            assert solver._pair_caps() == fresh._pair_caps()
-            assert _everything_cut(solver, g.nodes) == _everything_cut(fresh, g.nodes)
+            moves[math.isinf(weights[k]), math.isinf(new)] += 1
+            weights[k] = new
+            fresh = ga.CutSolver(g)
+            got = _everything_cut(solver, weights, g.nodes)
+            assert got == _everything_cut(fresh, list(weights), g.nodes)
+            assert solver._pair_caps(weights) == fresh._pair_caps(list(weights))
     assert disconnected >= 10
     assert min(moves[False, True], moves[True, False]) >= 40 and moves[False, False] >= 40
 
 
-def test_set_weight_rejects_bad_weights():
+def test_solves_reject_bad_weights():
+    """Both solves reject a negative or NaN weight and a list of the wrong length,
+    also after a valid solve has left its packing in the solver."""
     solver = ga.CutSolver(_graph([0, 1], [(0, 0, 1, 1.0)]))
-    for bad in (-1.0, math.nan):
-        with pytest.raises(ValueError):
-            solver.set_weight(0, bad)
-
-
-def test_set_weight_rejects_unknown_edge():
-    solver = ga.CutSolver(_graph([0, 1], [(0, 0, 1, 1.0)]))
-    with pytest.raises(ValueError, match="edge 9"):
-        solver.set_weight(9, 1.0)
+    solver.global_min_cut([1.0])
+    for bad in ([-1.0], [math.nan], [], [1.0, 1.0]):
+        with pytest.raises(ValueError, match="nonnegative weights"):
+            solver.global_min_cut(bad)
+        with pytest.raises(ValueError, match="nonnegative weights"):
+            solver.min_st_cut(bad, 0, 1)
 
 
 def test_st_cut_rejects_unknown_node():
