@@ -58,8 +58,8 @@ class CutConstraint(Enum):
 class CostModel:
     """Per-measurement adversary costs; jamming never beats injecting."""
 
-    # the cut engines quantize weights to an absolute 1e-12: far smaller costs
-    # round away, and far larger ones overflow the quantization
+    # the range on which the designers are checked: a design at costs scaled by
+    # any power of two that keeps them inside it is the same plan
     COST_RANGE = (1e-6, 1e6)
 
     p_inject: float
@@ -217,7 +217,7 @@ def _sweep_min_cut(graph: MeasurementGraph, secure_w: float, insecure_w: float) 
     the graph has no insecure edges. Memoized on the graph object.
     """
     return _memoized(
-        graph, ("sweep", None, secure_w, insecure_w),
+        graph, ("sweep", secure_w, insecure_w),
         lambda: _sweep(graph, secure_w, insecure_w),
     )
 
@@ -247,7 +247,7 @@ def _secure_free_min_cut(graph: MeasurementGraph) -> Optional[CutResult]:
 
 
 def constrained_min_cut(
-    graph, weights: Sequence[float], constraint: CutConstraint, gamma: float = INFINITY
+    graph, weights: Sequence[float], constraint: CutConstraint
 ) -> Union[CutResult, NoSolutionFound]:
     """Iterative minimum-weight cut subject to a composition constraint.
 
@@ -258,9 +258,8 @@ def constrained_min_cut(
     has no insecure edge, else an insecure one. The returned cut reports
     its weight under the original weights.
 
-    It ends: a boost happens only while the cut is finite, so it hits an
-    edge not yet boosted; once all are, every nonempty cut is infinite and
-    the ``gamma`` stop fires. An empty cut (a disconnected graph) gives up.
+    It stops on a satisfied cut, an infinite one (every cut crosses a boosted
+    edge) or an empty one (a disconnected graph); each boost hits a new edge.
     """
     slot = {e.id: k for k, e in enumerate(graph.edges)}  # edge id -> its weight's index
     solver = CutSolver(graph)
@@ -274,8 +273,8 @@ def constrained_min_cut(
             satisfied = n_ins >= 1 and 2 * n_ins <= len(cut.edges)
         if satisfied:
             return cut_from_side(graph.edges, weights, cut.side_a)
-        if cut.weight >= gamma:
-            return NoSolutionFound(f"working cut weight {cut.weight} reached gamma {gamma}")
+        if math.isinf(cut.weight):
+            return NoSolutionFound("the working cut is infinite: every cut crosses a boosted edge")
         if not cut.edges:
             return NoSolutionFound("the global cut is empty: the graph is disconnected")
         boost_secure = constraint is CutConstraint.SECURE_MINORITY or n_ins == 0

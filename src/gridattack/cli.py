@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -15,7 +14,7 @@ from .errors import InvalidCosts, ParseError, TopologyError, UnobservableSystem
 from .estimator import DetectorConfig, RemovalMode
 from .experiment import MAX_FRACTIONS, MAX_TRIALS, check_out_path, run_sweep, summarize, write_csv
 from .grid import build_graph
-from .verify import execute
+from .verify import ALPHA_RANGE, execute, valid_alpha
 
 EX_OK = 0
 EX_FAILED = 1
@@ -129,8 +128,9 @@ def _cmd_attack(args) -> int:
     try:
         _check_fraction("--angle-fraction", args.angle_fraction)
         _check_fraction("--secure-fraction", args.secure_fraction)
-        if args.alpha is not None and not (math.isfinite(args.alpha) and args.alpha != 0):
-            raise ValueError(f"--alpha must be finite and nonzero, got {args.alpha}")
+        if args.alpha is not None and not valid_alpha(args.alpha):
+            lo, hi = ALPHA_RANGE
+            raise ValueError(f"--alpha must satisfy {lo:g} <= |alpha| <= {hi:g}, got {args.alpha}")
     except ValueError as exc:
         return _usage_error(args, exc)
     case = load_case(args.case)

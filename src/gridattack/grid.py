@@ -188,9 +188,10 @@ class MeasurementGraph:
         """Cut searches already run on this graph object, for the designers,
         and the oracle's cut census.
 
-        Keyed by (search, constraint, secure weight, insecure weight), or by
-        ("census",). It is held per object, not by value: a value-equal graph
-        built separately starts with an empty memo.
+        Keyed by ("sweep", secure weight, insecure weight), by ("constrained",
+        constraint, secure weight, insecure weight), or by ("census",). It is
+        held per object, not by value: a value-equal graph built separately
+        starts with an empty memo.
         """
         return {}
 

@@ -15,13 +15,14 @@ graph's structure and each solve takes one weight per edge, so the
 iterative constrained search boosts an edge by setting its weight to +inf.
 
 Tie-breaking is exact and deterministic. Each edge weight is quantized to
-1e-12 and packed into a single integer together with an edge-count term and
-a per-edge binary marker, ordered so that the solver minimizes weight first,
-then the number of cut edges, then the lexicographically smallest sorted
-edge-id set. Because the markers are distinct powers of two, the minimizing
-edge set is unique, and minimizing the edge count as a secondary objective
-makes every returned cut inclusion-minimal: both sides of the bipartition
-induce connected subgraphs.
+1e-12 of the binade of the largest finite weight, so scaling every weight by
+a power of two changes no cut. It is packed into a single integer together
+with an edge-count term and a per-edge binary marker, ordered so that the
+solver minimizes weight first, then the number of cut edges, then the
+lexicographically smallest sorted edge-id set. Because the markers are
+distinct powers of two, the minimizing edge set is unique, and minimizing
+the edge count as a secondary objective makes every returned cut
+inclusion-minimal: both sides of the bipartition induce connected subgraphs.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Mapping, Sequence
 
 INFINITY = math.inf
 
-_SCALE = 10**12  # weight quantum; weights within 1e-12 are tied
+_SCALE = 10**12  # quanta per binade of the largest finite weight
 
 
 @dataclass(frozen=True)
@@ -266,16 +267,19 @@ class CutSolver:
     def _pair_caps(self, weights: Sequence[float]) -> dict[tuple[int, int], int]:
         """Packed capacity of each node-index pair under ``weights``.
 
-        Weights are quantized to 1e-12, and +inf packs as the sum of the
-        finite quanta plus one, so it outweighs every finite cut. The last
-        packing is kept, keyed by the weights' values, so a global cut and
-        the s-t flows that follow it under the same weights pack once.
+        Weights are quantized to 1e-12 of ``2**e``, with the largest finite
+        weight in [2**(e-1), 2**e), so scaling every weight by a power of two
+        packs the same integers. +inf packs as the sum of the finite quanta
+        plus one, so it outweighs every finite cut. The last packing is kept,
+        keyed by the weights' values, so a global cut and the s-t flows that
+        follow it under the same weights pack once.
         """
         key = tuple(weights)
         if self._packed is None or self._packed[0] != key:
             if len(key) != len(self._layout) or any(math.isnan(w) or w < 0 for w in key):
                 raise ValueError(f"need {len(self._layout)} nonnegative weights, one per edge")
-            quanta = [None if math.isinf(w) else round(w * _SCALE) for w in key]
+            top = math.frexp(max((w for w in key if not math.isinf(w)), default=0.0))[1]
+            quanta = [None if math.isinf(w) else round(math.ldexp(w, -top) * _SCALE) for w in key]
             inf_quantum = sum(q for q in quanta if q is not None) + 1
             caps: dict[tuple[int, int], int] = {}
             for (pair, low), q in zip(self._layout, quanta):

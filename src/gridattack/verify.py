@@ -27,6 +27,16 @@ from .grid import MeasurementSystem, build_matrix, check_observable, remove_meas
 
 ESTIMATE_CHANGE_TOL = 1e-6
 
+# |alpha| outside this range makes a verdict depend on alpha, not on the plan.
+# At the default noise (sigma 0.01, default alpha 0.1) with susceptances across
+# grid.SUSCEPTANCE_RANGE, a shift of 0.01 on a 1e-6 flow sinks under the 1e-6
+# residual threshold, and from about 0.8 up rounding alone trips it.
+ALPHA_RANGE = (0.02, 0.5)
+
+
+def valid_alpha(alpha: float) -> bool:
+    return ALPHA_RANGE[0] <= abs(alpha) <= ALPHA_RANGE[1]
+
 
 @dataclass(frozen=True, eq=False)
 class VerificationVerdict:
@@ -104,9 +114,10 @@ def execute(
 ) -> VerificationVerdict:
     """Run the plan and judge it as its declared attack type.
 
-    ``alpha`` scales the injected state shift; ``noise_rng`` optionally adds
-    measurement noise to the clean base vector (verification is noiseless
-    by default).
+    ``alpha`` scales the injected state shift, ten noise sigmas by default;
+    an explicit one must lie in ``ALPHA_RANGE`` in magnitude, or it raises
+    ``ValueError``. ``noise_rng`` optionally adds measurement noise to the
+    clean base vector (verification is noiseless by default).
     """
     known = {meas.id for meas in sys.measurements}
     referenced = set(plan.cut.edges) | plan.injected | plan.jammed
@@ -119,6 +130,9 @@ def execute(
         raise ValueError("truth must pin the reference angle at zero")
     if alpha is None:
         alpha = default_shift_scale(sys)
+    elif not valid_alpha(alpha):
+        lo, hi = ALPHA_RANGE
+        raise ValueError(f"alpha must satisfy {lo:g} <= |alpha| <= {hi:g}, got {alpha}")
 
     reduced = remove_measurements(sys, plan.jammed)
     try:

@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gridattack as ga
 from gridattack import attack as attack_module
@@ -59,8 +60,7 @@ def test_cost_model_validation():
         ga.CostModel(0.5, 0.8, 0.2)  # jam secure above inject
     with pytest.raises(ga.InvalidCosts):
         ga.CostModel(1.0, 0.5, 0.0)  # costs must be positive
-    # outside CostModel.COST_RANGE: 1e300 overflows the 1e-12 weight quantization,
-    # and 1e-12 rounds away under it (HG came out dearer on ieee14)
+    # outside CostModel.COST_RANGE, far past each end and just past it
     for triple in ((1e300, 1e300, 1e300), (1e-12, 8e-13, 6e-13),
                    (1.0000001e6, 1.0, 1.0), (1.0, 1.0, 0.9999999e-6)):
         with pytest.raises(ga.InvalidCosts, match="1e-06 <= p_jam_insecure"):
@@ -89,6 +89,47 @@ def test_cost_model_accepts_range_ends():
         plan = ga.hidden_generalized(g, ga.CostModel(scale, scale, scale))
         assert plan.cut.edges == unit.cut.edges and plan.injected == unit.injected
         assert plan.total_cost == pytest.approx(scale * unit.total_cost, rel=1e-12)
+
+
+# each puts exact ties between cuts of different class counts, which a quantum
+# that does not scale with the costs breaks one way at one scale and another way
+# at another
+_TIED_COSTS = [ga.CostModel(*t) for t in ((1, 0.8, 0.6), (1, 0.8, 0.25), (1, 0.5, 0.25),
+                                           (1, 0.5, 0.5), (1, 0.8, 0.2))]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(st.randoms(use_true_random=False),
+       st.tuples(st.floats(0.5, 2.0), st.floats(0.05, 1.0), st.floats(0.05, 1.0)))
+def test_property_design_scale_invariant(rng, draw):
+    """For every k that ``CostModel.COST_RANGE`` admits, the design at ``cost * 2**k``
+    is the design at ``cost``, with ``total_cost`` times ``2**k``.
+
+    Scaling by a power of two is exact in floats, so the total must match to the
+    bit. The cut weight is scaled too where the search weighs edges by cost, and
+    kept where it counts edges.
+    """
+    sys_ = random_system(rng)
+    p_i, f_js, f_jsc = draw
+    lo, hi = ga.CostModel.COST_RANGE
+    for cost in _TIED_COSTS + [ga.CostModel(p_i, p_i * f_js, p_i * f_js * f_jsc)]:
+        ks = [k for k in range(-64, 65)
+              if lo <= math.ldexp(cost.p_jam_insecure, k) and math.ldexp(cost.p_inject, k) <= hi]
+        assert len(ks) >= 30
+        want = {t: ga.design(t, ga.build_graph(sys_), cost) for t in AttackType}
+        for k in ks:
+            scaled = ga.CostModel(*(math.ldexp(p, k) for p in dataclasses.astuple(cost)))
+            graph = ga.build_graph(sys_)
+            for t, plan in want.items():
+                got = ga.design(t, graph, scaled)
+                if not isinstance(plan, ga.AttackPlan):
+                    assert got == plan, (cost, t, k)
+                    continue
+                assert got.total_cost == math.ldexp(plan.total_cost, k), (cost, t, k)
+                assert got.cut.weight in (plan.cut.weight, math.ldexp(plan.cut.weight, k))
+                unscaled = dataclasses.replace(got.cut, weight=plan.cut.weight)
+                assert dataclasses.replace(got, cut=unscaled, total_cost=plan.total_cost) == plan, (
+                    cost, t, k)
 
 
 def test_classify_interval_reported_cost_points():
@@ -330,12 +371,6 @@ def test_detectable_generalized_case_b_not_stopped_by_gamma_bound():
     assert plan.injected == frozenset({4}) and plan.jammed_secure == frozenset({1})
     assert not plan.jammed_insecure
     assert plan.total_cost == pytest.approx(1.8)
-    assert isinstance(
-        ga.constrained_min_cut(
-            g, class_weights(g, 0.8, 0.2), ga.CutConstraint.SECURE_WEAK_MAJORITY, gamma=1.2
-        ),
-        ga.NoSolutionFound,
-    )
 
 
 # each triple puts some case-A plans exactly on the case-B floor p_inject + p_jam_secure:
@@ -466,7 +501,7 @@ def test_constrained_min_cut_immediate():
 def test_constrained_min_cut_case_b_triangle():
     g = triangle_graph()
     cut = ga.constrained_min_cut(
-        g, class_weights(g, 0.8, 0.2), ga.CutConstraint.SECURE_WEAK_MAJORITY, gamma=10.0
+        g, class_weights(g, 0.8, 0.2), ga.CutConstraint.SECURE_WEAK_MAJORITY
     )
     assert cut.edges == (0, 1)
     assert cut.weight == pytest.approx(1.0)
@@ -476,14 +511,6 @@ def test_constrained_min_cut_case_b_unsatisfiable():
     g = triangle_graph(secure=(True, True, True))
     result = ga.constrained_min_cut(
         g, class_weights(g, 0.8, 0.2), ga.CutConstraint.SECURE_WEAK_MAJORITY
-    )
-    assert isinstance(result, ga.NoSolutionFound)
-
-
-def test_constrained_min_cut_gamma_stops_search():
-    g = triangle_graph()
-    result = ga.constrained_min_cut(
-        g, class_weights(g, 0.8, 0.2), ga.CutConstraint.SECURE_WEAK_MAJORITY, gamma=0.3
     )
     assert isinstance(result, ga.NoSolutionFound)
 

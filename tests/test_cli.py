@@ -1,15 +1,21 @@
 """Command-line interface: exit codes, output forms, CSV determinism."""
 
 import builtins
+import contextlib
+import dataclasses
 import errno
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gridattack as ga
 from gridattack import cli, experiment
@@ -50,8 +56,13 @@ def test_attack_human_output_names_failed_check(capsys, monkeypatch):
     from gridattack import cli
 
     real_execute = cli.execute
-    # a zero shift leaves the estimate where it was, so the hidden plan fails
-    monkeypatch.setattr(cli, "execute", lambda *a, **kw: real_execute(*a, **{**kw, "alpha": 0.0}))
+
+    def zero_shift(system, truth, plan, *args, **kwargs):
+        # a zero shift leaves the estimate where it was, so the hidden plan fails
+        still = dataclasses.replace(plan, injection_state_shift=(0,) * (system.n + 1))
+        return real_execute(system, truth, still, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "execute", zero_shift)
     code = main([
         "attack", "--type", "hidden-injection",
         "--pi", "1", "--pjs", ".5", "--pjsc", ".25", "--seed", "3",
@@ -175,6 +186,9 @@ COSTS = ["--pi", "1", "--pjs", ".5", "--pjsc", ".25"]
         (["sweep", "--trials", "1", "--fractions", "0.5:0:0.1"], "--fractions"),
         (["sweep", "--trials", "1", "--fractions", ","], "--fractions"),
         (["sweep", "--trials", "1", "--types", ","], "--types"),
+        (["attack", "--type", "hidden-injection", "--alpha", "1e200"], "--alpha"),
+        (["attack", "--type", "hidden-injection", "--alpha=-1e308"], "--alpha"),
+        (["attack", "--type", "hidden-injection", "--alpha", "0.01"], "--alpha"),
     ],
 )
 def test_out_of_range_options_exit_64(argv, flag, capsys):
@@ -183,6 +197,55 @@ def test_out_of_range_options_exit_64(argv, flag, capsys):
     assert code == 64
     assert err.count("\n") == 1 and err.startswith(f"grid-attack {argv[0]}: error: ")
     assert flag in err
+
+
+# log-uniform from the least subnormal to 1e308, of either sign, and the special values
+_NUMBERS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, sys.float_info.max]),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-323.3, 308.0)),
+)
+_NUMERIC_OPTIONS = {  # option: an accepted value
+    "--pi": 1.0, "--pjs": 0.8, "--pjsc": 0.6, "--alpha": 0.1,
+    "--angle-fraction": 0.6, "--secure-fraction": 0.3,
+}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(
+    # each option keeps its accepted value in about two draws of three, so that some
+    # runs get past the option checks to design and verification
+    st.fixed_dictionaries({
+        k: st.builds(lambda keep, drawn, v=v: v if keep else drawn,
+                     st.sampled_from([True, True, False]), _NUMBERS)
+        for k, v in _NUMERIC_OPTIONS.items()
+    }),
+    st.sampled_from([t.value for t in AttackType]),
+)
+@example({**_NUMERIC_OPTIONS, "--alpha": 1e308}, "hidden-generalized")
+@example({**_NUMERIC_OPTIONS, "--alpha": 1e200}, "detectable-injection")
+@example({**_NUMERIC_OPTIONS, "--pi": 1e300, "--pjs": 1e300, "--pjsc": 1e300}, "hidden-generalized")
+@example({**_NUMERIC_OPTIONS, "--secure-fraction": 1.0}, "hidden-generalized")
+def test_property_attack_numeric_options(values, attack_type):
+    """Any value of the numeric ``attack`` options ends with a documented exit
+    code, no traceback and no warning, and exits 2, 3, 64 and 65 print exactly
+    one stderr line."""
+    argv = ["attack", "--case", "ieee14", "--type", attack_type, "--seed", "3"]
+    argv += [f"{option}={value!r}" for option, value in values.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (cli.EX_OK, cli.EX_FAILED, cli.EX_INFEASIBLE, cli.EX_NO_SOLUTION,
+                    cli.EX_USAGE, cli.EX_DATA), code
+    if code in (cli.EX_OK, cli.EX_FAILED):
+        assert err.getvalue() == "", argv
+    else:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), (argv, err.getvalue())
 
 
 def test_attack_missing_case_exit_65(capsys):

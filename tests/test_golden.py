@@ -100,7 +100,7 @@ def test_attack_json_digest(attack_type, capsys):
 
 RANDOM_SEED = 4
 RANDOM_SYSTEMS = 40
-RANDOM_DIGEST = "4edb99c43eeb60d02bac91d822ad6263590635dca77cd76d45539354d34caec9"
+RANDOM_DIGEST = "dbd011ea0e241d70e68e7facf4246df4e3bcb2cd10b1e959f1c19969b11cad42"
 CENSUS_DIGEST = "81801f9755b7253527639cc7f5350279f302f4129a395dccc775044c990fbb3b"
 
 

@@ -160,10 +160,12 @@ def _min_enumerated(g, separating=None):
 
 
 def _tie_break_key(g, cut):
-    """Weight (infinite edges first, then 1e-12 quanta), edge count, sorted ids."""
+    """Weight (infinite edges first, then quanta of 1e-12 of the binade of the
+    largest finite weight), edge count, sorted ids."""
+    top = math.frexp(max((e.weight for e in g.edges if not math.isinf(e.weight)), default=0.0))[1]
     by_id = {e.id: e for e in g.edges}
     weights = [by_id[i].weight for i in cut.edges]
-    finite = sum(round(w * 10**12) for w in weights if not math.isinf(w))
+    finite = sum(round(math.ldexp(w, -top) * 10**12) for w in weights if not math.isinf(w))
     return (sum(map(math.isinf, weights)), finite, len(cut.edges), cut.edges)
 
 
@@ -268,7 +270,7 @@ def test_contracting_engine_matches_plain_phases():
     the infinite pairs first.
 
     360 random multigraphs of 2–16 nodes in shuffled order, with parallel
-    edges and weights 0, 1e-13 (below the 1e-12 quantum), 0.5, 1 and +inf.
+    edges and weights 0, 1e-13 (below the quantum), 0.5, 1 and +inf.
     Every fourth graph is split into parts no edge joins, every fourth has
     a spanning tree of infinite edges, so merging the infinite pairs leaves
     one node, and every fourth has a finite spanning tree. The plain loop
@@ -423,7 +425,7 @@ def test_st_min_matches_enumeration():
     """The s-t engine returns exactly the enumerated tie-break minimum and its s side.
 
     Connected random graphs, then multigraphs with weights 0, 1e-13 (below
-    the 1e-12 quantum) and +inf, a third of them split into two parts.
+    the quantum) and +inf, a third of them split into two parts.
     """
     rng = random.Random(12)
     for _ in range(25):

@@ -1,14 +1,18 @@
 """Plan execution against the estimator and outcome classification."""
 
 import dataclasses
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gridattack as ga
 from gridattack.attack import AttackType
-from conftest import triangle_system, random_cost, random_system
+from gridattack.grid import SUSCEPTANCE_RANGE
+from gridattack.verify import ALPHA_RANGE
+from conftest import triangle_system, random_cost, random_edge_list, random_system
 
 EXHAUSTIVE = ga.DetectorConfig(removal_mode=ga.RemovalMode.EXHAUSTIVE_MINIMAL)
 
@@ -38,10 +42,10 @@ def test_hidden_generalized_on_e1_shifts_cut_side():
     sys_ = triangle_system()
     g = ga.build_graph(sys_)
     plan = ga.hidden_generalized(g, ga.CostModel(1, 0.5, 0.25))
-    verdict = ga.execute(sys_, np.zeros(3), plan, EXHAUSTIVE, alpha=1.0)
+    verdict = ga.execute(sys_, np.zeros(3), plan, EXHAUSTIVE, alpha=0.5)
     assert verdict.success and verdict.stealthy and verdict.estimate_changed
     # the cut isolates bus 2: its estimate moves by exactly alpha
-    assert verdict.final_shift == pytest.approx([0.0, 1.0, 0.0], abs=1e-9)
+    assert verdict.final_shift == pytest.approx([0.0, 0.5, 0.0], abs=1e-9)
 
 
 def test_hidden_final_shift_matches_indicator():
@@ -160,7 +164,7 @@ def test_noise_flag_keeps_hidden_attack_hidden():
     plan = ga.hidden_generalized(g, ga.CostModel(1, 0.5, 0.25))
     cfg = ga.DetectorConfig(threshold=0.5, removal_mode=ga.RemovalMode.EXHAUSTIVE_MINIMAL)
     verdict = ga.execute(
-        sys_, np.zeros(3), plan, cfg, alpha=1.0, noise_rng=np.random.default_rng(7)
+        sys_, np.zeros(3), plan, cfg, alpha=0.5, noise_rng=np.random.default_rng(7)
     )
     assert verdict.stealthy and verdict.estimate_changed
 
@@ -221,6 +225,68 @@ def test_extreme_in_range_susceptances_verify_every_plan():
                 assert ga.execute(sys_, np.zeros(4), plan, EXHAUSTIVE).success, (attack_type, cost)
                 verified += 1
     assert verified >= 6
+
+
+@st.composite
+def _spanning_systems(draw):
+    """A small system whose flow susceptances take both ends of
+    ``SUSCEPTANCE_RANGE`` and log-uniform values between them."""
+    lo, hi = SUSCEPTANCE_RANGE
+    susceptances = st.one_of(
+        st.sampled_from([lo, hi]), st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+    )
+    n_buses = draw(st.integers(1, 5))
+    rng = draw(st.randoms(use_true_random=False))
+    secure_prob = draw(st.sampled_from([0.0, 0.2, 0.4]))
+    measurements = []
+    for mid, (u, v) in enumerate(random_edge_list(rng, n_buses, draw(st.integers(n_buses, 10)))):
+        secure = rng.random() < secure_prob
+        if u == ga.REFERENCE_BUS:
+            measurements.append(ga.Measurement(mid, ga.MeasurementKind.PHASE_ANGLE, v, secure=secure))
+        else:
+            measurements.append(ga.Measurement(mid, ga.MeasurementKind.LINE_FLOW, u, v,
+                                               susceptance=draw(susceptances), secure=secure))
+    lines = sorted({(me.bus_i, me.bus_j) for me in measurements if me.bus_j is not None})
+    return ga.MeasurementSystem(
+        buses=(ga.Bus(0, is_reference=True),) + tuple(ga.Bus(i) for i in range(1, n_buses + 1)),
+        lines=tuple((i, j, 1.0) for i, j in lines),
+        measurements=tuple(measurements),
+    )
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_spanning_systems(), st.floats(0.0, 1.0), st.sampled_from([1.0, -1.0]))
+def test_property_verdicts_hold_across_alpha_range(sys_, position, sign):
+    """Every plan that verifies at the default alpha also verifies at both ends of
+    ``ALPHA_RANGE``, of either sign, and at a drawn alpha log-uniform between them.
+
+    The range comes from this property and a wider scan of such systems: a 0.01
+    shift sinks under the residual threshold on the 1e-6 flows, which this
+    property sees, and from about 0.8 up rounding alone trips it, which only
+    the wider scan saw.
+    """
+    lo, hi = ALPHA_RANGE
+    drawn = sign * min(max(lo * (hi / lo) ** position, lo), hi)
+    graph, truth = ga.build_graph(sys_), np.zeros(sys_.n + 1)
+    for cost in (ga.CostModel(1, 0.8, 0.6), ga.CostModel(1, 0.8, 0.25), ga.CostModel(1, 0.5, 0.25)):
+        for attack_type in AttackType:
+            plan = ga.design(attack_type, graph, cost)
+            if not isinstance(plan, ga.AttackPlan):
+                continue
+            if not ga.execute(sys_, truth, plan, EXHAUSTIVE).success:
+                continue
+            for alpha in (lo, -lo, hi, -hi, drawn):
+                verdict = ga.execute(sys_, truth, plan, EXHAUSTIVE, alpha=alpha)
+                assert verdict.success, (attack_type, cost, alpha, verdict.reason)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.0, math.nan, math.inf, -math.inf, 1e200, 1e308, -1e308,
+                                   5e-324, ALPHA_RANGE[0] * (1 - 1e-12), ALPHA_RANGE[1] * (1 + 1e-12)])
+def test_execute_rejects_alpha_outside_range(alpha):
+    sys_ = triangle_system()
+    plan = ga.hidden_generalized(ga.build_graph(sys_), ga.CostModel(1, 0.5, 0.25))
+    with pytest.raises(ValueError, match=r"alpha must satisfy 0.02 <= \|alpha\| <= 0.5"):
+        ga.execute(sys_, np.zeros(3), plan, EXHAUSTIVE, alpha=alpha)
 
 
 def _triangle_plan(attack_type, side, injected, jammed_insecure=(), jammed_secure=()):
