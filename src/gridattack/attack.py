@@ -15,7 +15,7 @@ when the iterative constrained-cut search exhausts without a certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence, Union
 
@@ -91,7 +91,11 @@ class NoSolutionFound:
 
 @dataclass(frozen=True)
 class AttackPlan:
-    """Per-measurement actions on one cut, with the exact total cost."""
+    """Per-measurement actions on one cut, with the exact total cost.
+
+    ``graph``, the graph object a designer built the plan on (None on a
+    hand-built plan), holds ``verify.execute``'s memo; it is not compared.
+    """
 
     attack_type: AttackType
     cut: CutResult
@@ -100,6 +104,7 @@ class AttackPlan:
     jammed_secure: frozenset[int]
     injection_state_shift: tuple[int, ...]
     total_cost: float
+    graph: Optional[MeasurementGraph] = field(default=None, compare=False, repr=False)
 
     @property
     def touched(self) -> frozenset[int]:
@@ -191,6 +196,7 @@ def _plan(
         jammed_secure=jam_s,
         injection_state_shift=_state_shift(graph, cut),
         total_cost=total,
+        graph=graph,
     )
 
 

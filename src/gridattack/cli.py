@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -26,7 +27,16 @@ EX_DATA = 65
 _EXHAUSTIVE_LIMIT = 24  # measurements; larger systems verify greedily
 
 
+# a token that starts like a negative number is a value: argparse's own
+# pattern takes "-1" and "-.5" but reads "-1e-3" and "-inf" as unknown options
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\.?\d|inf(?:inity)?$|nan$)", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -60,9 +60,10 @@ def run_sweep(
 
     Within a trial the system, truth and detector are fixed and no noise is
     drawn, so the estimator run depends only on the plan's jammed set,
-    injected set and state shift. Each distinct combination is executed once
-    per trial, and every row re-types that verdict to judge it as its own
-    attack type; the memo dies with the trial.
+    injected set and state shift. ``execute`` keeps each run in the memo of
+    the trial's graph, so each distinct combination is estimated once per
+    trial and every row gets that verdict judged as its own attack type; the
+    memo dies with the trial's graph.
 
     Returns the rows plus, per (fraction, trial), whether the conditioning
     attack type was feasible there (all True when no condition is given).
@@ -88,17 +89,12 @@ def run_sweep(
             condition_ok[(fraction, trial)] = (
                 isinstance(plans[condition], AttackPlan) if condition else True
             )
-            verdicts = {}  # verification key -> verdict, for this trial only
             for attack_type in types:
                 outcome = plans[attack_type]
                 if not isinstance(outcome, AttackPlan):
                     rows.append(SweepRow(fraction, trial, attack_type, interval, None, None))
                     continue
-                key = (outcome.jammed, outcome.injected, outcome.injection_state_shift)
-                verdict = verdicts.get(key)
-                if verdict is None:
-                    verdict = verdicts[key] = execute(system, truth, outcome, cfg)
-                verified = replace(verdict, attack_type=attack_type).success
+                verified = execute(system, truth, outcome, cfg).success
                 rows.append(
                     SweepRow(fraction, trial, attack_type, interval, outcome.total_cost, verified)
                 )

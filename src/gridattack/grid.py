@@ -186,12 +186,14 @@ class MeasurementGraph:
     @cached_property
     def cut_memo(self) -> dict:
         """Cut searches already run on this graph object, for the designers,
-        and the oracle's cut census.
+        the oracle's cut census, and estimator runs of plans designed on it.
 
         Keyed by ("sweep", secure weight, insecure weight), by ("constrained",
-        constraint, secure weight, insecure weight), or by ("census",). It is
-        held per object, not by value: a value-equal graph built separately
-        starts with an empty memo.
+        constraint, secure weight, insecure weight), by ("census",), or by
+        ("verify", id(system), truth bytes, detector config, alpha, jammed,
+        injected, state shift), which holds (system, verdict) for
+        ``verify.execute``. It is held per object, not by value: a value-equal
+        graph built separately starts with an empty memo.
         """
         return {}
 

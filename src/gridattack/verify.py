@@ -11,11 +11,16 @@ passing. The run does not depend on the type, so one verdict, re-typed with
 ``dataclasses.replace``, judges a plan as any type. The input system's
 matrix is never built: its graph, a superset of the reduced one, is checked
 for observability only when the reduced system fails.
+
+A noiseless run of a designed plan is kept, with read-only arrays, in the
+``cut_memo`` of the graph object the plan was designed on, and every plan on
+that graph with the same inputs to the run reuses it, re-typed. Noisy calls
+never read or write it, and nothing is stored on the system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -118,6 +123,11 @@ def execute(
     an explicit one must lie in ``ALPHA_RANGE`` in magnitude, or it raises
     ``ValueError``. ``noise_rng`` optionally adds measurement noise to the
     clean base vector (verification is noiseless by default).
+
+    Inputs are checked on every call. A noiseless call with ``plan.graph``
+    set returns the run kept in that graph's ``cut_memo``, re-typed as
+    ``plan.attack_type``, or runs the estimator and keeps the verdict with its
+    arrays made read-only. A noisy call always runs and keeps nothing.
     """
     known = {meas.id for meas in sys.measurements}
     referenced = set(plan.cut.edges) | plan.injected | plan.jammed
@@ -133,7 +143,34 @@ def execute(
     elif not valid_alpha(alpha):
         lo, hi = ALPHA_RANGE
         raise ValueError(f"alpha must satisfy {lo:g} <= |alpha| <= {hi:g}, got {alpha}")
+    if noise_rng is not None or plan.graph is None:
+        return _run(sys, truth, plan, cfg, alpha, noise_rng)
 
+    memo = plan.graph.cut_memo
+    key = (
+        "verify", id(sys), truth.tobytes(), cfg or DetectorConfig(), alpha,
+        plan.jammed, plan.injected, plan.injection_state_shift,
+    )
+    entry = memo.get(key)
+    if entry is not None and entry[0] is sys:
+        return replace(entry[1], attack_type=plan.attack_type)
+    verdict = _run(sys, truth, plan, cfg, alpha, None)
+    if verdict.report is not None:
+        for array in (verdict.final_shift, verdict.report.estimate, verdict.report.final_estimate):
+            array.flags.writeable = False
+    memo[key] = (sys, verdict)
+    return verdict
+
+
+def _run(
+    sys: MeasurementSystem,
+    truth: np.ndarray,
+    plan: AttackPlan,
+    cfg: Optional[DetectorConfig],
+    alpha: float,
+    noise_rng: Optional[np.random.Generator],
+) -> VerificationVerdict:
+    """One estimator run of the plan on checked inputs."""
     reduced = remove_measurements(sys, plan.jammed)
     try:
         H = build_matrix(reduced)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gridattack as ga
-from gridattack import cli, experiment
+from gridattack import cli, experiment, verify
 from gridattack.cli import main
 from gridattack.experiment import CSV_HEADER, run_sweep, summarize, write_csv
 from gridattack.attack import AttackType
@@ -189,6 +189,8 @@ COSTS = ["--pi", "1", "--pjs", ".5", "--pjsc", ".25"]
         (["attack", "--type", "hidden-injection", "--alpha", "1e200"], "--alpha"),
         (["attack", "--type", "hidden-injection", "--alpha=-1e308"], "--alpha"),
         (["attack", "--type", "hidden-injection", "--alpha", "0.01"], "--alpha"),
+        (["attack", "--type", "hidden-injection", "--alpha", "-1e-3"], "--alpha"),
+        (["attack", "--type", "hidden-injection", "--angle-fraction", "-inf"], "--angle-fraction"),
     ],
 )
 def test_out_of_range_options_exit_64(argv, flag, capsys):
@@ -197,6 +199,15 @@ def test_out_of_range_options_exit_64(argv, flag, capsys):
     assert code == 64
     assert err.count("\n") == 1 and err.startswith(f"grid-attack {argv[0]}: error: ")
     assert flag in err
+
+
+def test_negative_exponent_value_runs_like_its_decimal(capsys):
+    outputs = []
+    for alpha in ("-0.1", "-1e-1"):
+        code = main(["attack", "--type", "hidden-injection", "--alpha", alpha] + COSTS)
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and outputs[0][1].err == ""
 
 
 # log-uniform from the least subnormal to 1e308, of either sign, and the special values
@@ -220,17 +231,22 @@ _NUMERIC_OPTIONS = {  # option: an accepted value
         for k, v in _NUMERIC_OPTIONS.items()
     }),
     st.sampled_from([t.value for t in AttackType]),
+    st.booleans(),
 )
-@example({**_NUMERIC_OPTIONS, "--alpha": 1e308}, "hidden-generalized")
-@example({**_NUMERIC_OPTIONS, "--alpha": 1e200}, "detectable-injection")
-@example({**_NUMERIC_OPTIONS, "--pi": 1e300, "--pjs": 1e300, "--pjsc": 1e300}, "hidden-generalized")
-@example({**_NUMERIC_OPTIONS, "--secure-fraction": 1.0}, "hidden-generalized")
-def test_property_attack_numeric_options(values, attack_type):
-    """Any value of the numeric ``attack`` options ends with a documented exit
-    code, no traceback and no warning, and exits 2, 3, 64 and 65 print exactly
-    one stderr line."""
+@example({**_NUMERIC_OPTIONS, "--alpha": 1e308}, "hidden-generalized", False)
+@example({**_NUMERIC_OPTIONS, "--alpha": 1e200}, "detectable-injection", False)
+@example({**_NUMERIC_OPTIONS, "--pi": 1e300, "--pjs": 1e300, "--pjsc": 1e300}, "hidden-generalized", False)
+@example({**_NUMERIC_OPTIONS, "--secure-fraction": 1.0}, "hidden-generalized", False)
+@example({**_NUMERIC_OPTIONS, "--alpha": -1e-1}, "hidden-injection", True)
+@example({**_NUMERIC_OPTIONS, "--alpha": -1e-3}, "hidden-injection", True)
+@example({**_NUMERIC_OPTIONS, "--pjsc": -math.inf}, "hidden-injection", True)
+def test_property_attack_numeric_options(values, attack_type, separate):
+    """Any value of the numeric ``attack`` options, given as ``--opt=value`` or
+    as a separate token, ends with a documented exit code, no traceback and no
+    warning, and exits 2, 3, 64 and 65 print exactly one stderr line."""
     argv = ["attack", "--case", "ieee14", "--type", attack_type, "--seed", "3"]
-    argv += [f"{option}={value!r}" for option, value in values.items()]
+    for option, value in values.items():
+        argv += [option, repr(value)] if separate else [f"{option}={value!r}"]
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -400,14 +416,14 @@ def test_sweep_stdout(capsys):
 
 
 def test_sweep_verifies_each_distinct_plan_once_per_trial(monkeypatch):
-    """On IEEE-14 sweeps of all six types over seeds 3-7, ``execute`` runs
+    """On IEEE-14 sweeps of all six types over seeds 3-7, the estimator runs
     once per distinct (jammed, injected, shift) key within a trial, in first
     appearance order and never again for a repeated key, whatever the type,
     and the rows equal those of a loop that verifies every plan fresh.
     """
-    trials = []  # per trial: (system, designed plans, plans given to execute)
+    trials = []  # per trial: (system, designed plans, plans the estimator ran)
     real_place, real_design = experiment.place_measurements, experiment.design
-    real_execute = experiment.execute
+    real_run = verify._run
 
     def place(*args):
         trials.append((real_place(*args), [], []))
@@ -417,13 +433,14 @@ def test_sweep_verifies_each_distinct_plan_once_per_trial(monkeypatch):
         trials[-1][1].append(real_design(attack_type, graph, cost))
         return trials[-1][1][-1]
 
-    def execute(system, truth, plan, cfg):
-        trials[-1][2].append(plan)
-        return real_execute(system, truth, plan, cfg)
+    def run(system, truth, plan, *args):
+        if plan.graph is not None:  # a memo miss; the fresh loop below runs graph-less plans
+            trials[-1][2].append(plan)
+        return real_run(system, truth, plan, *args)
 
     monkeypatch.setattr(experiment, "place_measurements", place)
     monkeypatch.setattr(experiment, "design", design)
-    monkeypatch.setattr(experiment, "execute", execute)
+    monkeypatch.setattr(verify, "_run", run)
     types = list(AttackType)
     cost = ga.CostModel(1, 0.8, 0.25)
     fractions = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
@@ -437,20 +454,21 @@ def test_sweep_verifies_each_distinct_plan_once_per_trial(monkeypatch):
         trials.clear()
         rows, _ = run_sweep(ga.load_case("ieee14"), types, cost, fractions, trials=5, seed=seed)
         fresh = []
-        for (system, designed, executed), (fraction, trial) in zip(
+        for (system, designed, estimated), (fraction, trial) in zip(
             trials, [(f, t) for f in fractions for t in range(5)], strict=True
         ):
             plans = [p for p in designed if isinstance(p, ga.AttackPlan)]
-            assert [key(p) for p in executed] == list(dict.fromkeys(key(p) for p in plans))
-            repeats += len(plans) - len(executed)
-            shared_jams += len({p.jammed for p in executed}) < len(executed)
+            assert [key(p) for p in estimated] == list(dict.fromkeys(key(p) for p in plans))
+            repeats += len(plans) - len(estimated)
+            shared_jams += len({p.jammed for p in estimated}) < len(estimated)
             families = {}
             for p in plans:
                 families.setdefault(key(p), set()).add(p.attack_type.hidden)
             both_families += sum(len(hidden) == 2 for hidden in families.values())
             for attack_type, plan in zip(types, designed, strict=True):
                 if isinstance(plan, ga.AttackPlan):
-                    verdict = ga.execute(system, np.zeros(system.n + 1), plan, cfg)
+                    unkept = dataclasses.replace(plan, graph=None)
+                    verdict = ga.execute(system, np.zeros(system.n + 1), unkept, cfg)
                     fresh.append(experiment.SweepRow(
                         fraction, trial, attack_type, "II", plan.total_cost, verdict.success
                     ))
@@ -460,7 +478,7 @@ def test_sweep_verifies_each_distinct_plan_once_per_trial(monkeypatch):
                     ))
         assert rows == fresh
     assert repeats >= 30 and shared_jams >= 10
-    # plans executed once and judged as both a hidden and a detectable type
+    # plans estimated once and judged as both a hidden and a detectable type
     assert both_families >= 200
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridattack as ga
+from gridattack import verify
 from gridattack.attack import AttackType
 from gridattack.grid import SUSCEPTANCE_RANGE
 from gridattack.verify import ALPHA_RANGE
@@ -190,16 +191,85 @@ def test_execute_builds_one_read_only_matrix(monkeypatch):
         return construct(system)
 
     monkeypatch.setattr(ga.MeasurementSystem.matrix, "func", counting)
-    for plan in (
-        ga.hidden_generalized(g, ga.CostModel(1, 0.5, 0.25)),
-        ga.detectable_generalized(g, ga.CostModel(1, 0.8, 0.6)),
-    ):
-        built.clear()
-        ga.execute(sys_, np.zeros(3), plan, EXHAUSTIVE)
-        assert len(built) == 1 and built[0] is not sys_
-        assert not built[0].matrix.flags.writeable
+    hg = ga.hidden_generalized(g, ga.CostModel(1, 0.5, 0.25))
+    dg = ga.detectable_generalized(g, ga.CostModel(1, 0.8, 0.6))
+    # DG is HG's one-injection structure here, so the two share one estimator run
+    assert (dg.jammed, dg.injected, dg.injection_state_shift) == (
+        hg.jammed, hg.injected, hg.injection_state_shift
+    )
+    ga.execute(sys_, np.zeros(3), hg, EXHAUSTIVE)
+    assert len(built) == 1 and built[0] is not sys_
+    assert not built[0].matrix.flags.writeable
+    built.clear()
+    served = ga.execute(sys_, np.zeros(3), dg, EXHAUSTIVE)
+    assert built == []
+    fresh = ga.execute(sys_, np.zeros(3), dataclasses.replace(dg, graph=None), EXHAUSTIVE)
+    assert len(built) == 1 and built[0] is not sys_
+    assert (served.success, served.reason) == (fresh.success, fresh.reason)
     # the input system's matrix is never built, so repeated runs redo the work
     assert "matrix" not in vars(sys_)
+
+
+def test_execute_memo_runs_each_distinct_estimation_once(monkeypatch):
+    """A call differing from the first in one input of the estimator run runs
+    it; a repeat is served from the plan graph's memo, re-typed and read-only;
+    a noisy call always runs and leaves the memo alone."""
+    sys_ = triangle_system()
+    g = ga.build_graph(sys_)
+    plan = ga.hidden_generalized(g, ga.CostModel(1, 0.5, 0.25))
+    runs = []
+    real_run = verify._run
+
+    def run(*args):
+        runs.append(args)
+        return real_run(*args)
+
+    monkeypatch.setattr(verify, "_run", run)
+    flow = ga.MeasurementKind.LINE_FLOW
+    heavier = ga.MeasurementSystem(  # value-equal layout, other susceptances
+        buses=sys_.buses,
+        lines=((1, 2, 2.0),),
+        measurements=(ga.Measurement(0, flow, 1, 2, susceptance=2.0), *sys_.measurements[1:]),
+    )
+    greedy = ga.DetectorConfig(removal_mode=ga.RemovalMode.GREEDY_NORMALIZED_RESIDUAL)
+    first = (sys_, np.zeros(3), plan, EXHAUSTIVE, None)
+    calls = [
+        first,
+        (heavier, *first[1:]),
+        (sys_, np.array([0.3, -0.2, 0.0]), *first[2:]),
+        (*first[:3], greedy, None),
+        (*first[:4], 0.3),
+        (sys_, np.zeros(3), dataclasses.replace(plan, injection_state_shift=(1, 1, 0)), EXHAUSTIVE, None),
+        (sys_, np.zeros(3), dataclasses.replace(plan, jammed_insecure=frozenset()), EXHAUSTIVE, None),
+    ]
+    for k, (system, truth, p, cfg, alpha) in enumerate(calls):
+        ga.execute(system, truth, p, cfg, alpha)
+        assert len(runs) == k + 1, k
+    again = ga.execute(*first)
+    assert len(runs) == len(calls)
+    for array in (again.final_shift, again.report.estimate, again.report.final_estimate):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+    kept = dict(g.cut_memo)
+    for _ in range(2):
+        ga.execute(*first, noise_rng=np.random.default_rng(1))
+    assert len(runs) == len(calls) + 2
+    assert g.cut_memo == kept
+
+    reasons = set()
+    for system, truth, p, cfg, alpha in calls:
+        for attack_type in AttackType:
+            before = len(runs)
+            served = ga.execute(system, truth, dataclasses.replace(p, attack_type=attack_type), cfg, alpha)
+            assert len(runs) == before
+            fresh = ga.execute(
+                system, truth, dataclasses.replace(p, attack_type=attack_type, graph=None), cfg, alpha
+            )
+            assert served.attack_type is attack_type
+            assert (served.success, served.reason) == (fresh.success, fresh.reason)
+            reasons.add(fresh.reason)
+    assert len(reasons) >= 3, reasons
 
 
 def test_extreme_in_range_susceptances_verify_every_plan():
