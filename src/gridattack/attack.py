@@ -32,13 +32,12 @@ class AttackType(Enum):
     HIDDEN_GENERALIZED = "hidden-generalized"
     DETECTABLE_GENERALIZED = "detectable-generalized"
 
-    @property
-    def hidden(self) -> bool:
-        return self in (
-            AttackType.HIDDEN_INJECTION,
-            AttackType.HIDDEN_JAMMING,
-            AttackType.HIDDEN_GENERALIZED,
-        )
+    # members are singletons: hash by identity in C, not by name in Python
+    __hash__ = object.__hash__
+
+    def __init__(self, value: str):
+        # an attribute, not a property: the designers, oracle and verdicts read it per call
+        self.hidden = value.startswith("hidden-")
 
 
 class CostInterval(Enum):
@@ -52,6 +51,8 @@ class CutConstraint(Enum):
 
     SECURE_MINORITY = "secure-minority"  # case A: secure edges strictly below half
     SECURE_WEAK_MAJORITY = "secure-weak-majority"  # case B: secure at least half, >=1 insecure
+
+    __hash__ = object.__hash__  # as AttackType: it keys the constrained-search memo
 
 
 @dataclass(frozen=True)
@@ -140,15 +141,20 @@ def classify_interval(cost: CostModel) -> CostInterval:
     return CostInterval.III
 
 
-def _state_shift(graph: MeasurementGraph, cut: CutResult) -> tuple[int, ...]:
-    """0-1 indicator of the reference-free cut side, reference entry last and 0."""
+def _split(graph: MeasurementGraph, cut: CutResult) -> tuple:
+    """A cut's sorted insecure and secure ids, their sets, all its ids, and its
+    state shift: the 0-1 indicator of the reference-free side, reference last."""
+    by_id = graph.edges_by_id
+    ids = sorted(cut.edges)
+    ins = [i for i in ids if not by_id[i].secure]
+    sec = [i for i in ids if by_id[i].secure]
     side = cut.side_a
     if REFERENCE_BUS in side:
         side = frozenset(graph.nodes) - side
     vec = [0] * len(graph.nodes)
     for node in side:
         vec[graph.state_index(node)] = 1
-    return tuple(vec)
+    return ins, sec, frozenset(ins), frozenset(sec), frozenset(ids), tuple(vec)
 
 
 def _plan(
@@ -164,19 +170,18 @@ def _plan(
 
     Injects the first ``k_inject`` insecure cut edges and jams the next
     ``k_jam_insecure``; jams the first ``k_jam_secure`` secure cut edges.
+    The split and shift are taken once per graph object and cut, from that
+    graph's flags, and kept in its ``cut_memo``; every check runs per call.
     """
-    by_id = graph.edges_by_id
-    ids = sorted(cut.edges)
-    ins = [i for i in ids if not by_id[i].secure]
-    sec = [i for i in ids if by_id[i].secure]
+    ins, sec, ins_set, sec_set, members, shift = _memoized(
+        graph, ("split", cut.side_a, cut.edges), lambda: _split(graph, cut)
+    )
     assert k_inject + k_jam_insecure <= len(ins) and k_jam_secure <= len(sec)
     inj = frozenset(ins[:k_inject])
     jam_i = frozenset(ins[k_inject : k_inject + k_jam_insecure])
     jam_s = frozenset(sec[:k_jam_secure])
-    members = frozenset(ids)
-    assert inj <= members and jam_i <= members and jam_s <= members
     assert not (inj & (jam_i | jam_s)) and not (jam_i & jam_s)
-    assert not any(by_id[i].secure for i in inj | jam_i) and all(by_id[i].secure for i in jam_s)
+    assert inj | jam_i <= ins_set and jam_s <= sec_set  # cut members, by their flags
     if attack_type.hidden:
         assert inj | jam_i | jam_s == members, "hidden attacks must touch the whole cut"
         assert inj, "hidden attacks inject at least one measurement"
@@ -194,7 +199,7 @@ def _plan(
         injected=inj,
         jammed_insecure=jam_i,
         jammed_secure=jam_s,
-        injection_state_shift=_state_shift(graph, cut),
+        injection_state_shift=shift,
         total_cost=total,
         graph=graph,
     )

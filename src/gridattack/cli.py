@@ -37,8 +37,13 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:  # 3.11 turns "--opt=--" into []
+            self.error(f"argument {'/'.join(action.option_strings)}: expected one argument")
+        return super()._get_values(action, arg_strings)
+
     def error(self, message):
-        self.print_usage(sys.stderr)
+        # one line, as every other usage error; --help still prints the usage
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EX_USAGE)
 

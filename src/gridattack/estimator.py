@@ -53,6 +53,8 @@ class RemovalMode(Enum):
     GREEDY_NORMALIZED_RESIDUAL = "greedy"
     EXHAUSTIVE_MINIMAL = "exhaustive"
 
+    __hash__ = object.__hash__  # by identity in C, as attack.AttackType
+
 
 @dataclass(frozen=True)
 class DetectorConfig:

@@ -134,6 +134,14 @@ class MeasurementSystem:
         return len(self.measurements)
 
     @cached_property
+    def ids(self) -> frozenset[int]:
+        return frozenset(m.id for m in self.measurements)
+
+    @cached_property
+    def max_noise_std(self) -> float:
+        return float(np.sqrt(max(self.noise_variance)))
+
+    @cached_property
     def observable(self) -> bool:
         """Whether the measurements connect every bus to the reference; see ``check_observable``."""
         return connected((b.id for b in self.buses), (m.endpoints for m in self.measurements))
@@ -185,15 +193,17 @@ class MeasurementGraph:
 
     @cached_property
     def cut_memo(self) -> dict:
-        """Cut searches already run on this graph object, for the designers,
-        the oracle's cut census, and estimator runs of plans designed on it.
+        """Cut searches, cut splits and estimator runs already done on this
+        graph object, for the designers, the oracle and ``verify.execute``.
 
         Keyed by ("sweep", secure weight, insecure weight), by ("constrained",
-        constraint, secure weight, insecure weight), by ("census",), or by
-        ("verify", id(system), truth bytes, detector config, alpha, jammed,
-        injected, state shift), which holds (system, verdict) for
-        ``verify.execute``. It is held per object, not by value: a value-equal
-        graph built separately starts with an empty memo.
+        constraint, secure weight, insecure weight), by ("census",), by
+        ("split", cut side, cut edges), which holds ``attack._split`` of that
+        cut on this graph's flags, or by ("verify", id(system), truth bytes,
+        detector config, alpha, jammed insecure, jammed secure, injected,
+        state shift), which holds (system, {attack type: verdict}, the run's
+        verdict). It is held per object, not by value: a value-equal graph
+        built separately starts with an empty memo.
         """
         return {}
 

@@ -14,13 +14,16 @@ for observability only when the reduced system fails.
 
 A noiseless run of a designed plan is kept, with read-only arrays, in the
 ``cut_memo`` of the graph object the plan was designed on, and every plan on
-that graph with the same inputs to the run reuses it, re-typed. Noisy calls
-never read or write it, and nothing is stored on the system.
+that graph with the same inputs to the run reuses it. Every input check
+runs on every call, on the system's id set and noise sigma cached per system
+object. The entry keeps one verdict per attack type, each made once as a copy
+of the run's verdict with only the type changed, so a hit is a lookup. Noisy
+calls never read or write the memo, and nothing is stored on the system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -28,9 +31,11 @@ import numpy as np
 from .attack import AttackPlan
 from .errors import PlanMismatch, RemovalFailed, UnobservableSystem
 from .estimator import DetectorConfig, EstimationReport, detect_and_remove
-from .grid import MeasurementSystem, build_matrix, check_observable, remove_measurements
+from .grid import MeasurementSystem, build_matrix, check_observable, remove_measurements, unchecked
 
 ESTIMATE_CHANGE_TOL = 1e-6
+
+_DEFAULT_CONFIG = DetectorConfig()
 
 # |alpha| outside this range makes a verdict depend on alpha, not on the plan.
 # At the default noise (sigma 0.01, default alpha 0.1) with susceptances across
@@ -104,11 +109,6 @@ def _failure(plan: AttackPlan, removal_failed: bool = False, observable: bool = 
     )
 
 
-def default_shift_scale(sys: MeasurementSystem) -> float:
-    """Injection magnitude well above detector noise: ten noise sigmas."""
-    return 10.0 * float(np.sqrt(max(sys.noise_variance)))
-
-
 def execute(
     sys: MeasurementSystem,
     truth: np.ndarray,
@@ -125,13 +125,15 @@ def execute(
     clean base vector (verification is noiseless by default).
 
     Inputs are checked on every call. A noiseless call with ``plan.graph``
-    set returns the run kept in that graph's ``cut_memo``, re-typed as
-    ``plan.attack_type``, or runs the estimator and keeps the verdict with its
-    arrays made read-only. A noisy call always runs and keeps nothing.
+    set returns the run kept in that graph's ``cut_memo`` as the entry's
+    verdict for ``plan.attack_type``, or runs the estimator and keeps the
+    verdict with its arrays made read-only. A noisy call always runs and
+    keeps nothing.
     """
-    known = {meas.id for meas in sys.measurements}
-    referenced = set(plan.cut.edges) | plan.injected | plan.jammed
-    if not referenced <= known:
+    known = sys.ids
+    if not (known.issuperset(plan.cut.edges) and plan.injected <= known
+            and plan.jammed_insecure <= known and plan.jammed_secure <= known):
+        referenced = set(plan.cut.edges) | plan.injected | plan.jammed
         raise PlanMismatch(f"plan references unknown measurements {sorted(referenced - known)}")
     truth = np.asarray(truth, dtype=float)
     if truth.shape != (sys.n + 1,):
@@ -139,7 +141,7 @@ def execute(
     if truth[-1] != 0.0:
         raise ValueError("truth must pin the reference angle at zero")
     if alpha is None:
-        alpha = default_shift_scale(sys)
+        alpha = 10.0 * sys.max_noise_std  # well above detector noise
     elif not valid_alpha(alpha):
         lo, hi = ALPHA_RANGE
         raise ValueError(f"alpha must satisfy {lo:g} <= |alpha| <= {hi:g}, got {alpha}")
@@ -148,18 +150,21 @@ def execute(
 
     memo = plan.graph.cut_memo
     key = (
-        "verify", id(sys), truth.tobytes(), cfg or DetectorConfig(), alpha,
-        plan.jammed, plan.injected, plan.injection_state_shift,
+        "verify", id(sys), truth.tobytes(), cfg or _DEFAULT_CONFIG, alpha,
+        plan.jammed_insecure, plan.jammed_secure, plan.injected, plan.injection_state_shift,
     )
     entry = memo.get(key)
-    if entry is not None and entry[0] is sys:
-        return replace(entry[1], attack_type=plan.attack_type)
-    verdict = _run(sys, truth, plan, cfg, alpha, None)
-    if verdict.report is not None:
-        for array in (verdict.final_shift, verdict.report.estimate, verdict.report.final_estimate):
-            array.flags.writeable = False
-    memo[key] = (sys, verdict)
-    return verdict
+    if entry is None or entry[0] is not sys:
+        verdict = _run(sys, truth, plan, cfg, alpha, None)
+        if verdict.report is not None:
+            for array in (verdict.final_shift, verdict.report.estimate, verdict.report.final_estimate):
+                array.flags.writeable = False
+        entry = memo[key] = (sys, {plan.attack_type: verdict}, verdict)
+    _, typed, run = entry
+    if plan.attack_type not in typed:
+        typed[plan.attack_type] = unchecked(
+            VerificationVerdict, **{**vars(run), "attack_type": plan.attack_type})
+    return typed[plan.attack_type]
 
 
 def _run(

@@ -1,6 +1,7 @@
 """Shared builders and references.
 
 Builders: a triangle example, random systems and random cost triples.
+Describers: every field of a verdict, at full precision.
 References kept apart from the package code they check: a dict union-find
 for connectivity and a brute-force cut enumeration.
 """
@@ -140,3 +141,34 @@ def all_cuts(g: ga.WeightedGraph) -> list[ga.CutResult]:
         cut_from_side(g.edges, weights, frozenset(v for i, v in enumerate(others) if mask >> i & 1))
         for mask in range(1, 1 << len(others))
     ]
+
+
+def _exact(value) -> str:
+    """A verdict or report field at full precision: arrays by their bytes, floats by hex."""
+    if value is None:
+        return "None"
+    if hasattr(value, "tobytes"):
+        return f"{value.dtype}{value.shape}:{value.tobytes().hex()}"
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, frozenset):
+        return repr(sorted(value))
+    return repr(value)
+
+
+def describe_verdict(verdict) -> str:
+    """Every ``VerificationVerdict`` field and every ``EstimationReport`` field."""
+    fields = [
+        f"{name}={_exact(getattr(verdict, name))}"
+        for name in ("attack_type", "observability_ok", "stealthy", "estimate_changed",
+                     "survived_injection", "removal_failed", "matches_declared_type",
+                     "final_shift")
+    ]
+    report = verdict.report
+    if report is not None:
+        fields += [
+            f"{name}={_exact(getattr(report, name))}"
+            for name in ("estimate", "residual_norm", "detected", "removed",
+                         "final_estimate", "final_residual_norm")
+        ]
+    return " ".join(fields)

@@ -692,6 +692,58 @@ def test_cut_searches_memoized_per_graph_object(monkeypatch):
     assert len(searches) == 8
 
 
+def _assert_split_follows(plan: ga.AttackPlan, graph: ga.MeasurementGraph) -> None:
+    """The plan takes its cut's edges in id order by the flags of ``graph``."""
+    by_id = graph.edges_by_id
+    ins = sorted(i for i in plan.cut.edges if not by_id[i].secure)
+    sec = sorted(i for i in plan.cut.edges if by_id[i].secure)
+    k, j = len(plan.injected), len(plan.jammed_insecure)
+    assert (plan.cut.n_insecure, plan.cut.n_secure) == (len(ins), len(sec))
+    assert plan.injected == frozenset(ins[:k])
+    assert plan.jammed_insecure == frozenset(ins[k : k + j])
+    assert plan.jammed_secure == frozenset(sec[: len(plan.jammed_secure)])
+
+
+def test_plan_split_follows_the_graph_it_is_planned_on():
+    """Twin systems share measurement ids and differ in secure flags. Every
+    designed plan and oracle witness splits its cut by its own graph's flags,
+    also where both twins plan the same cut, so that no split is shared
+    across graph objects."""
+    case = ga.load_case("ieee14")
+    pairs = [tuple(ga.place_measurements(case, 0.6, f, 7) for f in (0.2, 0.4))]
+    rng = random.Random(26)
+    for _ in range(20):
+        sys_ = random_system(rng, secure_prob=0.3)
+        flipped = set(rng.sample(range(sys_.m), max(1, sys_.m // 3)))
+        twin = dataclasses.replace(sys_, measurements=tuple(
+            dataclasses.replace(m, secure=m.secure != (k in flipped))
+            for k, m in enumerate(sys_.measurements)
+        ))
+        pairs.append((sys_, twin))
+    costs = [ga.CostModel(1, 0.8, 0.6), ga.CostModel(1, 0.8, 0.25), ga.CostModel(1, 0.5, 0.25)]
+    shared = 0
+    for pair in pairs:
+        assert [m.id for m in pair[0].measurements] == [m.id for m in pair[1].measurements]
+        graphs = [ga.build_graph(s) for s in pair]
+        assert graphs[0].secure_ids != graphs[1].secure_ids
+        flags = {}  # cut -> secure edge ids, per graph
+        for cost in costs:
+            for t in AttackType:
+                for k, g in enumerate(graphs):
+                    plans = [ga.design(t, g, cost)]
+                    if len(g.nodes) <= ga.oracle.MAX_ORACLE_NODES:
+                        plans.append(ga.optimal_cost(g, cost, t))
+                    for plan in plans:
+                        plan = plan[1] if isinstance(plan, tuple) else plan
+                        if isinstance(plan, ga.AttackPlan):
+                            _assert_split_follows(plan, g)
+                            flags.setdefault((plan.cut.side_a, plan.cut.edges), {})[k] = (
+                                frozenset(plan.cut.edges) & frozenset(g.secure_ids)
+                            )
+        shared += sum(len(f) == 2 and f[0] != f[1] for f in flags.values())
+    assert shared >= 5, shared
+
+
 def test_plan_actions_partition_cut():
     rng = random.Random(28)
     for _ in range(30):

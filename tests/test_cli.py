@@ -247,6 +247,11 @@ def test_property_attack_numeric_options(values, attack_type, separate):
     argv = ["attack", "--case", "ieee14", "--type", attack_type, "--seed", "3"]
     for option, value in values.items():
         argv += [option, repr(value)] if separate else [f"{option}={value!r}"]
+    _run_attack_checked(argv)
+
+
+def _run_attack_checked(argv) -> tuple[int, str]:
+    """Exit code and stderr of ``main(argv)``, checked against the exit-code rules."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -262,6 +267,54 @@ def test_property_attack_numeric_options(values, attack_type, separate):
         assert err.getvalue() == "", argv
     else:
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), (argv, err.getvalue())
+    return code, err.getvalue()
+
+
+def _not_a_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+_REQUIRED = {"--pi", "--pjs", "--pjsc", "--type"}
+_ACCEPTED = {**{k: repr(v) for k, v in _NUMERIC_OPTIONS.items()},
+             "--type": "hidden-injection", "--seed": "3"}
+# per option: its accepted token, one that is not a number, or left out (None)
+_MALFORMED = st.one_of(
+    st.sampled_from(["abc", "", "1,5", "0x10", "1..2", "1e", "one", "--", "-x", "-1abc", "1 2"]),
+    st.text(max_size=5).filter(_not_a_float),
+)
+
+
+def _malformed(option: str, token) -> bool:
+    if token is None:
+        return option in _REQUIRED
+    return token != _ACCEPTED[option] if option == "--type" else _not_a_float(token)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(
+    st.fixed_dictionaries({
+        k: st.one_of(st.just(v), st.none(), _MALFORMED) for k, v in _ACCEPTED.items()
+    }),
+    st.booleans(),
+)
+@example({**_ACCEPTED, "--alpha": "abc"}, True)
+@example({**_ACCEPTED, "--pjsc": None}, True)
+@example({**_ACCEPTED, "--pi": "--"}, False)
+def test_property_attack_malformed_options(tokens, separate):
+    """A non-numeric value or a missing required option exits 64 with one
+    stderr line naming the subcommand, like every other usage error."""
+    argv = ["attack", "--case", "ieee14"]
+    for option, token in tokens.items():
+        if token is not None:
+            argv += [option, token] if separate else [f"{option}={token}"]
+    malformed = any(_malformed(option, token) for option, token in tokens.items())
+    code, err = _run_attack_checked(argv)
+    if malformed:
+        assert code == cli.EX_USAGE and err.startswith("grid-attack attack: error: "), (argv, err)
 
 
 def test_attack_missing_case_exit_65(capsys):

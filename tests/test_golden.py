@@ -3,7 +3,9 @@
 The sweep rows and the designed plans are a pure function of case, flags and
 seed, so any engine change that keeps the answers keeps these digests. The
 sweep CSV does not show which side of the cut a plan reports; the
-``attack --json`` digests cover ``cut_side`` as well. The random-graph
+``attack --json`` digests cover ``cut_side`` as well. IEEE-57 has one
+``attack --json`` digest over all six types, and its sweeps are checked
+against the CSV digests the benchmark records in ``perfbench/golden.json``. The random-graph
 digest covers every result field of all six designers and of the oracle's
 witness plan on a seeded batch of small systems, and the census digest
 every cut and class of the oracle's cut census on the same batch. The
@@ -15,8 +17,10 @@ copy the digest printed in the failure message.
 """
 
 import hashlib
+import json
 import os
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +30,7 @@ from gridattack import oracle
 from gridattack.attack import AttackType
 from gridattack.cli import main
 from gridattack.experiment import run_sweep, write_csv
-from conftest import random_cost, random_system
+from conftest import describe_verdict, random_cost, random_system
 
 SEED = 20250809
 FRACTIONS = [0.0, 0.25, 0.5]
@@ -66,36 +70,73 @@ ATTACK_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SWEEPS))
-def test_sweep_csv_digest(name, tmp_path):
+# the benchmark's recorded IEEE-57 sweeps, read and never rewritten here
+PERFBENCH_GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+PERFBENCH_SWEEPS = {  # golden.json label -> SWEEPS name
+    "hi-di-hg": "families", "dg-dj-I": "interval-I", "dg-dj-II": "interval-II",
+}
+
+IEEE57_ATTACK_DIGEST = "c728895b0305356bb298ce41b4b03043d618dbfd7c9d585c9a7be7f9840f9940"
+
+
+def _sweep_digest(case, name, fractions, trials, seed, path, **kwargs) -> str:
     types, costs, condition = SWEEPS[name]
-    rows, _ = run_sweep(
-        ga.load_case("ieee14"), types, ga.CostModel(*costs), FRACTIONS, TRIALS, SEED,
-        angle_fraction=0.6, condition=condition,
-    )
-    path = os.path.join(tmp_path, f"{name}.csv")
+    rows, _ = run_sweep(case, types, ga.CostModel(*costs), fractions, trials, seed,
+                        condition=condition, **kwargs)
     write_csv(rows, path)
     with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_csv_digest(name, tmp_path):
+    path = os.path.join(tmp_path, f"{name}.csv")
+    digest = _sweep_digest(ga.load_case("ieee14"), name, FRACTIONS, TRIALS, SEED, path,
+                           angle_fraction=0.6)
     assert digest == SWEEP_DIGESTS[name], f"{name} sweep CSV digest is {digest}"
+
+
+def test_ieee57_sweep_csv_digests(tmp_path):
+    """``run_sweep`` reproduces the benchmark's three recorded ``ieee57-sweep`` CSVs."""
+    recorded = json.loads(PERFBENCH_GOLDEN.read_text())["ieee57-sweep"]
+    case = ga.load_case("ieee57")
+    digests = {
+        label: _sweep_digest(case, PERFBENCH_SWEEPS[label], fractions, trials, recorded["seed"],
+                             os.path.join(tmp_path, f"{label}.csv"))
+        for label, trials, fractions in zip(
+            recorded["sweeps"], recorded["trials"], recorded["fractions"]
+        )
+    }
+    assert digests == recorded["sweeps"], f"ieee57 sweep CSV digests are {digests}"
+
+
+def _attack_json_digest(case: str, attack_types, capsys) -> str:
+    """Exit code, stdout and stderr of ``attack --json`` over costs and fractions."""
+    h = hashlib.sha256()
+    for attack_type in attack_types:
+        for pi, pjs, pjsc in ATTACK_COSTS:
+            for fraction in ATTACK_FRACTIONS:
+                argv = [
+                    "attack", "--case", case, "--type", attack_type, "--seed", "7",
+                    "--secure-fraction", fraction, "--pi", pi, "--pjs", pjs, "--pjsc", pjsc,
+                    "--json",
+                ]
+                code = main(argv)
+                out = capsys.readouterr()
+                h.update(f"{' '.join(argv)}\n{code}\n{out.out}\n{out.err}\n".encode())
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize("attack_type", [t.value for t in AttackType])
 def test_attack_json_digest(attack_type, capsys):
-    """Exit code, stdout and stderr of ``attack --json`` over costs and fractions."""
-    h = hashlib.sha256()
-    for pi, pjs, pjsc in ATTACK_COSTS:
-        for fraction in ATTACK_FRACTIONS:
-            argv = [
-                "attack", "--case", "ieee14", "--type", attack_type, "--seed", "7",
-                "--secure-fraction", fraction, "--pi", pi, "--pjs", pjs, "--pjsc", pjsc,
-                "--json",
-            ]
-            code = main(argv)
-            out = capsys.readouterr()
-            h.update(f"{' '.join(argv)}\n{code}\n{out.out}\n{out.err}\n".encode())
-    digest = h.hexdigest()
+    digest = _attack_json_digest("ieee14", [attack_type], capsys)
     assert digest == ATTACK_DIGESTS[attack_type], f"{attack_type} attack digest is {digest}"
+
+
+def test_ieee57_attack_json_digest(capsys):
+    """All six types on IEEE-57: cut sides, edges and verdicts at every cost and fraction."""
+    digest = _attack_json_digest("ieee57", [t.value for t in AttackType], capsys)
+    assert digest == IEEE57_ATTACK_DIGEST, f"ieee57 attack digest is {digest}"
 
 
 RANDOM_SEED = 4
@@ -166,37 +207,6 @@ EXHAUSTIVE = ga.DetectorConfig(removal_mode=ga.RemovalMode.EXHAUSTIVE_MINIMAL)
 GREEDY = ga.DetectorConfig(removal_mode=ga.RemovalMode.GREEDY_NORMALIZED_RESIDUAL)
 
 
-def _exact(value) -> str:
-    """A verdict or report field at full precision: arrays by their bytes, floats by hex."""
-    if value is None:
-        return "None"
-    if hasattr(value, "tobytes"):
-        return f"{value.dtype}{value.shape}:{value.tobytes().hex()}"
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, frozenset):
-        return repr(sorted(value))
-    return repr(value)
-
-
-def _describe_verdict(verdict) -> str:
-    """Every ``VerificationVerdict`` field and every ``EstimationReport`` field."""
-    fields = [
-        f"{name}={_exact(getattr(verdict, name))}"
-        for name in ("attack_type", "observability_ok", "stealthy", "estimate_changed",
-                     "survived_injection", "removal_failed", "matches_declared_type",
-                     "final_shift")
-    ]
-    report = verdict.report
-    if report is not None:
-        fields += [
-            f"{name}={_exact(getattr(report, name))}"
-            for name in ("estimate", "residual_norm", "detected", "removed",
-                         "final_estimate", "final_residual_norm")
-        ]
-    return " ".join(fields)
-
-
 def _execute_all(h, label, system, costs, modes) -> None:
     """Hash the verdict of every designed plan and oracle witness under each mode.
 
@@ -219,7 +229,7 @@ def _execute_all(h, label, system, costs, modes) -> None:
                 for mode_name, cfg, noise_seed in modes:
                     noise = None if noise_seed is None else np.random.default_rng(noise_seed)
                     try:
-                        verdict = _describe_verdict(ga.execute(system, truth, plan, cfg,
+                        verdict = describe_verdict(ga.execute(system, truth, plan, cfg,
                                                                noise_rng=noise))
                     except ga.GridAttackError as exc:
                         verdict = f"{type(exc).__name__}: {exc}"

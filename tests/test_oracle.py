@@ -41,6 +41,11 @@ def test_oracle_node_cap():
         ga.optimal_cost(g, ga.CostModel(1, 0.5, 0.25), AttackType.HIDDEN_GENERALIZED)
 
 
+def _below(cost: float, optimum: float) -> bool:
+    """Whether ``cost`` is under ``optimum`` by more than 1e-12 or by more than 1e-9 of it."""
+    return cost < optimum - 1e-12 or cost < optimum - 1e-9 * optimum
+
+
 def test_oracle_lower_bounds_designers():
     rng = random.Random(52)
     for _ in range(25):
@@ -52,7 +57,7 @@ def test_oracle_lower_bounds_designers():
             want = ga.optimal_cost(g, cost, t)
             if isinstance(got, ga.AttackPlan):
                 assert isinstance(want, tuple)
-                assert want[0] <= got.total_cost + 1e-12
+                assert not _below(got.total_cost, want[0])
 
 
 def test_oracle_plans_verify():
@@ -228,9 +233,10 @@ def test_property_designers_against_oracle(sys_, cost):
             assert not isinstance(got, ga.AttackPlan), t
         elif t.hidden:
             assert isinstance(got, ga.AttackPlan), t
-            assert abs(got.total_cost - want[0]) <= 1e-12, t
+            error = abs(got.total_cost - want[0])
+            assert error <= 1e-12 and error <= 1e-9 * want[0], t
         elif isinstance(got, ga.AttackPlan):
-            assert got.total_cost >= want[0] - 1e-12, t
+            assert not _below(got.total_cost, want[0]), t
 
 
 def test_parallel_bundle_witness_verifies_in_two_solves(monkeypatch):

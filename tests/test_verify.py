@@ -13,7 +13,9 @@ from gridattack import verify
 from gridattack.attack import AttackType
 from gridattack.grid import SUSCEPTANCE_RANGE
 from gridattack.verify import ALPHA_RANGE
-from conftest import triangle_system, random_cost, random_edge_list, random_system
+from conftest import (
+    describe_verdict, triangle_system, random_cost, random_edge_list, random_system,
+)
 
 EXHAUSTIVE = ga.DetectorConfig(removal_mode=ga.RemovalMode.EXHAUSTIVE_MINIMAL)
 
@@ -270,6 +272,44 @@ def test_execute_memo_runs_each_distinct_estimation_once(monkeypatch):
             assert (served.success, served.reason) == (fresh.success, fresh.reason)
             reasons.add(fresh.reason)
     assert len(reasons) >= 3, reasons
+
+
+def test_memo_hit_equals_fresh_run_on_every_field(monkeypatch):
+    """Whichever type runs a plan first, every type's memo hit, first and
+    repeated, equals a fresh ``graph=None`` run on every verdict and report
+    field."""
+    runs = []
+    real_run = verify._run
+
+    def run(*args):
+        runs.append(args)
+        return real_run(*args)
+
+    rng = random.Random(27)
+    hits = 0
+    for _ in range(8):
+        sys_ = random_system(rng, secure_prob=0.3)
+        g = ga.build_graph(sys_)
+        truth = np.zeros(sys_.n + 1)
+        cost = random_cost(rng)
+        for first in AttackType:
+            plan = ga.design(first, g, cost)
+            if not isinstance(plan, ga.AttackPlan):
+                continue
+            ga.execute(sys_, truth, plan, EXHAUSTIVE)
+            for attack_type in [*AttackType, *reversed(AttackType)]:
+                monkeypatch.setattr(verify, "_run", run)
+                served = ga.execute(
+                    sys_, truth, dataclasses.replace(plan, attack_type=attack_type), EXHAUSTIVE
+                )
+                monkeypatch.setattr(verify, "_run", real_run)
+                fresh = ga.execute(
+                    sys_, truth, dataclasses.replace(plan, attack_type=attack_type, graph=None),
+                    EXHAUSTIVE,
+                )
+                assert describe_verdict(served) == describe_verdict(fresh)
+                hits += 1
+    assert runs == [] and hits >= 300, (len(runs), hits)
 
 
 def test_extreme_in_range_susceptances_verify_every_plan():
