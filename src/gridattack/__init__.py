@@ -36,8 +36,6 @@ from .estimator import (
     RemovalMode,
     chi_square_threshold,
     detect_and_remove,
-    residual_norm,
-    wls_estimate,
 )
 from .grid import (
     REFERENCE_BUS,
@@ -57,8 +55,6 @@ from .mincut import (
     CutSolver,
     WeightedEdge,
     WeightedGraph,
-    global_min_cut,
-    min_st_cut,
 )
 from .oracle import optimal_cost
 from .verify import VerificationVerdict, execute

@@ -60,8 +60,10 @@ class RemovalMode(Enum):
 class DetectorConfig:
     """Detection threshold and bad-data removal policy.
 
-    ``max_removals`` of None allows removal down to the observability
-    floor, i.e. as long as the remaining graph stays connected.
+    ``threshold`` may be +inf, which never detects. ``max_removals`` of None
+    allows removal while the graph stays connected, down to a spanning tree,
+    whose residual is rounding-sized: a full budget passes at any ordinary
+    threshold, so a smaller one is the only way to reach ``RemovalFailed``.
     """
 
     threshold: float = DEFAULT_THRESHOLD
@@ -69,8 +71,8 @@ class DetectorConfig:
     max_removals: Optional[int] = None
 
     def __post_init__(self):
-        if self.threshold < 0:
-            raise ValueError("threshold must be nonnegative")
+        if not self.threshold >= 0:
+            raise ValueError(f"threshold must be nonnegative, got {self.threshold}")
         if self.max_removals is not None and self.max_removals < 0:
             raise ValueError("max_removals must be nonnegative")
 
@@ -89,6 +91,8 @@ def chi_square_threshold(m: int, n: int, confidence: float = 0.975) -> float:
     """Residual-norm threshold for noisy runs from the chi-square quantile."""
     if m <= n:
         raise ValueError("need redundancy m > n for a chi-square bound")
+    if not 0 < confidence < 1:
+        raise ValueError(f"confidence must lie strictly between 0 and 1, got {confidence}")
     from scipy.stats import chi2  # imported here: scipy.stats dominates the package's import time
 
     return float(np.sqrt(chi2.ppf(confidence, df=m - n)))
@@ -107,23 +111,6 @@ def _solve(Hw: np.ndarray, zw: np.ndarray) -> tuple[np.ndarray, float]:
     return x, float(np.linalg.norm(zw - Hw @ x))
 
 
-def wls_estimate(sys: MeasurementSystem, z: np.ndarray) -> np.ndarray:
-    """Minimum weighted-residual state, reference angle pinned at zero."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (sys.m,):
-        raise ValueError(f"measurement vector must have length {sys.m}")
-    Hw, w = _whitened(sys)
-    x, _ = _solve(Hw, z * w)
-    return np.append(x, 0.0)
-
-
-def residual_norm(sys: MeasurementSystem, z: np.ndarray, x: np.ndarray) -> float:
-    """Whitened residual magnitude of state x against measurements z."""
-    H = build_matrix(sys)
-    w = 1.0 / np.sqrt(np.asarray(sys.noise_variance))
-    return float(np.linalg.norm((np.asarray(z) - H @ np.asarray(x)) * w))
-
-
 def _keeps_connected(n: int, pairs: list, removed_positions: set[int]) -> bool:
     return connected(range(n + 1), (p for k, p in enumerate(pairs) if k not in removed_positions))
 
@@ -138,12 +125,14 @@ def detect_and_remove(
     at the first passing one, which is therefore of minimum size. Greedy
     mode repeatedly drops the connectivity-preserving measurement with the
     largest normalized residual. Raises RemovalFailed when no subset
-    within budget passes.
+    within budget passes, ValueError on a wrong-length or non-finite ``z``.
     """
     cfg = cfg or DetectorConfig()
     z = np.asarray(z, dtype=float)
     if z.shape != (sys.m,):
         raise ValueError(f"measurement vector must have length {sys.m}")
+    if not np.isfinite(z).all():
+        raise ValueError("measurement vector must be finite")
     m, n = sys.m, sys.n
     Hw, w = _whitened(sys)
     zw = z * w

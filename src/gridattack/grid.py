@@ -117,8 +117,8 @@ class MeasurementSystem:
         if self.noise_variance:
             if len(self.noise_variance) != len(self.measurements):
                 raise ValueError("noise variance length must match measurement count")
-            if any(v <= 0 for v in self.noise_variance):
-                raise ValueError("noise variances must be positive")
+            if not all(0 < v < np.inf for v in self.noise_variance):
+                raise ValueError("noise variances must be positive and finite")
         else:
             object.__setattr__(
                 self, "noise_variance", (DEFAULT_NOISE_STD**2,) * len(self.measurements)
@@ -199,7 +199,8 @@ class MeasurementGraph:
         Keyed by ("sweep", secure weight, insecure weight), by ("constrained",
         constraint, secure weight, insecure weight), by ("census",), by
         ("split", cut side, cut edges), which holds ``attack._split`` of that
-        cut on this graph's flags, or by ("verify", id(system), truth bytes,
+        cut on this graph's flags (its sorted insecure ids, sorted secure ids
+        and state shift), or by ("verify", id(system), truth bytes,
         detector config, alpha, jammed insecure, jammed secure, injected,
         state shift), which holds (system, {attack type: verdict}, the run's
         verdict). It is held per object, not by value: a value-equal graph

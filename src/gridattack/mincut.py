@@ -313,12 +313,3 @@ class CutSolver:
         value, side = _stoer_wagner(n, self._pair_caps(weights))
         return value, cut_from_side(self._edges, weights, frozenset(self._nodes[i] for i in side))
 
-
-def min_st_cut(g: WeightedGraph, s: int, t: int) -> CutResult:
-    """Minimum weight cut separating s and t; weight equals the max flow."""
-    return CutSolver(g).min_st_cut([e.weight for e in g.edges], s, t)[1]
-
-
-def global_min_cut(g: WeightedGraph) -> CutResult:
-    """Minimum weight cut over all proper bipartitions."""
-    return CutSolver(g).global_min_cut([e.weight for e in g.edges])[1]

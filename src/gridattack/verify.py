@@ -7,8 +7,8 @@ verdict records only what that run did; the attack type judges those facts:
 a hidden plan must leave the residual test silent while shifting the
 estimate; a detectable plan must shift the estimate with at least one
 injected measurement surviving removal and the final residual test
-passing. The run does not depend on the type, so one verdict, re-typed with
-``dataclasses.replace``, judges a plan as any type. The input system's
+passing. The run does not depend on the type, so a copy of its verdict
+with only the type changed judges the plan as any type. The input system's
 matrix is never built: its graph, a superset of the reduced one, is checked
 for observability only when the reduced system fails.
 
@@ -52,9 +52,9 @@ def valid_alpha(alpha: float) -> bool:
 class VerificationVerdict:
     """The facts of one estimator run, judged as ``attack_type``.
 
-    ``matches_declared_type`` (alias ``success``) and ``reason`` are computed
-    from the type and the facts, so ``dataclasses.replace(verdict,
-    attack_type=other)`` judges the same run as ``other``.
+    ``success`` and ``reason`` are computed from the type and the facts, so
+    ``dataclasses.replace(verdict, attack_type=other)`` judges the same run
+    as ``other``.
     """
 
     attack_type: object
@@ -67,15 +67,12 @@ class VerificationVerdict:
     report: Optional[EstimationReport]
 
     @property
-    def matches_declared_type(self) -> bool:
+    def success(self) -> bool:
+        """Whether the run did what the declared attack type requires."""
         if self.attack_type.hidden:
             return self.stealthy and self.estimate_changed
         # the final residual test passed, or removal failed and nothing changed
         return self.estimate_changed and self.survived_injection
-
-    @property
-    def success(self) -> bool:
-        return self.matches_declared_type
 
     @property
     def reason(self) -> Optional[str]:
@@ -154,7 +151,7 @@ def execute(
         plan.jammed_insecure, plan.jammed_secure, plan.injected, plan.injection_state_shift,
     )
     entry = memo.get(key)
-    if entry is None or entry[0] is not sys:
+    if entry is None:  # the entry holds sys, so no other live system can share its id
         verdict = _run(sys, truth, plan, cfg, alpha, None)
         if verdict.report is not None:
             for array in (verdict.final_shift, verdict.report.estimate, verdict.report.final_estimate):
@@ -176,20 +173,22 @@ def _run(
     noise_rng: Optional[np.random.Generator],
 ) -> VerificationVerdict:
     """One estimator run of the plan on checked inputs."""
+    if not np.isfinite(truth).all():  # here, not in execute: a memo hit's key holds checked truth
+        raise ValueError("truth must be finite")
     reduced = remove_measurements(sys, plan.jammed)
     try:
         H = build_matrix(reduced)
     except UnobservableSystem:
         check_observable(sys)  # raises if the input itself is unobservable
         H = None
+    shift = alpha * np.asarray(plan.injection_state_shift, dtype=float)
+    if len(shift) != sys.n + 1:  # before the noise draw, so a mismatch leaves noise_rng as it was
+        raise PlanMismatch("state shift length does not match the system")
     noise = None
     if noise_rng is not None:
         # drawn for every row, jammed ones included, so seeded streams match
         keep = [k for k, meas in enumerate(sys.measurements) if meas.id not in plan.jammed]
         noise = noise_rng.normal(0.0, np.sqrt(np.asarray(sys.noise_variance)))[keep]
-    shift = alpha * np.asarray(plan.injection_state_shift, dtype=float)
-    if len(shift) != sys.n + 1:
-        raise PlanMismatch("state shift length does not match the system")
     if H is None:
         return _failure(plan, observable=False)
     z = H @ truth

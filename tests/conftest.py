@@ -159,10 +159,10 @@ def _exact(value) -> str:
 def describe_verdict(verdict) -> str:
     """Every ``VerificationVerdict`` field and every ``EstimationReport`` field."""
     fields = [
-        f"{name}={_exact(getattr(verdict, name))}"
+        # ``success`` keeps the label the recorded digests were taken under
+        f"{'matches_declared_type' if name == 'success' else name}={_exact(getattr(verdict, name))}"
         for name in ("attack_type", "observability_ok", "stealthy", "estimate_changed",
-                     "survived_injection", "removal_failed", "matches_declared_type",
-                     "final_shift")
+                     "survived_injection", "removal_failed", "success", "final_shift")
     ]
     report = verdict.report
     if report is not None:

@@ -175,8 +175,8 @@ def test_hidden_injection_no_secure_equals_global_min_cut():
         sys_ = random_system(rng, secure_prob=0.0)
         g = ga.build_graph(sys_)
         plan = ga.hidden_injection(g, BASE_COST)
-        unit = ga.WeightedGraph.from_measurement_graph(g, 1.0, 1.0)
-        assert len(plan.cut.edges) == len(ga.global_min_cut(unit).edges)
+        _, unit = ga.CutSolver(g).global_min_cut(class_weights(g, 1.0, 1.0))
+        assert len(plan.cut.edges) == len(unit.edges)
 
 
 def test_detectable_injection_triangle():
@@ -482,8 +482,8 @@ def test_sweep_min_cut_shortcut_matches_pair_sweep():
         for cost in (BASE_COST, random_cost(rng)):
             for weights in ((math.inf, 1.0), (cost.p_jam_secure, cost.p_jam_insecure)):
                 assert attack_module._sweep_min_cut(g, *weights) == _pair_sweep(g, *weights)
-                weighted = ga.WeightedGraph.from_measurement_graph(g, *weights)
-                if ga.global_min_cut(weighted).n_insecure:
+                _, cut = ga.CutSolver(g).global_min_cut(class_weights(g, *weights))
+                if cut.n_insecure:
                     shortcut += 1
                 else:
                     fallback += 1

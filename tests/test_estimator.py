@@ -1,6 +1,8 @@
 """Weighted least squares, detection, and bad-data removal."""
 
+import dataclasses
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -17,6 +19,7 @@ from conftest import random_edge_list, reference_connected, triangle_system, ran
 
 EXHAUSTIVE = ga.DetectorConfig(removal_mode=ga.RemovalMode.EXHAUSTIVE_MINIMAL)
 GREEDY = ga.DetectorConfig(removal_mode=ga.RemovalMode.GREEDY_NORMALIZED_RESIDUAL)
+NEVER = ga.DetectorConfig(threshold=float("inf"))  # the plain WLS solve: no detection, no removal
 
 
 def _random_state(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -32,7 +35,7 @@ def test_wls_recovers_noiseless_state():
         sys_ = random_system(rng_sys)
         H = ga.build_matrix(sys_)
         x = _random_state(rng, sys_.n)
-        got = ga.wls_estimate(sys_, H @ x)
+        got = ga.detect_and_remove(sys_, H @ x, NEVER).estimate
         assert np.max(np.abs(got - x)) < 1e-9
 
 
@@ -44,7 +47,7 @@ def test_wls_hidden_shift_identity():
         H = ga.build_matrix(sys_)
         x = _random_state(rng, sys_.n)
         c = _random_state(rng, sys_.n)
-        got = ga.wls_estimate(sys_, H @ x + H @ c)
+        got = ga.detect_and_remove(sys_, H @ x + H @ c, NEVER).estimate
         assert np.max(np.abs(got - (x + c))) < 1e-9
 
 
@@ -55,7 +58,7 @@ def test_wls_residual_orthogonal_to_columns():
         sys_ = random_system(rng_sys, m=18)
         H = ga.build_matrix(sys_)
         z = H @ _random_state(rng, sys_.n) + rng.normal(0, 0.01, size=sys_.m)
-        x = ga.wls_estimate(sys_, z)
+        x = ga.detect_and_remove(sys_, z, NEVER).estimate
         sigma_inv = 1.0 / np.asarray(sys_.noise_variance)
         normal_eq = H[:, : sys_.n].T @ (sigma_inv * (z - H @ x))
         assert np.max(np.abs(normal_eq)) < 1e-8
@@ -63,8 +66,8 @@ def test_wls_residual_orthogonal_to_columns():
 
 def test_wls_rejects_wrong_length():
     sys_ = triangle_system()
-    with pytest.raises(ValueError):
-        ga.wls_estimate(sys_, np.zeros(5))
+    with pytest.raises(ValueError, match="length 3"):
+        ga.detect_and_remove(sys_, np.zeros(5))
 
 
 def test_clean_vector_not_detected():
@@ -125,20 +128,21 @@ def test_residual_invariance_under_column_space_shift():
         H = ga.build_matrix(sys_)
         z = H @ _random_state(rng, sys_.n) + rng.normal(0, 0.05, size=sys_.m)
         c = _random_state(rng, sys_.n)
-        r_base = ga.residual_norm(sys_, z, ga.wls_estimate(sys_, z))
-        z_shift = z + H @ c
-        r_shift = ga.residual_norm(sys_, z_shift, ga.wls_estimate(sys_, z_shift))
+        r_base = ga.detect_and_remove(sys_, z, NEVER).residual_norm
+        r_shift = ga.detect_and_remove(sys_, z + H @ c, NEVER).residual_norm
         assert abs(r_shift - r_base) <= 1e-9 * max(1.0, r_base)
 
 
 def _passes(sys_, z, removed_ids):
+    """Whether the rest passes the residual test, the residual taken apart from the estimator."""
     reduced = ga.remove_measurements(sys_, removed_ids)
     keep = [k for k, m in enumerate(sys_.measurements) if m.id not in set(removed_ids)]
     try:
-        x = ga.wls_estimate(reduced, z[keep])
+        x = ga.detect_and_remove(reduced, z[keep], NEVER).estimate
     except ga.UnobservableSystem:
         return False
-    return ga.residual_norm(reduced, z[keep], x) <= 1e-6
+    w = 1.0 / np.sqrt(reduced.noise_variance)
+    return np.linalg.norm((z[keep] - ga.build_matrix(reduced) @ x) * w) <= 1e-6
 
 
 def test_exhaustive_removal_is_minimal():
@@ -190,11 +194,47 @@ def test_budget_zero_raises_removal_failed():
         ga.detect_and_remove(sys_, z, cfg)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(list(ga.RemovalMode)),
+       st.sampled_from([ga.DetectorConfig().threshold, 1e-3, 1.0]))
+def test_only_max_removals_makes_removal_fail(rng, mode, threshold):
+    """Without ``max_removals`` removal may go down to a spanning tree, which fits any
+    measurements, so a corrupted, possibly noisy, run never raises RemovalFailed; with
+    one removal fewer than that run made, it always does."""
+    sys_ = random_system(rng, n_buses=rng.randint(1, 5), m=rng.randint(2, 9))
+    np_rng = np.random.default_rng(rng.getrandbits(32))
+    z = ga.build_matrix(sys_) @ _random_state(np_rng, sys_.n)
+    for k in rng.sample(range(sys_.m), rng.randint(1, min(3, sys_.m))):
+        z[k] += rng.choice([-1, 1]) * rng.choice([1e-3, 0.3, 5.0])
+    if rng.random() < 0.3:
+        z += np_rng.normal(0.0, 0.01, size=sys_.m)
+    cfg = ga.DetectorConfig(threshold=threshold, removal_mode=mode)
+    report = ga.detect_and_remove(sys_, z, cfg)
+    assert report.final_residual_norm <= threshold
+    if report.detected:
+        tight = dataclasses.replace(cfg, max_removals=len(report.removed) - 1)
+        with pytest.raises(ga.RemovalFailed):
+            ga.detect_and_remove(sys_, z, tight)
+
+
 def test_detector_threshold_validation():
-    with pytest.raises(ValueError):
-        ga.DetectorConfig(threshold=-1.0)
+    for bad in (-1.0, math.nan):  # a NaN threshold would never detect
+        with pytest.raises(ValueError, match="threshold"):
+            ga.DetectorConfig(threshold=bad)
     with pytest.raises(ValueError):
         ga.DetectorConfig(max_removals=-2)
+    assert not ga.detect_and_remove(triangle_system(), [5.0, 0.0, 0.0], NEVER).detected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_measurement_rejected(bad):
+    """It used to report "not detected" with a NaN residual."""
+    sys_ = triangle_system()
+    z = ga.build_matrix(sys_) @ np.array([0.1, -0.3, 0.0])
+    z[1] = bad
+    for cfg in (EXHAUSTIVE, GREEDY, NEVER):
+        with pytest.raises(ValueError, match="measurement vector must be finite"):
+            ga.detect_and_remove(sys_, z, cfg)
 
 
 def test_chi_square_threshold():
@@ -203,6 +243,9 @@ def test_chi_square_threshold():
     assert loose > tight > 0
     with pytest.raises(ValueError):
         ga.chi_square_threshold(10, 10)
+    for bad in (0.0, 1.0, 1.5, -0.5, math.nan):
+        with pytest.raises(ValueError, match="confidence"):
+            ga.chi_square_threshold(28, 14, confidence=bad)
 
 
 def test_package_import_leaves_scipy_stats_unloaded():

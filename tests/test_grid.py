@@ -252,6 +252,14 @@ def test_susceptance_outside_range_rejected(b):
         )
 
 
+@pytest.mark.parametrize("v", [0.0, -1e-4, float("nan"), float("inf")])
+def test_noise_variance_outside_range_rejected(v):
+    """A NaN variance used to end in a LinAlgError, and an infinite one silently
+    dropped its meter from the residual test."""
+    with pytest.raises(ValueError, match="noise variances"):
+        ga.MeasurementSystem(**{**vars(triangle_system()), "noise_variance": (1e-4, v, 1e-4)})
+
+
 def test_observability_is_decided_by_the_graph():
     """Each system's matrix is built once, read-only; disconnection raises."""
     sys_ = triangle_system()

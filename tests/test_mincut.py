@@ -26,9 +26,19 @@ def _graph(nodes, edges):
     )
 
 
+def _st_cut(g, s, t):
+    """``CutSolver.min_st_cut`` under the weights ``g``'s edges carry."""
+    return ga.CutSolver(g).min_st_cut([e.weight for e in g.edges], s, t)[1]
+
+
+def _global_cut(g):
+    """``CutSolver.global_min_cut`` under the weights ``g``'s edges carry."""
+    return ga.CutSolver(g).global_min_cut([e.weight for e in g.edges])[1]
+
+
 def test_path_st_cut():
     g = _graph([0, 1, 2], [(0, 0, 1, 2.0), (1, 1, 2, 3.0)])
-    cut = ga.min_st_cut(g, 0, 2)
+    cut = _st_cut(g, 0, 2)
     assert cut.edges == (0,)
     assert cut.weight == pytest.approx(2.0)
     assert cut.side_a == frozenset({0})
@@ -39,10 +49,10 @@ def test_triangle_weighted_cuts():
         [0, 1, 2],
         [(0, 1, 2, 0.25, False), (1, 1, 0, 0.5, True), (2, 2, 0, 0.25, False)],
     )
-    cut = ga.global_min_cut(g)
+    cut = _global_cut(g)
     assert cut.weight == pytest.approx(0.5)
     assert cut.edges == (0, 2)
-    st = ga.min_st_cut(g, 1, 2)
+    st = _st_cut(g, 1, 2)
     assert st.weight == pytest.approx(0.5)
 
 
@@ -51,11 +61,11 @@ def test_infinite_weight_absorbing():
         [0, 1, 2],
         [(0, 0, 1, math.inf), (1, 0, 1, 1.0), (2, 1, 2, 5.0)],
     )
-    cut = ga.min_st_cut(g, 0, 2)
+    cut = _st_cut(g, 0, 2)
     assert 0 not in cut.edges
     assert cut.edges == (2,)
     # when every cut is infinite the reported weight is infinite
-    blocked = ga.min_st_cut(_graph([0, 1], [(0, 0, 1, math.inf)]), 0, 1)
+    blocked = _st_cut(_graph([0, 1], [(0, 0, 1, math.inf)]), 0, 1)
     assert math.isinf(blocked.weight)
 
 
@@ -116,13 +126,13 @@ def test_reachability_matches_union_find_reference():
 
 def test_triangle_unit_global_cut():
     tri = _graph([0, 1, 2], [(0, 0, 1, 1.0), (1, 1, 2, 1.0), (2, 0, 2, 1.0)])
-    cut = ga.global_min_cut(tri)
+    cut = _global_cut(tri)
     assert cut.weight == pytest.approx(2.0)
 
 
 def test_star_unit_global_cut():
     star = _graph([0, 1, 2, 3], [(0, 0, 1, 1.0), (1, 0, 2, 1.0), (2, 0, 3, 1.0)])
-    cut = ga.global_min_cut(star)
+    cut = _global_cut(star)
     assert cut.weight == pytest.approx(1.0)
     assert len(cut.edges) == 1
 
@@ -130,19 +140,19 @@ def test_star_unit_global_cut():
 def test_tie_prefers_fewer_edges():
     # cut {e0} and cut {e1,e2} both weigh 1.0; fewer edges wins
     g = _graph([0, 1, 2], [(0, 0, 1, 1.0), (1, 1, 2, 0.5), (2, 1, 2, 0.5)])
-    cut = ga.global_min_cut(g)
+    cut = _global_cut(g)
     assert cut.edges == (0,)
 
 
 def test_tie_prefers_lexicographically_smallest_ids():
     tri = _graph([0, 1, 2], [(0, 0, 1, 1.0), (1, 1, 2, 1.0), (2, 0, 2, 1.0)])
-    cut = ga.global_min_cut(tri)
+    cut = _global_cut(tri)
     assert cut.edges == (0, 1)
 
 
 def test_parallel_edges_reported_individually():
     g = _graph([0, 1], [(0, 0, 1, 1.0), (1, 0, 1, 1.0), (2, 0, 1, 1.0)])
-    cut = ga.min_st_cut(g, 0, 1)
+    cut = _st_cut(g, 0, 1)
     assert cut.edges == (0, 1, 2)
     assert cut.weight == pytest.approx(3.0)
 
@@ -177,7 +187,7 @@ def test_global_min_matches_enumeration():
         with_inf += any(math.isinf(e.weight) for e in g.edges)
         with_parallel += len({(e.u, e.v) for e in g.edges}) < len(g.edges)
         want = min(all_cuts(g), key=lambda c: _tie_break_key(g, c))
-        got = ga.global_min_cut(g)
+        got = _global_cut(g)
         assert got.edges == want.edges
         assert got.weight == want.weight
         # enumeration never puts the first node in its side; the solver always does
@@ -188,7 +198,7 @@ def test_global_min_matches_enumeration():
 
 def test_global_min_disconnected_reports_first_component():
     g = _graph([0, 1, 2, 3], [(0, 0, 1, 1.0), (1, 2, 3, 1.0)])
-    cut = ga.global_min_cut(g)
+    cut = _global_cut(g)
     assert cut.edges == () and cut.weight == 0
     assert cut.side_a == frozenset({0, 1})
 
@@ -196,14 +206,14 @@ def test_global_min_disconnected_reports_first_component():
 def test_global_min_when_infinite_edges_join_every_node():
     """Infinite edges join every node: each cut is infinite, and the tie-break still holds."""
     g = _graph([0, 1, 2], [(0, 0, 1, math.inf), (1, 1, 2, math.inf), (2, 0, 2, 1.0)])
-    cut = ga.global_min_cut(g)
+    cut = _global_cut(g)
     want = min(all_cuts(g), key=lambda c: _tie_break_key(g, c))
     assert cut.edges == want.edges == (0, 2)
     assert math.isinf(cut.weight)
     assert cut.side_a == frozenset({0})
     # two components, each joined by an infinite edge: the first node's component, at weight 0
     split = _graph([0, 1, 2, 3], [(0, 0, 1, math.inf), (1, 2, 3, math.inf)])
-    cut = ga.global_min_cut(split)
+    cut = _global_cut(split)
     assert cut.edges == () and cut.weight == 0
     assert cut.side_a == frozenset({0, 1})
 
@@ -353,7 +363,7 @@ def test_packing_memo_follows_weights_edited_in_place():
             edges.append(ga.WeightedEdge(3 * eid + 2, u, v, weight, secure))
         rng.shuffle(edges)
         g = ga.WeightedGraph(nodes=tuple(range(n)), edges=tuple(edges))
-        disconnected += ga.global_min_cut(g).edges == ()
+        disconnected += _global_cut(g).edges == ()
         solver = ga.CutSolver(g)
         weights = [e.weight for e in edges]
         solver.global_min_cut(weights)
@@ -387,7 +397,7 @@ def test_st_cut_rejects_unknown_node():
     g = _graph([0, 1, 2], [(0, 0, 1, 1.0), (1, 1, 2, 1.0)])
     for s, t in ((0, 5), (5, 0)):
         with pytest.raises(ValueError, match="node 5"):
-            ga.min_st_cut(g, s, t)
+            _st_cut(g, s, t)
 
 
 def test_long_path_lightest_edge():
@@ -396,10 +406,10 @@ def test_long_path_lightest_edge():
     weights = [1.0 + ((37 * k + 500) % (n - 1)) / n for k in range(n - 1)]
     g = _graph(range(n), [(k, k, k + 1, w) for k, w in enumerate(weights)])
     lightest = min(range(n - 1), key=weights.__getitem__)
-    st = ga.min_st_cut(g, 0, n - 1)
+    st = _st_cut(g, 0, n - 1)
     assert st.edges == (lightest,)
     assert st.side_a == frozenset(range(lightest + 1))
-    glob = ga.global_min_cut(g)
+    glob = _global_cut(g)
     assert glob.edges == (lightest,)
     assert glob.side_a == frozenset(range(lightest + 1))
 
@@ -434,7 +444,7 @@ def test_st_min_matches_enumeration():
         cuts = all_cuts(g)
         for s, t in itertools.combinations(nodes, 2):
             want = _min_enumerated(g, separating=(s, t))
-            got = ga.min_st_cut(g, s, t)
+            got = _st_cut(g, s, t)
             assert got.weight == pytest.approx(want, abs=1e-12)
             assert (s in got.side_a) != (t in got.side_a)
             _assert_st_exact(g, cuts, s, t, got)
@@ -451,7 +461,7 @@ def test_st_min_matches_enumeration():
         g = ga.WeightedGraph(nodes=tuple(rng.sample(range(n), n)), edges=tuple(edges))
         cuts = all_cuts(g)
         for s, t in itertools.permutations(g.nodes, 2):
-            got = ga.min_st_cut(g, s, t)
+            got = _st_cut(g, s, t)
             assert (s in got.side_a) != (t in got.side_a)
             seen["apart"] += _assert_st_exact(g, cuts, s, t, got)
             seen["infinite"] += math.isinf(got.weight)
@@ -472,7 +482,7 @@ def test_duality_against_independent_flow_solver():
             caps[index[e.v], index[e.u]] += round(e.weight * 10**6)
         s, t = rng.sample(list(g.nodes), 2)
         flow = maximum_flow(csr_matrix(caps), index[s], index[t]).flow_value
-        cut = ga.min_st_cut(g, s, t)
+        cut = _st_cut(g, s, t)
         assert cut.weight == pytest.approx(flow / 10**6, abs=1e-6)
 
 
@@ -481,7 +491,7 @@ def test_weight_equals_member_sum():
     for _ in range(20):
         g = random_weighted_graph(rng)
         by_id = {e.id: e for e in g.edges}
-        cut = ga.global_min_cut(g)
+        cut = _global_cut(g)
         assert cut.weight == pytest.approx(sum(by_id[i].weight for i in cut.edges))
         assert cut.n_secure + cut.n_insecure == len(cut.edges)
 
@@ -490,9 +500,9 @@ def test_determinism():
     rng = random.Random(15)
     for _ in range(10):
         g = random_weighted_graph(rng)
-        assert ga.global_min_cut(g) == ga.global_min_cut(g)
+        assert _global_cut(g) == _global_cut(g)
         s, t = list(g.nodes)[:2]
-        assert ga.min_st_cut(g, s, t) == ga.min_st_cut(g, s, t)
+        assert _st_cut(g, s, t) == _st_cut(g, s, t)
 
 
 def test_negative_weight_rejected():

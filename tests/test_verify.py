@@ -121,6 +121,29 @@ def test_truth_reference_pinned():
         ga.execute(sys_, np.array([0.0, 0.0, 1.0]), plan, EXHAUSTIVE)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_execute_rejects_non_finite_truth(bad):
+    """On the memo path, the noisy path and a hand-built plan, and nothing is kept."""
+    sys_ = triangle_system()
+    plan = ga.hidden_generalized(ga.build_graph(sys_), ga.CostModel(1, 0.5, 0.25))
+    truth = np.array([0.1, bad, 0.0])
+    for p, rng in ((plan, None), (plan, np.random.default_rng(0)),
+                   (dataclasses.replace(plan, graph=None), None)):
+        with pytest.raises(ValueError, match="truth must be finite"):
+            ga.execute(sys_, truth, p, EXHAUSTIVE, noise_rng=rng)
+    assert not [key for key in plan.graph.cut_memo if key[0] == "verify"]
+
+
+def test_plan_mismatch_leaves_noise_rng_untouched():
+    sys_ = triangle_system()
+    plan = dataclasses.replace(_noop_plan(ga.build_graph(sys_)), injection_state_shift=(0, 0))
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    with pytest.raises(ga.PlanMismatch, match="state shift length"):
+        ga.execute(sys_, np.zeros(3), plan, EXHAUSTIVE, noise_rng=rng)
+    assert rng.bit_generator.state == before
+
+
 def test_observability_break_reported_not_raised():
     sys_ = triangle_system()
     g = ga.build_graph(sys_)
