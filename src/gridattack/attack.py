@@ -213,6 +213,11 @@ def _memoized(graph: MeasurementGraph, key: tuple, search: Callable[[], object])
     return memo[key]
 
 
+def _solver(graph: MeasurementGraph) -> CutSolver:
+    """The graph object's one ``CutSolver``, shared by all its cut searches."""
+    return _memoized(graph, ("solver",), lambda: CutSolver(graph))
+
+
 def _sweep_min_cut(graph: MeasurementGraph, secure_w: float, insecure_w: float) -> Optional[CutResult]:
     """Lightest cut through some insecure edge, by an s-t sweep over them.
 
@@ -230,11 +235,11 @@ def _sweep_min_cut(graph: MeasurementGraph, secure_w: float, insecure_w: float) 
 
 
 def _sweep(graph: MeasurementGraph, secure_w: float, insecure_w: float) -> Optional[CutResult]:
-    pairs = _insecure_pairs(graph)
+    pairs = _memoized(graph, ("insecure pairs",), lambda: _insecure_pairs(graph))
     if not pairs:
         return None
     weights = [secure_w if e.secure else insecure_w for e in graph.edges]
-    solver = CutSolver(graph)
+    solver = _solver(graph)
     _, cut = solver.global_min_cut(weights)
     if cut.n_insecure:
         s = next(s for s, t in pairs if (s in cut.side_a) != (t in cut.side_a))
@@ -254,7 +259,7 @@ def _secure_free_min_cut(graph: MeasurementGraph) -> Optional[CutResult]:
 
 
 def constrained_min_cut(
-    graph, weights: Sequence[float], constraint: CutConstraint
+    graph: MeasurementGraph, weights: Sequence[float], constraint: CutConstraint
 ) -> Union[CutResult, NoSolutionFound]:
     """Iterative minimum-weight cut subject to a composition constraint.
 
@@ -267,9 +272,10 @@ def constrained_min_cut(
 
     It stops on a satisfied cut, an infinite one (every cut crosses a boosted
     edge) or an empty one (a disconnected graph); each boost hits a new edge.
+    It runs on the graph's one solver, kept in its ``cut_memo``.
     """
     slot = {e.id: k for k, e in enumerate(graph.edges)}  # edge id -> its weight's index
-    solver = CutSolver(graph)
+    solver = _solver(graph)
     working = list(weights)
     while True:
         _, cut = solver.global_min_cut(working)

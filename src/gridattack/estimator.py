@@ -26,6 +26,7 @@ subset, estimate and residual returned are those of the unscreened search.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -33,9 +34,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import RemovalFailed
-from .grid import MeasurementSystem, build_matrix, connected
+from .grid import MeasurementSystem, build_matrix, connected, unchecked
 
 DEFAULT_THRESHOLD = 1e-6
+
+# The largest whitened measurement |z_k| / sigma_k accepted. Its square, summed
+# over any practical number of rows and divided by the removal screen's
+# eigenvalue floor, stays finite, so no residual or screen value overflows.
+WHITENED_LIMIT = 1e100
 
 # The removal screen's margin (see the module docstring): a share of J, and
 # a share of |zw|^2 for the rounding of r itself when the measurements dwarf
@@ -108,7 +114,8 @@ def _whitened(sys: MeasurementSystem) -> tuple[np.ndarray, np.ndarray]:
 def _solve(Hw: np.ndarray, zw: np.ndarray) -> tuple[np.ndarray, float]:
     """Least squares on whitened rows; returns free angles and residual norm."""
     x, *_ = np.linalg.lstsq(Hw, zw, rcond=None)
-    return x, float(np.linalg.norm(zw - Hw @ x))
+    r = zw - Hw @ x
+    return x, math.sqrt(r @ r)  # numpy's norm of a vector, as a float
 
 
 def _keeps_connected(n: int, pairs: list, removed_positions: set[int]) -> bool:
@@ -125,16 +132,19 @@ def detect_and_remove(
     at the first passing one, which is therefore of minimum size. Greedy
     mode repeatedly drops the connectivity-preserving measurement with the
     largest normalized residual. Raises RemovalFailed when no subset
-    within budget passes, ValueError on a wrong-length or non-finite ``z``.
+    within budget passes, ValueError on a wrong-length ``z`` or one with an
+    entry that is not finite or exceeds ``WHITENED_LIMIT`` once whitened.
     """
     cfg = cfg or DetectorConfig()
     z = np.asarray(z, dtype=float)
     if z.shape != (sys.m,):
         raise ValueError(f"measurement vector must have length {sys.m}")
-    if not np.isfinite(z).all():
-        raise ValueError("measurement vector must be finite")
-    m, n = sys.m, sys.n
     Hw, w = _whitened(sys)
+    if not (np.abs(z) <= WHITENED_LIMIT / w).all():  # before z * w can overflow
+        raise ValueError(
+            f"measurement vector must be finite, with |z_k| / sigma_k at most {WHITENED_LIMIT:g}"
+        )
+    m, n = sys.m, sys.n
     zw = z * w
     x0, r0 = _solve(Hw, zw)
     detected = r0 > cfg.threshold
@@ -150,12 +160,15 @@ def detect_and_remove(
                 f"no connectivity-preserving removal of up to {budget} measurements passes"
             )
         removed, x_final, r_final = found
-    return EstimationReport(
-        estimate=np.append(x0, 0.0),
+    estimate, final_estimate = np.zeros(n + 1), np.zeros(n + 1)  # the reference angle stays 0
+    estimate[:n], final_estimate[:n] = x0, x_final
+    return unchecked(
+        EstimationReport,
+        estimate=estimate,
         residual_norm=r0,
         detected=detected,
         removed=frozenset(sys.measurements[k].id for k in removed),
-        final_estimate=np.append(x_final, 0.0),
+        final_estimate=final_estimate,
         final_residual_norm=r_final,
     )
 

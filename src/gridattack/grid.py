@@ -193,14 +193,19 @@ class MeasurementGraph:
 
     @cached_property
     def cut_memo(self) -> dict:
-        """Cut searches, cut splits and estimator runs already done on this
-        graph object, for the designers, the oracle and ``verify.execute``.
+        """Cut searches, cut splits, oracle tables and estimator runs already
+        done on this graph object, for the designers, the oracle and
+        ``verify.execute``.
 
-        Keyed by ("sweep", secure weight, insecure weight), by ("constrained",
-        constraint, secure weight, insecure weight), by ("census",), by
-        ("split", cut side, cut edges), which holds ``attack._split`` of that
-        cut on this graph's flags (its sorted insecure ids, sorted secure ids
-        and state shift), or by ("verify", id(system), truth bytes,
+        Keyed by ("solver",), the graph's one ``CutSolver``; ("insecure
+        pairs",), its sorted insecure node pairs; ("sweep", secure weight,
+        insecure weight) and ("constrained", constraint, secure weight,
+        insecure weight), a cut search's result; ("split", cut side, cut
+        edges), ``attack._split`` of that cut on this graph's flags;
+        ("census",), the oracle's sides as node bitmasks and its classes;
+        ("prices", attack type), that type's oracle table of (ki, kji, kjs,
+        side) rows; ("witness", ki, kji, kjs, side), a witness plan's fields
+        but its type and total; or ("verify", id(system), truth bytes,
         detector config, alpha, jammed insecure, jammed secure, injected,
         state shift), which holds (system, {attack type: verdict}, the run's
         verdict). It is held per object, not by value: a value-equal graph
@@ -295,13 +300,14 @@ def remove_measurements(sys: MeasurementSystem, ids: Iterable[int]) -> Measureme
     )
 
 
-def unchecked(cls, **fields):
+def unchecked(cls, shared=(), /, **fields):
     """An instance of a frozen dataclass built without running ``__post_init__``.
 
     Only for values whose checks are known to pass, such as rows and
-    systems derived from checked ones. Every field must be given; a cached
-    property may be given its value too.
+    systems derived from checked ones. Every field must be given, in the
+    ``shared`` mapping or by keyword; a cached property may be given its
+    value too.
     """
     obj = object.__new__(cls)
-    obj.__dict__.update(fields)
+    obj.__dict__.update(shared, **fields)
     return obj

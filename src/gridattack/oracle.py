@@ -10,102 +10,173 @@ each count class is priced once.
 Census order: with ``others = graph.nodes[1:]``, mask ``1 .. 2**len(others)
 - 1`` puts ``others[i]`` on ``side_a`` when bit ``i`` is set; the first node
 (the reference) is never on ``side_a``. Cuts appear in increasing mask order.
-This census is the package's one cut enumeration; sides are tested by ``_reach``.
+This census is the package's one cut enumeration. It keeps each side as a
+bitmask over ``graph.nodes``, tests the connectivity of every node set at
+once on bitsets, and counts a cut's class by popcount: the XOR of its
+nodes' incident-edge masks holds exactly its edges. A ``CutResult`` is
+built, at unit weights, only for a witness.
 
-Tie-breaks. The witness is the first census cut of the cheapest class; of
-classes tied in value, the one whose first cut comes earlier wins. Within a
-class the counts are the first minimum in (inject, jam-insecure,
-jam-secure) order, each cost summed as ``p_inject*ki + p_jam_insecure*kji +
-p_jam_secure*kjs``.
+The price table of an attack type lists the admissible (inject,
+jam-insecure, jam-secure) counts of every class, classes in census order and
+counts in (inject, jam-insecure) order. A candidate is dropped when an
+earlier kept one is no larger in every count. That is exact: costs are
+positive, and a rounded product or sum never falls as an operand grows, so
+the dropped candidate is never strictly cheaper, and a tie keeps the earlier
+one anyway. Two shortcuts drop only what that rule drops: a detectable
+class stops at the first inject count that needs no jam, and a class with
+at least as many secure and insecure edges as an earlier class with an
+insecure majority is skipped. The census, the tables and each witness's
+actions depend only on the graph's structure and are kept in its
+``cut_memo``; a call only prices its table.
+
+Tie-breaks. A call prices each candidate as ``p_inject*ki +
+p_jam_insecure*kji + p_jam_secure*kjs`` and takes the first minimum. So of
+classes tied in value, the one whose first cut comes earlier wins, and
+within a class the counts are the first minimum in (inject, jam-insecure,
+jam-secure) order. The witness is the first census cut of the winning
+class.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Iterator, Union
 
 from .attack import AttackPlan, AttackType, CostModel, Infeasible, _memoized, _plan
 from .errors import TooLarge
-from .grid import MeasurementGraph
-from .mincut import CutResult, _reach
+from .grid import MeasurementGraph, cut_edges, unchecked
+from .mincut import CutResult
 
 MAX_ORACLE_NODES = 12
 
 # hidden types that cannot touch a secure edge, so a cut with one is out
 _NO_SECURE_JAM = (AttackType.HIDDEN_INJECTION, AttackType.HIDDEN_JAMMING)
 
-Census = tuple[tuple[CutResult, ...], tuple[tuple[tuple[int, int], int], ...]]
+# every connected cut's side as a node bitmask, in census order, and each
+# (n_secure, n_insecure) class with the census index of its first cut
+Census = tuple[tuple[int, ...], tuple[tuple[tuple[int, int], int], ...]]
 
 
 def _cut_census(graph: MeasurementGraph) -> Census:
-    """Every unit-weight cut whose two sides both induce connected subgraphs.
+    """Every cut whose two sides both induce connected subgraphs, by its side.
 
-    Also returns, for each (n_secure, n_insecure) class, the census index of
-    its first cut, in order of that index. Taken once per graph object and
-    kept in its ``cut_memo``.
+    Taken once per graph object and kept in its ``cut_memo``.
     """
     return _memoized(graph, ("census",), lambda: _take_census(graph))
 
 
 def _take_census(graph: MeasurementGraph) -> Census:
+    n = len(graph.nodes)
     position = {v: i for i, v in enumerate(graph.nodes)}
-    adjacent = [0] * len(graph.nodes)
-    ends = []
-    for e in sorted(graph.edges, key=lambda e: e.id):
-        bu, bv = 1 << position[e.u], 1 << position[e.v]
-        adjacent[position[e.u]] |= bv
-        adjacent[position[e.v]] |= bu
-        ends.append((e.id, bu | bv, e.secure))
-    others = graph.nodes[1:]
-    full = (1 << len(graph.nodes)) - 1
-    cuts: list[CutResult] = []
+    neighbours: list[set[int]] = [set() for _ in range(n)]
+    incident = [0] * n  # node -> its edges, bit k for graph.edges[k]
+    secure = 0
+    for k, e in enumerate(graph.edges):
+        a, b = position[e.u], position[e.v]
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+        incident[a] ^= 1 << k
+        incident[b] ^= 1 << k
+        secure |= e.secure << k
+    connected = _connected_sets(neighbours)
+    size = 1 << n
+    # bit s of the reversal is bit (size - 1) ^ s: whether the rest of s is connected
+    rest_connected = int(f"{connected:0{size}b}"[::-1], 2)
+    # a side is nonempty and lacks the first node: the even bits of (2**size - 1) // 3, less bit 0
+    bonds = connected & rest_connected & ((1 << size) - 1) // 3 >> 1 << 1
+    crossing = [0]  # the cut edges of every set of others
+    for mask in incident[1:]:
+        crossing += [seen ^ mask for seen in crossing]
+    sides: list[int] = []
     firsts: dict[tuple[int, int], int] = {}
-    for mask in range(1, 1 << len(others)):
-        side = mask << 1
-        rest = full ^ side  # holds the first node, bit 0
-        if _reach(side & -side, adjacent, side) != side or _reach(1, adjacent, rest) != rest:
-            continue
-        members = [(i, sec) for i, both, sec in ends if (side & both) not in (0, both)]
-        n_sec = sum(1 for _, sec in members if sec)
-        key = (n_sec, len(members) - n_sec)
-        firsts.setdefault(key, len(cuts))
-        cuts.append(CutResult(
-            side_a=frozenset(v for i, v in enumerate(others) if mask >> i & 1),
-            edges=tuple(i for i, _ in members),
-            weight=float(len(members)),
-            n_secure=key[0],
-            n_insecure=key[1],
-        ))
-    return tuple(cuts), tuple(firsts.items())
+    while bonds:
+        low = bonds & -bonds
+        bonds ^= low
+        side = low.bit_length() - 1
+        edges = crossing[side >> 1]
+        n_sec = (edges & secure).bit_count()
+        firsts.setdefault((n_sec, edges.bit_count() - n_sec), len(sides))
+        sides.append(side)
+    return tuple(sides), tuple(firsts.items())
 
 
-def _best_split(
-    attack_type: AttackType, n_sec: int, n_ins: int, cost: CostModel
-) -> Optional[tuple[float, tuple[int, int, int]]]:
-    """Cheapest admissible (inject, jam-insecure, jam-secure) counts for a cut."""
-    p_i, p_s, p_sc = cost.p_inject, cost.p_jam_secure, cost.p_jam_insecure
+def _connected_sets(neighbours: list[set[int]]) -> int:
+    """Bit s is set when node set s induces a connected subgraph (the empty set included).
+
+    Every node set is searched at once: ``reached[v]`` holds, as bit s, whether
+    s holds v and v is joined inside s to the lowest node of s. It starts at
+    the sets whose lowest node is v and grows by the neighbours' bits until
+    nothing changes.
+    """
+    n = len(neighbours)
+    every = (1 << (1 << n)) - 1
+    # bit s of member[v] says whether s holds v: runs of 2**v clear and set bits
+    member = [every // ((1 << (2 << v)) - 1) * (((1 << (1 << v)) - 1) << (1 << v)) for v in range(n)]
+    reached, below = [], 0
+    for held in member:
+        reached.append(held & ~below)
+        below |= held
+    while True:
+        before = reached[:]
+        for v, near in enumerate(neighbours):
+            grown = reached[v]
+            for u in near:
+                grown |= reached[u]
+            reached[v] = grown & member[v]
+        if reached == before:
+            break
+    connected = every
+    for held, got in zip(member, reached):
+        connected &= got | (every ^ held)
+    return connected
+
+
+def _census_cut(graph: MeasurementGraph, side: int) -> CutResult:
+    """The unit-weight cut of a census side."""
+    return cut_edges(graph, (v for i, v in enumerate(graph.nodes) if side >> i & 1))
+
+
+def _splits(attack_type: AttackType, n_sec: int, n_ins: int) -> Iterator[tuple[int, int, int]]:
+    """The admissible (inject, jam-insecure, jam-secure) counts of a cut class, in
+    (inject, jam-insecure) order, less those an earlier one of the class dominates."""
     if n_ins == 0 or (n_sec and attack_type in _NO_SECURE_JAM):
-        return None
+        return
     if attack_type is AttackType.HIDDEN_INJECTION:
-        return p_i * n_ins, (n_ins, 0, 0)
-    best: Optional[tuple[float, tuple[int, int, int]]] = None
-    if attack_type.hidden:
+        yield n_ins, 0, 0
+    elif attack_type.hidden:
         # whole cut touched: secure edges all jammed, insecure split inject/jam
         for ki in range(1, n_ins + 1):
-            value = p_i * ki + p_sc * (n_ins - ki) + p_s * n_sec
-            if best is None or value < best[0]:
-                best = (float(value), (ki, n_ins - ki, n_sec))
-        return best
-    # detectable: injected edges must strictly outnumber the untouched residue,
-    # so kji + kjs >= need; a jam beyond need only adds cost
-    jam_ins_max = 0 if attack_type is AttackType.DETECTABLE_INJECTION else n_ins
-    jam_sec_max = n_sec if attack_type is AttackType.DETECTABLE_GENERALIZED else 0
-    for ki in range(1, n_ins + 1):
-        need = max(0, n_sec + n_ins - 2 * ki + 1)
-        for kji in range(max(0, need - jam_sec_max), min(jam_ins_max, n_ins - ki, need) + 1):
-            value = p_i * ki + p_sc * kji + p_s * (need - kji)
-            if best is None or value < best[0]:
-                best = (float(value), (ki, kji, need - kji))
-    return best
+            yield ki, n_ins - ki, n_sec
+    else:
+        # detectable: injected edges must strictly outnumber the untouched
+        # residue, so kji + kjs >= need; a jam beyond need only adds cost, and
+        # past the first ki with need 0, (ki, 0, 0) only grows
+        jam_ins_max = 0 if attack_type is AttackType.DETECTABLE_INJECTION else n_ins
+        jam_sec_max = n_sec if attack_type is AttackType.DETECTABLE_GENERALIZED else 0
+        for ki in range(1, min(n_ins, (n_sec + n_ins + 2) // 2) + 1):
+            need = max(0, n_sec + n_ins - 2 * ki + 1)
+            for kji in range(max(0, need - jam_sec_max), min(jam_ins_max, n_ins - ki, need) + 1):
+                yield ki, kji, need - kji
+
+
+def _take_table(graph: MeasurementGraph, attack_type: AttackType) -> list[tuple[int, int, int, int]]:
+    """The type's undominated candidates as (ki, kji, kjs, census side)."""
+    sides, classes = _cut_census(graph)
+    kept: list[tuple[int, int, int, int]] = []
+    majorities: list[tuple[int, int]] = []  # earlier classes with an insecure majority
+    for (n_sec, n_ins), first in classes:
+        for s, n in majorities:
+            if s <= n_sec and n <= n_ins:
+                break  # each candidate of this class is dominated by one of that class
+        else:
+            if n_sec < n_ins:
+                majorities.append((n_sec, n_ins))
+            for a, b, c in _splits(attack_type, n_sec, n_ins):
+                for x, y, z, _ in kept:
+                    if x <= a and y <= b and z <= c:
+                        break
+                else:
+                    kept.append((a, b, c, sides[first]))
+    return kept
 
 
 def optimal_cost(
@@ -114,15 +185,25 @@ def optimal_cost(
     """True minimum attack cost and a witness plan, by full enumeration (TooLarge past the cap)."""
     if len(graph.nodes) > MAX_ORACLE_NODES:
         raise TooLarge(f"{len(graph.nodes)} nodes exceeds the oracle cap {MAX_ORACLE_NODES}")
-    cuts, classes = _cut_census(graph)
-    best: Optional[tuple[float, int, tuple[int, int, int]]] = None
-    for (n_sec, n_ins), first in classes:  # in census order, so a tie keeps the earlier
-        found = _best_split(attack_type, n_sec, n_ins, cost)
-        if found is not None and (best is None or found[0] < best[0]):
-            best = (found[0], first, found[1])
-    if best is None:
+    memo = graph.cut_memo
+    table = memo.get(("prices", attack_type))
+    if table is None:
+        table = memo["prices", attack_type] = _take_table(graph, attack_type)
+    if not table:
         return Infeasible(f"no cut admits a {attack_type.value} attack")
-    value, first, counts = best
-    plan = _plan(attack_type, graph, cuts[first], cost, *counts)
-    assert abs(plan.total_cost - value) < 1e-9
-    return value, plan
+    p_i, p_s, p_sc = cost.p_inject, cost.p_jam_secure, cost.p_jam_insecure
+    values = [p_i * a + p_sc * b + p_s * c for a, b, c, _ in table]
+    best = values.index(min(values))
+    a, b, c, side = candidate = table[best]
+    # a witness's actions depend only on its cut and counts, so they are built
+    # once per graph object for every type that meets them; its total is the
+    # value, summed as _plan sums it
+    actions = memo.get(("witness", *candidate))
+    if actions is None:
+        plan = _plan(attack_type, graph, _census_cut(graph, side), cost, a, b, c)
+        actions = memo["witness", *candidate] = {
+            k: v for k, v in vars(plan).items() if k not in ("attack_type", "total_cost")}
+    value = values[best]
+    plan = unchecked(AttackPlan, actions, attack_type=attack_type, total_cost=value)
+    # hidden injection reports the bare product, the other types a float
+    return (p_i * a if attack_type is AttackType.HIDDEN_INJECTION else float(value)), plan

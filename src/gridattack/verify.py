@@ -30,7 +30,7 @@ import numpy as np
 
 from .attack import AttackPlan
 from .errors import PlanMismatch, RemovalFailed, UnobservableSystem
-from .estimator import DetectorConfig, EstimationReport, detect_and_remove
+from .estimator import WHITENED_LIMIT, DetectorConfig, EstimationReport, detect_and_remove
 from .grid import MeasurementSystem, build_matrix, check_observable, remove_measurements, unchecked
 
 ESTIMATE_CHANGE_TOL = 1e-6
@@ -121,7 +121,9 @@ def execute(
     ``ValueError``. ``noise_rng`` optionally adds measurement noise to the
     clean base vector (verification is noiseless by default).
 
-    Inputs are checked on every call. A noiseless call with ``plan.graph``
+    Inputs are checked on every call; a ``truth`` entry that is not finite
+    or exceeds ``estimator.WHITENED_LIMIT`` in magnitude raises
+    ``ValueError`` before the run. A noiseless call with ``plan.graph``
     set returns the run kept in that graph's ``cut_memo`` as the entry's
     verdict for ``plan.attack_type``, or runs the estimator and keeps the
     verdict with its arrays made read-only. A noisy call always runs and
@@ -173,8 +175,11 @@ def _run(
     noise_rng: Optional[np.random.Generator],
 ) -> VerificationVerdict:
     """One estimator run of the plan on checked inputs."""
-    if not np.isfinite(truth).all():  # here, not in execute: a memo hit's key holds checked truth
-        raise ValueError("truth must be finite")
+    # here, not in execute: a memo hit's key holds checked truth. Within the
+    # limit, H @ truth cannot overflow (two entries per row, each at most 1e6),
+    # and the estimator bounds the measurements themselves.
+    if not (np.abs(truth) <= WHITENED_LIMIT).all():
+        raise ValueError(f"truth must be finite, at most {WHITENED_LIMIT:g} in magnitude")
     reduced = remove_measurements(sys, plan.jammed)
     try:
         H = build_matrix(reduced)
@@ -202,7 +207,8 @@ def _run(
 
     final_shift = report.final_estimate - truth
     estimate_changed = bool(np.max(np.abs(final_shift[:-1])) > ESTIMATE_CHANGE_TOL)
-    return VerificationVerdict(
+    return unchecked(
+        VerificationVerdict,
         attack_type=plan.attack_type,
         observability_ok=True,
         stealthy=not report.detected,

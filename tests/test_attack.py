@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import gridattack as ga
 from gridattack import attack as attack_module
 from gridattack.attack import AttackType
+from gridattack.grid import GraphEdge
 from conftest import all_cuts, triangle_graph, random_cost, random_system
 
 BASE_COST = ga.CostModel(1.0, 0.5, 0.25)
@@ -518,12 +519,10 @@ def test_constrained_min_cut_case_b_unsatisfiable():
 @pytest.mark.parametrize("constraint", list(ga.CutConstraint))
 def test_constrained_min_cut_empty_global_cut_gives_up(constraint):
     """A disconnected graph's global cut is empty, so there is no edge to boost."""
-    disconnected = ga.WeightedGraph(
-        nodes=(0, 1, 2), edges=(ga.WeightedEdge(0, 0, 1, 1.0, secure=True),)
-    )
-    edgeless = ga.WeightedGraph(nodes=(0, 1), edges=())
+    disconnected = ga.MeasurementGraph(nodes=(0, 1, 2), edges=(GraphEdge(0, 0, 1, secure=True),))
+    edgeless = ga.MeasurementGraph(nodes=(0, 1), edges=())
     for g in (disconnected, edgeless):
-        result = ga.constrained_min_cut(g, [e.weight for e in g.edges], constraint)
+        result = ga.constrained_min_cut(g, [1.0] * len(g.edges), constraint)
         assert isinstance(result, ga.NoSolutionFound)
         assert result.reason == "the global cut is empty: the graph is disconnected"
 

@@ -80,3 +80,44 @@ def test_repeated_oracle_units_redo_their_matrix_work(tmp_path, monkeypatch):
         assert tally.failed == 0, tally.errors
         counts.append(len(built))
     assert counts[0] > 0 and counts[0] == counts[1]
+
+
+def test_repeated_oracle_units_redo_their_structural_work(tmp_path, monkeypatch):
+    """Census, price tables and cut solver live in each graph object's memo: every unit
+    builds its own graphs, so each takes its own, and a value-equal graph shares none."""
+    built = {"census": 0, "table": 0, "solver": 0}
+
+    def counting(name, real):
+        def run(*args, **kwargs):
+            built[name] += 1
+            return real(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(oracle, "_take_census", counting("census", oracle._take_census))
+    monkeypatch.setattr(oracle, "_take_table", counting("table", oracle._take_table))
+    monkeypatch.setattr(mincut.CutSolver, "__init__",
+                        counting("solver", mincut.CutSolver.__init__))
+    work = workloads.OracleWorkload(batch=3)
+    work.prepare(seed=1, out_dir=tmp_path)
+    for _ in range(2):
+        built.update(census=0, table=0, solver=0)
+        tally = workloads.Tally()
+        work.run_unit(tally)
+        assert tally.failed == 0, tally.errors
+        # one census, one table per attack type and one solver per graph
+        assert built == {"census": 3, "table": 3 * len(AttackType), "solver": 3}
+    system, costs = work.inputs[0]
+    graph, twin = grid.build_graph(system), grid.build_graph(system)
+    assert twin == graph and twin is not graph
+
+    def check(g):
+        for attack_type in AttackType:
+            attack.design(attack_type, g, costs[0])
+            oracle.optimal_cost(g, costs[0], attack_type)
+
+    check(graph)
+    built.update(census=0, table=0, solver=0)
+    check(graph)
+    assert built == {"census": 0, "table": 0, "solver": 0}
+    check(twin)
+    assert built == {"census": 1, "table": len(AttackType), "solver": 1}

@@ -237,6 +237,51 @@ def test_non_finite_measurement_rejected(bad):
             ga.detect_and_remove(sys_, z, cfg)
 
 
+@pytest.mark.parametrize("huge", [5e307, -1e308, 1e101])
+def test_measurement_past_whitened_limit_rejected(huge):
+    """z * w used to overflow with a RuntimeWarning and report "not detected" with a
+    NaN residual; now the check raises first. At sigma 0.01, 1e101 is past the limit."""
+    for cfg in (EXHAUSTIVE, GREEDY, NEVER):
+        with pytest.raises(ValueError, match="measurement vector must be finite"):
+            ga.detect_and_remove(triangle_system(), [huge, 0.0, 0.0], cfg)
+
+
+def test_measurement_at_whitened_limit_runs_without_overflow():
+    """|z_k| / sigma_k equal to the limit runs through detection and both removals
+    without a RuntimeWarning, which the test configuration turns into an error."""
+    sys_ = triangle_system()
+    sigma = np.sqrt(np.asarray(sys_.noise_variance))
+    finished = 0
+    for signs in ((1, 0, 0), (1, 1, -1), (-1, 1, 1)):
+        z = estimator.WHITENED_LIMIT * sigma * np.array(signs)
+        for cfg in (EXHAUSTIVE, GREEDY, NEVER):
+            try:
+                report = ga.detect_and_remove(sys_, z, cfg)
+            except ga.RemovalFailed:  # no subset passes the 1e-6 threshold at this scale
+                continue
+            assert math.isfinite(report.residual_norm)
+            assert np.isfinite(report.final_estimate).all()
+            finished += 1
+    assert finished >= 5
+
+
+def test_report_keeps_numpy_norm_and_reference_column():
+    """The residual is numpy's vector norm, bit for bit, and each estimate is its own
+    array with the reference angle 0 appended."""
+    rng = random.Random(58)
+    for _ in range(30):
+        sys_ = random_system(rng)
+        z = np.array([rng.uniform(-1, 1) for _ in range(sys_.m)])
+        report = ga.detect_and_remove(sys_, z, NEVER)
+        Hw, w = estimator._whitened(sys_)
+        x = np.linalg.lstsq(Hw, z * w, rcond=None)[0]
+        assert report.residual_norm == float(np.linalg.norm(z * w - Hw @ x))
+        assert type(report.residual_norm) is float
+        assert report.estimate.tobytes() == np.append(x, 0.0).tobytes()
+        assert report.estimate is not report.final_estimate
+        assert report.final_estimate.tobytes() == report.estimate.tobytes()
+
+
 def test_chi_square_threshold():
     loose = ga.chi_square_threshold(28, 14, confidence=0.99)
     tight = ga.chi_square_threshold(28, 14, confidence=0.9)

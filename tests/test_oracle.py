@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import gridattack as ga
 from gridattack import estimator, oracle
 from gridattack.attack import AttackType
+from gridattack.grid import GraphEdge
 from conftest import all_cuts, reference_connected, triangle_graph, random_cost, random_system
 
 EXHAUSTIVE = ga.DetectorConfig(removal_mode=ga.RemovalMode.EXHAUSTIVE_MINIMAL)
@@ -99,7 +100,7 @@ def test_oracle_detectable_needs_insecure_majority_cut():
     assert value == pytest.approx(1 + 2 * 0.8)
 
 
-# --- references: the oracle's earlier numpy-grid split and frozenset census ---
+# --- references: the oracle's earlier splits, class loop and frozenset census ---
 
 
 def _reference_best_split(attack_type, n_sec, n_ins, cost):
@@ -147,23 +148,160 @@ def _reference_census(graph):
     ]
 
 
+def _loop_best_split(attack_type, n_sec, n_ins, cost):
+    """Cheapest admissible counts of one class by the oracle's earlier two loops."""
+    p_i, p_s, p_sc = cost.p_inject, cost.p_jam_secure, cost.p_jam_insecure
+    if n_ins == 0 or (n_sec and attack_type in (AttackType.HIDDEN_INJECTION,
+                                                AttackType.HIDDEN_JAMMING)):
+        return None
+    if attack_type is AttackType.HIDDEN_INJECTION:
+        return p_i * n_ins, (n_ins, 0, 0)
+    best = None
+    if attack_type.hidden:
+        for ki in range(1, n_ins + 1):
+            value = p_i * ki + p_sc * (n_ins - ki) + p_s * n_sec
+            if best is None or value < best[0]:
+                best = (float(value), (ki, n_ins - ki, n_sec))
+        return best
+    jam_ins_max = 0 if attack_type is AttackType.DETECTABLE_INJECTION else n_ins
+    jam_sec_max = n_sec if attack_type is AttackType.DETECTABLE_GENERALIZED else 0
+    for ki in range(1, n_ins + 1):
+        need = max(0, n_sec + n_ins - 2 * ki + 1)
+        for kji in range(max(0, need - jam_sec_max), min(jam_ins_max, n_ins - ki, need) + 1):
+            value = p_i * ki + p_sc * kji + p_s * (need - kji)
+            if best is None or value < best[0]:
+                best = (float(value), (ki, kji, need - kji))
+    return best
+
+
+def _loop_candidates(attack_type, n_sec, n_ins):
+    """Every admissible count triple of one class, in the earlier loops' order."""
+    if n_ins == 0 or (n_sec and attack_type in (AttackType.HIDDEN_INJECTION,
+                                                AttackType.HIDDEN_JAMMING)):
+        return []
+    if attack_type is AttackType.HIDDEN_INJECTION:
+        return [(n_ins, 0, 0)]
+    if attack_type.hidden:
+        return [(ki, n_ins - ki, n_sec) for ki in range(1, n_ins + 1)]
+    jam_ins_max = 0 if attack_type is AttackType.DETECTABLE_INJECTION else n_ins
+    jam_sec_max = n_sec if attack_type is AttackType.DETECTABLE_GENERALIZED else 0
+    found = []
+    for ki in range(1, n_ins + 1):
+        need = max(0, n_sec + n_ins - 2 * ki + 1)
+        for kji in range(max(0, need - jam_sec_max), min(jam_ins_max, n_ins - ki, need) + 1):
+            found.append((ki, kji, need - kji))
+    return found
+
+
+def _reference_classes(cuts):
+    """Each (n_secure, n_insecure) class with the index of its first cut, in census order."""
+    firsts = {}
+    for index, cut in enumerate(cuts):
+        firsts.setdefault((cut.n_secure, cut.n_insecure), index)
+    return list(firsts.items())
+
+
+def _loop_optimum(cuts, attack_type, cost):
+    """The earlier class loop: (value, first cut, counts) of the first cheapest class, or None."""
+    best = None
+    for (n_sec, n_ins), first in _reference_classes(cuts):
+        found = _loop_best_split(attack_type, n_sec, n_ins, cost)
+        if found is not None and (best is None or found[0] < best[0]):
+            best = (found[0], cuts[first], found[1])
+    return best
+
+
+def _counts(plan):
+    return len(plan.injected), len(plan.jammed_insecure), len(plan.jammed_secure)
+
+
+def _census_cuts(graph):
+    """Every census cut, materialized as the oracle does for a witness."""
+    sides, _ = oracle._cut_census(graph)
+    return [oracle._census_cut(graph, side) for side in sides]
+
+
 BOUNDARY_COSTS = [(1, .5, .5), (1, .8, .4), (2, 1, 1), (1, 1, 1), (1, .75, .5)]
 
 
+def _one_class_graph(n_sec, n_ins):
+    """Two nodes joined by n_sec secure and n_ins insecure edges: one cut, of that class."""
+    edges = tuple(GraphEdge(k, 1, 0, secure=k < n_sec) for k in range(n_sec + n_ins))
+    return ga.MeasurementGraph(nodes=(0, 1), edges=edges)
+
+
 def test_best_split_matches_numpy_grid():
+    """The oracle prices a one-cut graph of each class as the full 3-D count grid does."""
     rng = random.Random(54)
     costs = [random_cost(rng, interval) for interval in ga.CostInterval]
     costs += [ga.CostModel(*triple) for triple in BOUNDARY_COSTS]
+    graphs = {(n_sec, n_ins): _one_class_graph(n_sec, n_ins)
+              for n_sec in range(25) for n_ins in range(25)}
     compared = 0
     for cost in costs:
         for t in AttackType:
-            for n_sec in range(25):
-                for n_ins in range(25):
-                    got = oracle._best_split(t, n_sec, n_ins, cost)
-                    want = _reference_best_split(t, n_sec, n_ins, cost)
-                    assert repr(got) == repr(want), (cost, t, n_sec, n_ins)
-                    compared += 1
+            for (n_sec, n_ins), graph in graphs.items():
+                found = ga.optimal_cost(graph, cost, t)
+                got = None if isinstance(found, ga.Infeasible) else (found[0], _counts(found[1]))
+                want = _reference_best_split(t, n_sec, n_ins, cost)
+                assert repr(got) == repr(want), (cost, t, n_sec, n_ins)
+                compared += 1
     assert compared == 8 * 6 * 625
+
+
+TIE_PRONE_COSTS = [(1, .5, .5), (1, 1, 1), (2, 1, 1), (1., 1., 1.), (1, .5, .25), (2, 2, 1)]
+
+
+def test_pricing_matches_class_loop_reference():
+    """Value repr, counts and witness cut equal the earlier class loop over the
+    frozenset census, on random graphs under boundary, tie-prone and random costs."""
+    rng = random.Random(56)
+    compared = ties = 0
+    for k in range(120):
+        n_buses = rng.randint(1, 9)
+        sys_ = random_system(rng, n_buses=n_buses, m=rng.randint(max(n_buses, 2), 18))
+        graph = ga.build_graph(sys_)
+        cuts = _reference_census(graph)
+        costs = [ga.CostModel(*t) for t in BOUNDARY_COSTS + TIE_PRONE_COSTS]
+        costs += [random_cost(rng, interval) for interval in ga.CostInterval]
+        for cost in costs:
+            for t in AttackType:
+                want = _loop_optimum(cuts, t, cost)
+                got = ga.optimal_cost(graph, cost, t)
+                if want is None:
+                    assert isinstance(got, ga.Infeasible), (k, cost, t)
+                    continue
+                value, plan = got
+                assert repr(value) == repr(want[0]), (k, cost, t)
+                assert _counts(plan) == want[2], (k, cost, t)
+                a, b, c = want[2]  # the total is summed as attack._plan sums it
+                total = cost.p_inject * a + cost.p_jam_insecure * b + cost.p_jam_secure * c
+                assert repr(plan.total_cost) == repr(total), (k, cost, t)
+                assert plan.cut == want[1], (k, cost, t)
+                assert plan.attack_type is t and plan.graph is graph
+                values = [v[0] for v in (_loop_best_split(t, *key, cost)
+                                         for key, _ in _reference_classes(cuts)) if v]
+                ties += values.count(min(values)) > 1
+                compared += 1
+    assert compared >= 8000 and ties >= 700
+
+
+def test_price_table_follows_the_dominance_rule():
+    """Each table is every class's admissible counts, in census order, less each one
+    an earlier kept one is no larger than in every count."""
+    rng = random.Random(57)
+    for k in range(150):
+        n_buses = rng.randint(1, 11)
+        sys_ = random_system(rng, n_buses=n_buses, m=rng.randint(max(n_buses, 2), 22))
+        graph = ga.build_graph(sys_)
+        sides, classes = oracle._cut_census(graph)
+        for t in AttackType:
+            kept = []
+            for (n_sec, n_ins), first in classes:
+                for a, b, c in _loop_candidates(t, n_sec, n_ins):
+                    if not any(x <= a and y <= b and z <= c for x, y, z, _ in kept):
+                        kept.append((a, b, c, sides[first]))
+            assert oracle._take_table(graph, t) == kept, (k, t)
 
 
 def test_census_matches_frozenset_reference():
@@ -173,13 +311,10 @@ def test_census_matches_frozenset_reference():
         n_buses = 11 if k % 10 == 0 else rng.randint(1, 11)
         sys_ = random_system(rng, n_buses=n_buses, m=rng.randint(max(n_buses, 2), 22))
         graph = ga.build_graph(sys_)
-        cuts, classes = oracle._cut_census(graph)
+        _, classes = oracle._cut_census(graph)
         want = _reference_census(graph)
-        assert list(cuts) == want
-        firsts = {}
-        for index, cut in enumerate(want):
-            firsts.setdefault((cut.n_secure, cut.n_insecure), index)
-        assert list(classes) == list(firsts.items())
+        assert _census_cuts(graph) == want
+        assert list(classes) == _reference_classes(want)
         twelve += len(graph.nodes) == 12
         pairs = [frozenset((e.u, e.v)) for e in graph.edges]
         parallel += len(set(pairs)) < len(pairs)
@@ -191,7 +326,7 @@ def test_oracle_witness_is_earliest_census_cut_among_tied_classes(secure):
     # cuts of side {1} and side {2} fall in classes (1, 1) and (0, 2), which
     # tie at 1.5 under hidden-generalized (1, .5, .5); side {1} comes first
     graph = triangle_graph(secure=secure)
-    cuts, classes = oracle._cut_census(graph)
+    cuts = _census_cuts(graph)
     assert [sorted(c.side_a) for c in cuts] == [[1], [2], [1, 2]]
     assert {cuts[0].n_secure, cuts[1].n_secure} == {0, 1}
     value, plan = ga.optimal_cost(graph, ga.CostModel(1, .5, .5), AttackType.HIDDEN_GENERALIZED)

@@ -134,6 +134,20 @@ def test_execute_rejects_non_finite_truth(bad):
     assert not [key for key in plan.graph.cut_memo if key[0] == "verify"]
 
 
+@pytest.mark.parametrize("huge", [1e308, -1e101])
+def test_execute_rejects_truth_past_the_limit(huge):
+    """H @ truth used to overflow with a RuntimeWarning and a NaN residual; now the
+    check raises first, on every path, and nothing is kept."""
+    sys_ = triangle_system()
+    plan = ga.hidden_generalized(ga.build_graph(sys_), ga.CostModel(1, 0.5, 0.25))
+    truth = np.array([huge, 0.0, 0.0])
+    for p, rng in ((plan, None), (plan, np.random.default_rng(0)),
+                   (dataclasses.replace(plan, graph=None), None)):
+        with pytest.raises(ValueError, match="truth must be finite"):
+            ga.execute(sys_, truth, p, EXHAUSTIVE, noise_rng=rng)
+    assert not [key for key in plan.graph.cut_memo if key[0] == "verify"]
+
+
 def test_plan_mismatch_leaves_noise_rng_untouched():
     sys_ = triangle_system()
     plan = dataclasses.replace(_noop_plan(ga.build_graph(sys_)), injection_state_shift=(0, 0))
