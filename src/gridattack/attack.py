@@ -139,14 +139,13 @@ def classify_interval(cost: CostModel) -> CostInterval:
     return CostInterval.III
 
 
-def _split(graph: MeasurementGraph, cut: CutResult) -> tuple[list, list, tuple]:
+def _split(graph: MeasurementGraph, side: frozenset, edges: tuple) -> tuple[list, list, tuple]:
     """A cut's sorted insecure ids, its sorted secure ids, and its state shift:
     the 0-1 indicator of the reference-free side, reference last."""
     by_id = graph.edges_by_id
-    ids = sorted(cut.edges)
+    ids = sorted(edges)
     ins = [i for i in ids if not by_id[i].secure]
     sec = [i for i in ids if by_id[i].secure]
-    side = cut.side_a
     if REFERENCE_BUS in side:
         side = frozenset(graph.nodes) - side
     vec = [0] * len(graph.nodes)
@@ -173,7 +172,7 @@ def _plan(
     The three slices are disjoint cut members by construction, so the checks
     are on counts.
     """
-    ins, sec, shift = _memoized(graph, ("split", cut.side_a, cut.edges), lambda: _split(graph, cut))
+    ins, sec, shift = _memoized(graph, ("split", cut.side_a, cut.edges), _split)
     assert k_inject + k_jam_insecure <= len(ins) and k_jam_secure <= len(sec)
     inj = frozenset(ins[:k_inject])
     jam_i = frozenset(ins[k_inject : k_inject + k_jam_insecure])
@@ -205,20 +204,23 @@ def _insecure_pairs(graph: MeasurementGraph) -> list[tuple[int, int]]:
     return sorted({tuple(sorted((e.u, e.v))) for e in graph.edges if not e.secure})
 
 
-def _memoized(graph: MeasurementGraph, key: tuple, search: Callable[[], object]):
-    """The result of ``search()``, run once per graph object and key."""
-    memo = graph.cut_memo
+def _memoized(graph: MeasurementGraph, key: tuple, search: Callable[..., object]):
+    """``search(graph, *key[1:])``, run once per graph object and key.
+
+    A key is a tag and then every argument of the search after the graph, so
+    no input can be left out of it. This module's entry of the graph's
+    ``cut_memo`` keeps the result under one of these keys: ("solver",), the
+    one ``CutSolver`` of all its searches; ("insecure pairs",); ("sweep",
+    secure weight, insecure weight); ("constrained", constraint, secure
+    weight, insecure weight); ("split", cut side, cut edges).
+    """
+    memo = graph.cut_memo["attack"]
     if key not in memo:
-        memo[key] = search()
+        memo[key] = search(graph, *key[1:])
     return memo[key]
 
 
-def _solver(graph: MeasurementGraph) -> CutSolver:
-    """The graph object's one ``CutSolver``, shared by all its cut searches."""
-    return _memoized(graph, ("solver",), lambda: CutSolver(graph))
-
-
-def _sweep_min_cut(graph: MeasurementGraph, secure_w: float, insecure_w: float) -> Optional[CutResult]:
+def _sweep(graph: MeasurementGraph, secure_w: float, insecure_w: float) -> Optional[CutResult]:
     """Lightest cut through some insecure edge, by an s-t sweep over them.
 
     Every cut separating the endpoints of an insecure edge contains that
@@ -226,20 +228,13 @@ def _sweep_min_cut(graph: MeasurementGraph, secure_w: float, insecure_w: float) 
     exact. When the global minimum cut already holds an insecure edge it
     is the sweep's answer, reported from the side of the first insecure
     pair it separates, as that pair's s-t cut would be. Returns None when
-    the graph has no insecure edges. Memoized on the graph object.
+    the graph has no insecure edges.
     """
-    return _memoized(
-        graph, ("sweep", secure_w, insecure_w),
-        lambda: _sweep(graph, secure_w, insecure_w),
-    )
-
-
-def _sweep(graph: MeasurementGraph, secure_w: float, insecure_w: float) -> Optional[CutResult]:
-    pairs = _memoized(graph, ("insecure pairs",), lambda: _insecure_pairs(graph))
+    pairs = _memoized(graph, ("insecure pairs",), _insecure_pairs)
     if not pairs:
         return None
     weights = [secure_w if e.secure else insecure_w for e in graph.edges]
-    solver = _solver(graph)
+    solver = _memoized(graph, ("solver",), CutSolver)
     _, cut = solver.global_min_cut(weights)
     if cut.n_insecure:
         s = next(s for s, t in pairs if (s in cut.side_a) != (t in cut.side_a))
@@ -252,7 +247,7 @@ def _sweep(graph: MeasurementGraph, secure_w: float, insecure_w: float) -> Optio
 
 def _secure_free_min_cut(graph: MeasurementGraph) -> Optional[CutResult]:
     """Minimum-cardinality cut with no secure edges, or None."""
-    cut = _sweep_min_cut(graph, secure_w=INFINITY, insecure_w=1.0)
+    cut = _memoized(graph, ("sweep", INFINITY, 1.0), _sweep)
     if cut is None or math.isinf(cut.weight):
         return None
     return cut
@@ -275,7 +270,7 @@ def constrained_min_cut(
     It runs on the graph's one solver, kept in its ``cut_memo``.
     """
     slot = {e.id: k for k, e in enumerate(graph.edges)}  # edge id -> its weight's index
-    solver = _solver(graph)
+    solver = _memoized(graph, ("solver",), CutSolver)
     working = list(weights)
     while True:
         _, cut = solver.global_min_cut(working)
@@ -326,7 +321,7 @@ def _single_injection_plan(
     attack_type: AttackType, graph: MeasurementGraph, cost: CostModel
 ) -> Union[AttackPlan, Infeasible]:
     """Inject one insecure edge of the lightest jamming-cost cut and jam the rest."""
-    cut = _sweep_min_cut(graph, cost.p_jam_secure, cost.p_jam_insecure)
+    cut = _memoized(graph, ("sweep", cost.p_jam_secure, cost.p_jam_insecure), _sweep)
     if cut is None:
         return Infeasible("no insecure measurement to inject into")
     return _plan(attack_type, graph, cut, cost, 1, cut.n_insecure - 1, cut.n_secure)
@@ -346,15 +341,18 @@ def _constrained_plan(
     The search is memoized on the graph object, so designers that share a
     constraint and weights on one graph run it once.
     """
-    found = _memoized(
-        graph, ("constrained", constraint, secure_w, insecure_w),
-        lambda: constrained_min_cut(
-            graph, [secure_w if e.secure else insecure_w for e in graph.edges], constraint
-        ),
-    )
+    found = _memoized(graph, ("constrained", constraint, secure_w, insecure_w), _class_search)
     if isinstance(found, NoSolutionFound):
         return found
     return _plan(attack_type, graph, found, cost, *counts(found))
+
+
+def _class_search(
+    graph: MeasurementGraph, constraint: CutConstraint, secure_w: float, insecure_w: float
+) -> Union[CutResult, NoSolutionFound]:
+    """``constrained_min_cut`` with each secure edge at one weight, each insecure one at another."""
+    weights = [secure_w if e.secure else insecure_w for e in graph.edges]
+    return constrained_min_cut(graph, weights, constraint)
 
 
 def _case_a(

@@ -11,6 +11,7 @@ when its edges form a cut of that graph.
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -28,6 +29,13 @@ DEFAULT_NOISE_STD = 0.01
 # Flow susceptances outside this range defeat the 1e-6 residual test: at
 # 1e10 against unit angle meters, rounding alone left a residual of 7e-6.
 SUSCEPTANCE_RANGE = (1e-6, 1e6)
+
+
+# Noise variances outside this range (sigma from 1e-6 to 1e6, the span of
+# SUSCEPTANCE_RANGE) are refused at construction: near 1e-300 an ordinary 1e-3
+# measurement whitens past estimator.WHITENED_LIMIT, which would raise only
+# at estimation time.
+NOISE_VARIANCE_RANGE = (1e-12, 1e12)
 
 
 def valid_susceptance(b: float) -> bool:
@@ -117,8 +125,9 @@ class MeasurementSystem:
         if self.noise_variance:
             if len(self.noise_variance) != len(self.measurements):
                 raise ValueError("noise variance length must match measurement count")
-            if not all(0 < v < np.inf for v in self.noise_variance):
-                raise ValueError("noise variances must be positive and finite")
+            lo, hi = NOISE_VARIANCE_RANGE
+            if not all(lo <= v <= hi for v in self.noise_variance):
+                raise ValueError(f"noise variances must lie in [{lo:g}, {hi:g}]")
         else:
             object.__setattr__(
                 self, "noise_variance", (DEFAULT_NOISE_STD**2,) * len(self.measurements)
@@ -192,26 +201,18 @@ class MeasurementGraph:
         return tuple(e.id for e in self.edges if not e.secure)
 
     @cached_property
-    def cut_memo(self) -> dict:
-        """Cut searches, cut splits, oracle tables and estimator runs already
-        done on this graph object, for the designers, the oracle and
-        ``verify.execute``.
+    def cut_memo(self) -> defaultdict:
+        """Work already done on this graph object, one dict per owning module,
+        under its name; no module reads or writes another's.
 
-        Keyed by ("solver",), the graph's one ``CutSolver``; ("insecure
-        pairs",), its sorted insecure node pairs; ("sweep", secure weight,
-        insecure weight) and ("constrained", constraint, secure weight,
-        insecure weight), a cut search's result; ("split", cut side, cut
-        edges), ``attack._split`` of that cut on this graph's flags;
-        ("census",), the oracle's sides as node bitmasks and its classes;
-        ("prices", attack type), that type's oracle table of (ki, kji, kjs,
-        side) rows; ("witness", ki, kji, kjs, side), a witness plan's fields
-        but its type and total; or ("verify", id(system), truth bytes,
-        detector config, alpha, jammed insecure, jammed secure, injected,
-        state shift), which holds (system, {attack type: verdict}, the run's
-        verdict). It is held per object, not by value: a value-equal graph
-        built separately starts with an empty memo.
+        "attack" keeps the graph's ``CutSolver``, its cut searches and cut
+        splits; "oracle" its census, price tables and witness actions;
+        "verify" its noiseless estimator runs. Each module documents its own
+        keys. No entry refers to the graph, so dropping the last reference to
+        the graph frees it at once. It is held per object, not by value: a
+        value-equal graph built separately starts with an empty memo.
         """
-        return {}
+        return defaultdict(dict)
 
     def state_index(self, node: int) -> int:
         """Column position of a node: bus i -> i-1, reference -> last."""

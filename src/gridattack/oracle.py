@@ -26,8 +26,10 @@ one anyway. Two shortcuts drop only what that rule drops: a detectable
 class stops at the first inject count that needs no jam, and a class with
 at least as many secure and insecure edges as an earlier class with an
 insecure majority is skipped. The census, the tables and each witness's
-actions depend only on the graph's structure and are kept in its
-``cut_memo``; a call only prices its table.
+actions depend only on the graph's structure, so this module's entry in the
+graph's ``cut_memo`` keeps them: "census"; each attack type's table, under
+the type; and each witness's actions but its type, total and graph, under
+its (ki, kji, kjs, census side) row. A call only prices its table.
 
 Tie-breaks. A call prices each candidate as ``p_inject*ki +
 p_jam_insecure*kji + p_jam_secure*kjs`` and takes the first minimum. So of
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 from typing import Iterator, Union
 
-from .attack import AttackPlan, AttackType, CostModel, Infeasible, _memoized, _plan
+from .attack import AttackPlan, AttackType, CostModel, Infeasible, _plan
 from .errors import TooLarge
 from .grid import MeasurementGraph, cut_edges, unchecked
 from .mincut import CutResult
@@ -56,15 +58,8 @@ _NO_SECURE_JAM = (AttackType.HIDDEN_INJECTION, AttackType.HIDDEN_JAMMING)
 Census = tuple[tuple[int, ...], tuple[tuple[tuple[int, int], int], ...]]
 
 
-def _cut_census(graph: MeasurementGraph) -> Census:
-    """Every cut whose two sides both induce connected subgraphs, by its side.
-
-    Taken once per graph object and kept in its ``cut_memo``.
-    """
-    return _memoized(graph, ("census",), lambda: _take_census(graph))
-
-
 def _take_census(graph: MeasurementGraph) -> Census:
+    """Every cut whose two sides both induce connected subgraphs, by its side."""
     n = len(graph.nodes)
     position = {v: i for i, v in enumerate(graph.nodes)}
     neighbours: list[set[int]] = [set() for _ in range(n)]
@@ -158,9 +153,9 @@ def _splits(attack_type: AttackType, n_sec: int, n_ins: int) -> Iterator[tuple[i
                 yield ki, kji, need - kji
 
 
-def _take_table(graph: MeasurementGraph, attack_type: AttackType) -> list[tuple[int, int, int, int]]:
+def _take_table(census: Census, attack_type: AttackType) -> list[tuple[int, int, int, int]]:
     """The type's undominated candidates as (ki, kji, kjs, census side)."""
-    sides, classes = _cut_census(graph)
+    sides, classes = census
     kept: list[tuple[int, int, int, int]] = []
     majorities: list[tuple[int, int]] = []  # earlier classes with an insecure majority
     for (n_sec, n_ins), first in classes:
@@ -185,10 +180,12 @@ def optimal_cost(
     """True minimum attack cost and a witness plan, by full enumeration (TooLarge past the cap)."""
     if len(graph.nodes) > MAX_ORACLE_NODES:
         raise TooLarge(f"{len(graph.nodes)} nodes exceeds the oracle cap {MAX_ORACLE_NODES}")
-    memo = graph.cut_memo
-    table = memo.get(("prices", attack_type))
+    memo = graph.cut_memo["oracle"]
+    table = memo.get(attack_type)
     if table is None:
-        table = memo["prices", attack_type] = _take_table(graph, attack_type)
+        if "census" not in memo:
+            memo["census"] = _take_census(graph)
+        table = memo[attack_type] = _take_table(memo["census"], attack_type)
     if not table:
         return Infeasible(f"no cut admits a {attack_type.value} attack")
     p_i, p_s, p_sc = cost.p_inject, cost.p_jam_secure, cost.p_jam_insecure
@@ -197,13 +194,14 @@ def optimal_cost(
     a, b, c, side = candidate = table[best]
     # a witness's actions depend only on its cut and counts, so they are built
     # once per graph object for every type that meets them; its total is the
-    # value, summed as _plan sums it
-    actions = memo.get(("witness", *candidate))
+    # value, summed as _plan sums it. The graph is set per call: kept in the
+    # graph's own memo, it would make a cycle only the cyclic collector frees.
+    actions = memo.get(candidate)
     if actions is None:
         plan = _plan(attack_type, graph, _census_cut(graph, side), cost, a, b, c)
-        actions = memo["witness", *candidate] = {
-            k: v for k, v in vars(plan).items() if k not in ("attack_type", "total_cost")}
+        actions = memo[candidate] = {
+            k: v for k, v in vars(plan).items() if k not in ("attack_type", "total_cost", "graph")}
     value = values[best]
-    plan = unchecked(AttackPlan, actions, attack_type=attack_type, total_cost=value)
+    plan = unchecked(AttackPlan, actions, attack_type=attack_type, total_cost=value, graph=graph)
     # hidden injection reports the bare product, the other types a float
     return (p_i * a if attack_type is AttackType.HIDDEN_INJECTION else float(value)), plan

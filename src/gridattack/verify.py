@@ -12,13 +12,16 @@ with only the type changed judges the plan as any type. The input system's
 matrix is never built: its graph, a superset of the reduced one, is checked
 for observability only when the reduced system fails.
 
-A noiseless run of a designed plan is kept, with read-only arrays, in the
-``cut_memo`` of the graph object the plan was designed on, and every plan on
-that graph with the same inputs to the run reuses it. Every input check
-runs on every call, on the system's id set and noise sigma cached per system
-object. The entry keeps one verdict per attack type, each made once as a copy
-of the run's verdict with only the type changed, so a hit is a lookup. Noisy
-calls never read or write the memo, and nothing is stored on the system.
+A noiseless run of a designed plan is kept, with read-only arrays, in this
+module's entry of the ``cut_memo`` of the graph object the plan was designed
+on. Keyed by (id(system), truth bytes, detector config, alpha, jammed
+insecure, jammed secure, injected, state shift), it holds (system, {attack
+type: verdict}, the run's verdict), and every plan on that graph with the
+same inputs to the run reuses it. Every input check runs on every call, on
+the system's id set and noise sigma cached per system object. The entry
+keeps one verdict per attack type, each made once as a copy of the run's
+verdict with only the type changed, so a hit is a lookup. Noisy calls never
+read or write the memo, and nothing is stored on the system.
 """
 
 from __future__ import annotations
@@ -123,11 +126,9 @@ def execute(
 
     Inputs are checked on every call; a ``truth`` entry that is not finite
     or exceeds ``estimator.WHITENED_LIMIT`` in magnitude raises
-    ``ValueError`` before the run. A noiseless call with ``plan.graph``
-    set returns the run kept in that graph's ``cut_memo`` as the entry's
-    verdict for ``plan.attack_type``, or runs the estimator and keeps the
-    verdict with its arrays made read-only. A noisy call always runs and
-    keeps nothing.
+    ``ValueError`` before the run. A noiseless call with ``plan.graph`` set
+    reuses or keeps its run as the module docstring says; a noisy call
+    always runs and keeps nothing.
     """
     known = sys.ids
     if not (known.issuperset(plan.cut.edges) and plan.injected <= known
@@ -147,9 +148,9 @@ def execute(
     if noise_rng is not None or plan.graph is None:
         return _run(sys, truth, plan, cfg, alpha, noise_rng)
 
-    memo = plan.graph.cut_memo
+    memo = plan.graph.cut_memo["verify"]
     key = (
-        "verify", id(sys), truth.tobytes(), cfg or _DEFAULT_CONFIG, alpha,
+        id(sys), truth.tobytes(), cfg or _DEFAULT_CONFIG, alpha,
         plan.jammed_insecure, plan.jammed_secure, plan.injected, plan.injection_state_shift,
     )
     entry = memo.get(key)

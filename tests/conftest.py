@@ -1,13 +1,14 @@
 """Shared builders and references.
 
 Builders: a triangle example, random systems and random cost triples.
-Describers: every field of a verdict, at full precision.
+Describers: every field of a design result or a verdict, at full precision.
 References kept apart from the package code they check: a dict union-find
 for connectivity and a brute-force cut enumeration.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from typing import Optional
 
@@ -154,6 +155,18 @@ def _exact(value) -> str:
     if isinstance(value, frozenset):
         return repr(sorted(value))
     return repr(value)
+
+
+def describe_plan(result) -> str:
+    """Every field of a design result at full precision, its cut's included; a
+    plan's graph is left out, as plan equality leaves it out."""
+    if not isinstance(result, ga.AttackPlan):
+        return repr(result)
+    fields = [f"{f.name}={_exact(getattr(result, f.name))}"
+              for f in dataclasses.fields(result) if f.name not in ("cut", "graph")]
+    fields += [f"cut.{f.name}={_exact(getattr(result.cut, f.name))}"
+               for f in dataclasses.fields(result.cut)]
+    return " ".join(fields)
 
 
 def describe_verdict(verdict) -> str:

@@ -482,7 +482,8 @@ def test_sweep_min_cut_shortcut_matches_pair_sweep():
             continue
         for cost in (BASE_COST, random_cost(rng)):
             for weights in ((math.inf, 1.0), (cost.p_jam_secure, cost.p_jam_insecure)):
-                assert attack_module._sweep_min_cut(g, *weights) == _pair_sweep(g, *weights)
+                found = attack_module._memoized(g, ("sweep", *weights), attack_module._sweep)
+                assert found == _pair_sweep(g, *weights)
                 _, cut = ga.CutSolver(g).global_min_cut(class_weights(g, *weights))
                 if cut.n_insecure:
                     shortcut += 1

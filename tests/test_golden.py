@@ -187,7 +187,7 @@ def test_census_digest():
     """Every census cut, in order, and every class with its first index, on the same batch."""
     h = hashlib.sha256()
     for k, graph, _ in _random_batch():
-        sides, classes = oracle._cut_census(graph)
+        sides, classes = oracle._take_census(graph)
         for cut in (oracle._census_cut(graph, side) for side in sides):
             h.update(
                 f"{k} side={sorted(cut.side_a)} edges={cut.edges} weight={cut.weight!r} "

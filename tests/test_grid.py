@@ -1,6 +1,7 @@
 """Measurement model, matrix construction, and cut extraction."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -252,11 +253,13 @@ def test_susceptance_outside_range_rejected(b):
         )
 
 
-@pytest.mark.parametrize("v", [0.0, -1e-4, float("nan"), float("inf")])
+@pytest.mark.parametrize("v", [0.0, -1e-4, float("nan"), float("inf"), 1e-300, 1e300])
 def test_noise_variance_outside_range_rejected(v):
-    """A NaN variance used to end in a LinAlgError, and an infinite one silently
-    dropped its meter from the residual test."""
-    with pytest.raises(ValueError, match="noise variances"):
+    """A NaN variance used to end in a LinAlgError, an infinite one silently
+    dropped its meter from the residual test, and one near 1e-300 raised only
+    at estimation time, once an ordinary measurement whitened past the limit."""
+    lo, hi = grid_module.NOISE_VARIANCE_RANGE
+    with pytest.raises(ValueError, match=re.escape(f"noise variances must lie in [{lo:g}, {hi:g}]")):
         ga.MeasurementSystem(**{**vars(triangle_system()), "noise_variance": (1e-4, v, 1e-4)})
 
 
