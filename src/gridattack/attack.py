@@ -139,13 +139,13 @@ def classify_interval(cost: CostModel) -> CostInterval:
     return CostInterval.III
 
 
-def _split(graph: MeasurementGraph, side: frozenset, edges: tuple) -> tuple[list, list, tuple]:
-    """A cut's sorted insecure ids, its sorted secure ids, and its state shift:
-    the 0-1 indicator of the reference-free side, reference last."""
-    by_id = graph.edges_by_id
-    ids = sorted(edges)
-    ins = [i for i in ids if not by_id[i].secure]
-    sec = [i for i in ids if by_id[i].secure]
+def _split(graph: MeasurementGraph, side: frozenset) -> tuple[list, list, tuple]:
+    """The sorted insecure and secure ids of the edges crossing ``side``, and the
+    state shift: the 0-1 indicator of the reference-free side, reference last."""
+    crossing = sorted((e.id, e.secure) for e in graph.edges
+                      for u, v in (e.endpoints,) if (u in side) != (v in side))
+    ins = [i for i, secure in crossing if not secure]
+    sec = [i for i, secure in crossing if secure]
     if REFERENCE_BUS in side:
         side = frozenset(graph.nodes) - side
     vec = [0] * len(graph.nodes)
@@ -167,12 +167,12 @@ def _plan(
 
     Injects the first ``k_inject`` insecure cut edges and jams the next
     ``k_jam_insecure``; jams the first ``k_jam_secure`` secure cut edges.
-    The split and shift are taken once per graph object and cut, from that
-    graph's flags, and kept in its ``cut_memo``; every check runs per call.
-    The three slices are disjoint cut members by construction, so the checks
-    are on counts.
+    The split and shift are taken once per graph object and cut side, which
+    fixes the cut's edges, from that graph's edges, and kept in its
+    ``cut_memo``; every check runs per call. The three slices are disjoint
+    cut members by construction, so the checks are on counts.
     """
-    ins, sec, shift = _memoized(graph, ("split", cut.side_a, cut.edges), _split)
+    ins, sec, shift = _memoized(graph, ("split", cut.side_a), _split)
     assert k_inject + k_jam_insecure <= len(ins) and k_jam_secure <= len(sec)
     inj = frozenset(ins[:k_inject])
     jam_i = frozenset(ins[k_inject : k_inject + k_jam_insecure])
@@ -201,7 +201,7 @@ def _plan(
 
 
 def _insecure_pairs(graph: MeasurementGraph) -> list[tuple[int, int]]:
-    return sorted({tuple(sorted((e.u, e.v))) for e in graph.edges if not e.secure})
+    return sorted({tuple(sorted(e.endpoints)) for e in graph.edges if not e.secure})
 
 
 def _memoized(graph: MeasurementGraph, key: tuple, search: Callable[..., object]):
@@ -212,7 +212,7 @@ def _memoized(graph: MeasurementGraph, key: tuple, search: Callable[..., object]
     ``cut_memo`` keeps the result under one of these keys: ("solver",), the
     one ``CutSolver`` of all its searches; ("insecure pairs",); ("sweep",
     secure weight, insecure weight); ("constrained", constraint, secure
-    weight, insecure weight); ("split", cut side, cut edges).
+    weight, insecure weight); ("split", cut side).
     """
     memo = graph.cut_memo["attack"]
     if key not in memo:

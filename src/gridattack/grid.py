@@ -3,9 +3,9 @@
 Buses are numbered 1..n and a synthetic reference node 0 carries the fixed
 zero phase angle. A phase-angle measurement on bus i behaves like a flow on
 a unit-susceptance line between i and the reference node, so every
-measurement becomes exactly one edge of a multigraph over the n+1 nodes.
-A set of measurements can steer the estimate in a coordinated way precisely
-when its edges form a cut of that graph.
+measurement is exactly one edge of a multigraph over the n+1 nodes, joining
+its ``endpoints``. A set of measurements can steer the estimate in a
+coordinated way precisely when it forms a cut of that graph.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -172,25 +172,12 @@ class MeasurementSystem:
 
 
 @dataclass(frozen=True)
-class GraphEdge:
-    """One measurement rendered as a multigraph edge."""
-
-    id: int
-    u: int
-    v: int
-    secure: bool = False
-
-
-@dataclass(frozen=True)
 class MeasurementGraph:
-    """Multigraph over buses plus the reference node, one edge per measurement."""
+    """Multigraph over the buses and the reference node; its edges are the
+    measurements themselves, each joining its ``endpoints``."""
 
     nodes: tuple[int, ...]
-    edges: tuple[GraphEdge, ...]
-
-    @cached_property
-    def edges_by_id(self) -> Mapping[int, GraphEdge]:
-        return {e.id: e for e in self.edges}
+    edges: tuple[Measurement, ...]
 
     @cached_property
     def secure_ids(self) -> tuple[int, ...]:
@@ -263,13 +250,10 @@ def connected(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> bool:
 
 
 def build_graph(sys: MeasurementSystem) -> MeasurementGraph:
-    """Render the measurement set as a multigraph; requires connectivity."""
+    """A new graph whose edges are the system's own measurements; requires connectivity."""
     nodes = tuple(sorted(b.id for b in sys.buses))
     check_observable(sys)
-    edges = tuple(
-        GraphEdge(m.id, m.endpoints[0], m.endpoints[1], m.secure) for m in sys.measurements
-    )
-    return MeasurementGraph(nodes=nodes, edges=edges)
+    return MeasurementGraph(nodes=nodes, edges=sys.measurements)
 
 
 def cut_edges(graph: MeasurementGraph, node_set: Iterable[int]) -> CutResult:

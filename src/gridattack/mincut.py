@@ -45,6 +45,10 @@ class WeightedEdge:
     weight: float
     secure: bool = False
 
+    @property
+    def endpoints(self) -> tuple[int, int]:
+        return self.u, self.v
+
 
 @dataclass(frozen=True)
 class WeightedGraph:
@@ -71,7 +75,7 @@ class WeightedGraph:
     def from_measurement_graph(cls, graph, secure_weight: float, insecure_weight: float):
         """Weight every edge of a measurement graph by its security class."""
         edges = tuple(
-            WeightedEdge(e.id, e.u, e.v, secure_weight if e.secure else insecure_weight, e.secure)
+            WeightedEdge(e.id, *e.endpoints, secure_weight if e.secure else insecure_weight, e.secure)
             for e in graph.edges
         )
         return cls(nodes=tuple(graph.nodes), edges=edges)
@@ -104,7 +108,7 @@ def cut_from_side(edges: Sequence, weights: Sequence[float], side: frozenset[int
     The weight is summed left to right in edge order.
     """
     members = [(e, w) for e, w in zip(edges, weights, strict=True)
-               if (e.u in side) != (e.v in side)]
+               for u, v in (e.endpoints,) if (u in side) != (v in side)]
     n_sec = sum(1 for e, _ in members if e.secure)
     if any(math.isinf(w) for _, w in members):
         weight = INFINITY
@@ -242,7 +246,7 @@ def _stoer_wagner(n: int, pair_caps: Mapping[tuple[int, int], int]) -> tuple[int
 class CutSolver:
     """Reusable exact min-cut solver for one graph's structure.
 
-    The graph's edges carry ``id``, ``u``, ``v`` and ``secure``, as in a
+    The graph's edges carry ``id``, ``endpoints`` and ``secure``, as in a
     ``MeasurementGraph`` or a ``WeightedGraph``; each solve takes
     ``weights``, one per edge in edge order. Cut values are compared as
     packed integers (weight, edge count, edge-id lexicography), so results
@@ -259,7 +263,8 @@ class CutSolver:
         self._weight_unit = (m + 2) * count_unit
         self._layout: list[tuple[tuple[int, int], int]] = []  # node-index pair, count term less marker
         for e in self._edges:
-            a, b = self._index[e.u], self._index[e.v]
+            u, v = e.endpoints
+            a, b = self._index[u], self._index[v]
             marker = 1 << (m - 1 - ranks[e.id])
             self._layout.append(((a, b) if a < b else (b, a), count_unit - marker))
         self._packed: tuple[tuple[float, ...], dict[tuple[int, int], int]] | None = None

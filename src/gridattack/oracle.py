@@ -66,7 +66,8 @@ def _take_census(graph: MeasurementGraph) -> Census:
     incident = [0] * n  # node -> its edges, bit k for graph.edges[k]
     secure = 0
     for k, e in enumerate(graph.edges):
-        a, b = position[e.u], position[e.v]
+        u, v = e.endpoints
+        a, b = position[u], position[v]
         neighbours[a].add(b)
         neighbours[b].add(a)
         incident[a] ^= 1 << k

@@ -120,9 +120,9 @@ def execute(
     """Run the plan and judge it as its declared attack type.
 
     ``alpha`` scales the injected state shift, ten noise sigmas by default;
-    an explicit one must lie in ``ALPHA_RANGE`` in magnitude, or it raises
-    ``ValueError``. ``noise_rng`` optionally adds measurement noise to the
-    clean base vector (verification is noiseless by default).
+    given or by default, it must lie in ``ALPHA_RANGE`` in magnitude, or it
+    raises ``ValueError``. ``noise_rng`` optionally adds measurement noise to
+    the clean base vector (verification is noiseless by default).
 
     Inputs are checked on every call; a ``truth`` entry that is not finite
     or exceeds ``estimator.WHITENED_LIMIT`` in magnitude raises
@@ -140,11 +140,12 @@ def execute(
         raise ValueError(f"truth must have length {sys.n + 1}")
     if truth[-1] != 0.0:
         raise ValueError("truth must pin the reference angle at zero")
-    if alpha is None:
-        alpha = 10.0 * sys.max_noise_std  # well above detector noise
-    elif not valid_alpha(alpha):
+    default = alpha is None
+    alpha = 10.0 * sys.max_noise_std if default else alpha  # well above detector noise
+    if not valid_alpha(alpha):
         lo, hi = ALPHA_RANGE
-        raise ValueError(f"alpha must satisfy {lo:g} <= |alpha| <= {hi:g}, got {alpha}")
+        source = " (the default, ten noise sigmas)" if default else ""
+        raise ValueError(f"alpha must satisfy {lo:g} <= |alpha| <= {hi:g}, got {alpha}{source}")
     if noise_rng is not None or plan.graph is None:
         return _run(sys, truth, plan, cfg, alpha, noise_rng)
 

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridattack as ga
-from gridattack import attack as attack_module
+from gridattack import attack as attack_module, oracle
 from gridattack.attack import AttackType
-from gridattack.grid import GraphEdge
-from conftest import all_cuts, triangle_graph, random_cost, random_system
+from gridattack.mincut import cut_from_side
+from conftest import all_cuts, triangle_graph, random_cost, random_edge_list, random_system
 
 BASE_COST = ga.CostModel(1.0, 0.5, 0.25)
 
@@ -520,7 +520,8 @@ def test_constrained_min_cut_case_b_unsatisfiable():
 @pytest.mark.parametrize("constraint", list(ga.CutConstraint))
 def test_constrained_min_cut_empty_global_cut_gives_up(constraint):
     """A disconnected graph's global cut is empty, so there is no edge to boost."""
-    disconnected = ga.MeasurementGraph(nodes=(0, 1, 2), edges=(GraphEdge(0, 0, 1, secure=True),))
+    angle = ga.Measurement(0, ga.MeasurementKind.PHASE_ANGLE, 1, secure=True)
+    disconnected = ga.MeasurementGraph(nodes=(0, 1, 2), edges=(angle,))
     edgeless = ga.MeasurementGraph(nodes=(0, 1), edges=())
     for g in (disconnected, edgeless):
         result = ga.constrained_min_cut(g, [1.0] * len(g.edges), constraint)
@@ -694,7 +695,7 @@ def test_cut_searches_memoized_per_graph_object(monkeypatch):
 
 def _assert_split_follows(plan: ga.AttackPlan, graph: ga.MeasurementGraph) -> None:
     """The plan takes its cut's edges in id order by the flags of ``graph``."""
-    by_id = graph.edges_by_id
+    by_id = {e.id: e for e in graph.edges}
     ins = sorted(i for i in plan.cut.edges if not by_id[i].secure)
     sec = sorted(i for i in plan.cut.edges if by_id[i].secure)
     k, j = len(plan.injected), len(plan.jammed_insecure)
@@ -702,6 +703,41 @@ def _assert_split_follows(plan: ga.AttackPlan, graph: ga.MeasurementGraph) -> No
     assert plan.injected == frozenset(ins[:k])
     assert plan.jammed_insecure == frozenset(ins[k : k + j])
     assert plan.jammed_secure == frozenset(sec[: len(plan.jammed_secure)])
+
+
+def test_split_depends_only_on_its_side():
+    """On graphs of up to 10 nodes with parallel edges, mixed flags and ids out
+    of position order, the split of every census side and of its complement
+    is that of the cut ``cut_from_side`` takes on the side."""
+    rng = random.Random(34)
+    parallel = shuffled = 0
+    for _ in range(150):
+        n_buses = rng.randint(1, 9)
+        pairs = random_edge_list(rng, n_buses, rng.randint(n_buses, 18))
+        ids = rng.sample(range(100), len(pairs))
+        edges = tuple(
+            ga.Measurement(i, ga.MeasurementKind.PHASE_ANGLE, v, secure=rng.random() < 0.4)
+            if u == ga.REFERENCE_BUS else
+            ga.Measurement(i, ga.MeasurementKind.LINE_FLOW, u, v, secure=rng.random() < 0.4)
+            for i, (u, v) in zip(ids, pairs)
+        )
+        graph = ga.MeasurementGraph(nodes=tuple(range(n_buses + 1)), edges=edges)
+        by_id = {e.id: e for e in edges}
+        everything = frozenset(graph.nodes)
+        for mask in oracle._take_census(graph)[0]:
+            side = frozenset(v for v in graph.nodes if mask >> v & 1)
+            for s in (side, everything - side):
+                cut = cut_from_side(edges, [1.0] * len(edges), s)
+                free = everything - s if ga.REFERENCE_BUS in s else s
+                want = (
+                    [i for i in cut.edges if not by_id[i].secure],
+                    [i for i in cut.edges if by_id[i].secure],
+                    tuple(int(v in free) for v in (*graph.nodes[1:], ga.REFERENCE_BUS)),
+                )
+                assert attack_module._split(graph, s) == want
+        parallel += len(set(pairs)) < len(pairs)
+        shuffled += ids != sorted(ids)
+    assert parallel >= 50 and shuffled >= 140, (parallel, shuffled)
 
 
 def test_plan_split_follows_the_graph_it_is_planned_on():

@@ -63,7 +63,23 @@ def test_build_graph_e1_triangle():
     assert len(g.edges) == 3
     assert g.secure_ids == (1,)
     assert g.insecure_ids == (0, 2)
-    assert {(e.u, e.v) for e in g.edges} == {(1, 2), (1, 0), (2, 0)}
+    assert {e.endpoints for e in g.edges} == {(1, 2), (1, 0), (2, 0)}
+
+
+def test_graph_edges_are_the_system_measurements():
+    """A graph's edges are its system's own measurement tuple. Each build makes
+    a new graph with its own memo, and a weighted edge reads its ends as a
+    measurement does."""
+    sys_ = triangle_system()
+    first, second = ga.build_graph(sys_), ga.build_graph(sys_)
+    assert first.edges is sys_.measurements and second.edges is sys_.measurements
+    assert first is not second and first.cut_memo is not second.cut_memo
+    ga.design(ga.AttackType.HIDDEN_GENERALIZED, first, ga.CostModel(1, 0.5, 0.25))
+    assert first.cut_memo["attack"] and not second.cut_memo
+    edge = ga.WeightedEdge(7, 3, 5, 1.0)
+    assert edge.endpoints == (3, 5)
+    with pytest.raises(AttributeError):
+        edge.endpoints = (5, 3)
 
 
 def test_parallel_measurements_distinct_edges():
@@ -77,7 +93,7 @@ def test_parallel_measurements_distinct_edges():
         ),
     )
     g = ga.build_graph(sys_)
-    between = [e for e in g.edges if {e.u, e.v} == {1, 2}]
+    between = [e for e in g.edges if set(e.endpoints) == {1, 2}]
     assert len(between) == 2
     assert between[0].id != between[1].id
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 import gridattack as ga
 from gridattack import estimator, oracle
 from gridattack.attack import AttackType
-from gridattack.grid import GraphEdge
 from conftest import all_cuts, reference_connected, triangle_graph, random_cost, random_system
 
 EXHAUSTIVE = ga.DetectorConfig(removal_mode=ga.RemovalMode.EXHAUSTIVE_MINIMAL)
@@ -138,7 +137,7 @@ def _reference_census(graph):
     """Every cut with both sides connected: the conftest enumeration and union-find."""
 
     def induced_connected(side):
-        pairs = [(e.u, e.v) for e in graph.edges if e.u in side and e.v in side]
+        pairs = [e.endpoints for e in graph.edges if set(e.endpoints) <= side]
         return reference_connected(side, pairs)
 
     all_nodes = frozenset(graph.nodes)
@@ -225,7 +224,8 @@ BOUNDARY_COSTS = [(1, .5, .5), (1, .8, .4), (2, 1, 1), (1, 1, 1), (1, .75, .5)]
 
 def _one_class_graph(n_sec, n_ins):
     """Two nodes joined by n_sec secure and n_ins insecure edges: one cut, of that class."""
-    edges = tuple(GraphEdge(k, 1, 0, secure=k < n_sec) for k in range(n_sec + n_ins))
+    edges = tuple(ga.Measurement(k, ga.MeasurementKind.PHASE_ANGLE, 1, secure=k < n_sec)
+                  for k in range(n_sec + n_ins))
     return ga.MeasurementGraph(nodes=(0, 1), edges=edges)
 
 
@@ -315,7 +315,7 @@ def test_census_matches_frozenset_reference():
         assert _census_cuts(graph, sides) == want
         assert list(classes) == _reference_classes(want)
         twelve += len(graph.nodes) == 12
-        pairs = [frozenset((e.u, e.v)) for e in graph.edges]
+        pairs = [frozenset(e.endpoints) for e in graph.edges]
         parallel += len(set(pairs)) < len(pairs)
     assert twelve >= 30 and parallel >= 100
 

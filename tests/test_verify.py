@@ -437,6 +437,18 @@ def test_execute_rejects_alpha_outside_range(alpha):
         ga.execute(sys_, np.zeros(3), plan, EXHAUSTIVE, alpha=alpha)
 
 
+@pytest.mark.parametrize("variance", [1e-12, 1e-8, 1.0, 1e12])
+def test_execute_rejects_default_alpha_outside_range(variance):
+    """The default alpha, ten noise sigmas, is held to ``ALPHA_RANGE`` as a given
+    one is; a given alpha inside the range still runs on the same system."""
+    sys_ = dataclasses.replace(triangle_system(), noise_variance=(variance,) * 3)
+    plan = ga.hidden_generalized(ga.build_graph(sys_), ga.CostModel(1, 0.5, 0.25))
+    match = r"alpha must satisfy 0.02 <= \|alpha\| <= 0.5, got .* \(the default, ten noise sigmas\)"
+    with pytest.raises(ValueError, match=match):
+        ga.execute(sys_, np.zeros(3), plan, EXHAUSTIVE)
+    assert ga.execute(sys_, np.zeros(3), plan, EXHAUSTIVE, alpha=0.1).observability_ok
+
+
 def _triangle_plan(attack_type, side, injected, jammed_insecure=(), jammed_secure=()):
     sys_ = triangle_system()
     cut = ga.cut_edges(ga.build_graph(sys_), side)
