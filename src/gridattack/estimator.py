@@ -83,6 +83,9 @@ class DetectorConfig:
             raise ValueError("max_removals must be nonnegative")
 
 
+DEFAULT_CONFIG = DetectorConfig()  # what a ``cfg`` of None means
+
+
 @dataclass(frozen=True, eq=False)
 class EstimationReport:
     estimate: np.ndarray
@@ -135,7 +138,7 @@ def detect_and_remove(
     within budget passes, ValueError on a wrong-length ``z`` or one with an
     entry that is not finite or exceeds ``WHITENED_LIMIT`` once whitened.
     """
-    cfg = cfg or DetectorConfig()
+    cfg = cfg or DEFAULT_CONFIG
     z = np.asarray(z, dtype=float)
     if z.shape != (sys.m,):
         raise ValueError(f"measurement vector must have length {sys.m}")

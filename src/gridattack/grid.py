@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import UnobservableSystem
-from .mincut import CutResult, _reach, cut_from_side
+from .mincut import CutResult, cut_from_side
 
 REFERENCE_BUS = 0
 
@@ -173,11 +173,22 @@ class MeasurementSystem:
 
 @dataclass(frozen=True)
 class MeasurementGraph:
-    """Multigraph over the buses and the reference node; its edges are the
-    measurements themselves, each joining its ``endpoints``."""
+    """Multigraph over the nodes 0..n, in order: the buses and the reference.
+    Its edges are the measurements themselves, with distinct ids, each
+    joining two nodes, its ``endpoints``; other graphs raise ``ValueError``."""
 
     nodes: tuple[int, ...]
     edges: tuple[Measurement, ...]
+
+    def __post_init__(self):
+        n = len(self.nodes)
+        if tuple(self.nodes) != tuple(range(n)):
+            raise ValueError(f"graph nodes must be 0..{n - 1} in order")
+        for e in self.edges:  # a measurement's own check keeps its two ends apart
+            if not all(v in range(n) for v in e.endpoints):
+                raise ValueError(f"edge {e.id} joins a node outside 0..{n - 1}")
+        if len({e.id for e in self.edges}) != len(self.edges):
+            raise ValueError("edge ids must be distinct")
 
     @cached_property
     def secure_ids(self) -> tuple[int, ...]:
@@ -233,8 +244,8 @@ def check_observable(sys: MeasurementSystem) -> None:
 def connected(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> bool:
     """Whether the pairs link every node of the set.
 
-    Each node gets one bit, and the set is connected when the first node
-    reaches every bit (``mincut._reach``).
+    Each node gets one bit, and the set is connected when a breadth-first
+    search over neighbour bitmasks reaches every bit from the first node's.
     """
     position: dict[int, int] = {}
     for v in nodes:
@@ -246,14 +257,23 @@ def connected(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> bool:
         i, j = position[a], position[b]
         adjacent[i] |= 1 << j
         adjacent[j] |= 1 << i
-    return _reach(1, adjacent) == (1 << len(position)) - 1
+    reached = frontier = 1
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= adjacent[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & ~reached
+        reached |= frontier
+    return reached == (1 << len(position)) - 1
 
 
 def build_graph(sys: MeasurementSystem) -> MeasurementGraph:
     """A new graph whose edges are the system's own measurements; requires connectivity."""
-    nodes = tuple(sorted(b.id for b in sys.buses))
     check_observable(sys)
-    return MeasurementGraph(nodes=nodes, edges=sys.measurements)
+    # unchecked: a checked system's graph passes the graph's checks
+    return unchecked(MeasurementGraph, nodes=tuple(range(sys.n + 1)), edges=sys.measurements)
 
 
 def cut_edges(graph: MeasurementGraph, node_set: Iterable[int]) -> CutResult:

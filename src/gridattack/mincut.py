@@ -1,18 +1,18 @@
-"""Weighted cut engines: s-t min cut, global min cut, bitmask reachability.
+"""Weighted cut engines: s-t min cut and global min cut.
 
 The s-t cut is a shortest-augmenting-path max-flow (Edmonds & Karp, JACM
 1972); the global cut is Stoer-Wagner (Stoer & Wagner, "A simple min-cut
 algorithm", JACM 1997) with a heap-ordered maximum-adjacency search, whose
 phases also merge every pair the Nagamochi-Ono-Ibaraki test proves
-inseparable by a lighter cut (Math. Programming 1994). Both run on one
-adjacency of packed integer capacities (``_adjacency``). Parallel edges are
-merged per node pair inside the solvers but cuts are always reported
-edge-by-edge. Weights may be +inf, which is absorbing: an infinite edge
-packs heavier than all finite edges together, so it never enters a returned
-cut while any finite cut exists, and the global cut's contraction merges the
-pair it joins once a finite cut is found. A ``CutSolver`` keeps only a
-graph's structure and each solve takes one weight per edge, so the
-iterative constrained search boosts an edge by setting its weight to +inf.
+inseparable by a lighter cut (Math. Programming 1994). Both copy the
+adjacency rows ``CutSolver`` packs, one integer capacity per node pair, but
+cuts are always reported edge-by-edge. Weights may be +inf, which is
+absorbing: an infinite edge packs heavier than all finite edges together, so
+it never enters a returned cut while any finite cut exists, and the global
+cut's contraction merges the pair it joins once a finite cut is found. A
+``CutSolver`` keeps only a graph's structure and each solve takes one weight
+per edge, so the iterative constrained search boosts an edge by setting its
+weight to +inf.
 
 Tie-breaking is exact and deterministic. Each edge weight is quantized to
 1e-12 of the binade of the largest finite weight, so scaling every weight by
@@ -105,58 +105,32 @@ class CutResult:
 def cut_from_side(edges: Sequence, weights: Sequence[float], side: frozenset[int]) -> CutResult:
     """Materialize the cut a node subset defines, ``weights[k]`` weighing ``edges[k]``.
 
-    The weight is summed left to right in edge order.
+    The weight is summed left to right in edge order, as 3.12's ``sum`` is not.
     """
-    members = [(e, w) for e, w in zip(edges, weights, strict=True)
-               for u, v in (e.endpoints,) if (u in side) != (v in side)]
-    n_sec = sum(1 for e, _ in members if e.secure)
-    if any(math.isinf(w) for _, w in members):
-        weight = INFINITY
-    else:
-        weight = float(sum(w for _, w in members))
-    return CutResult(
-        side_a=side,
-        edges=tuple(sorted(e.id for e, _ in members)),
-        weight=weight,
-        n_secure=n_sec,
-        n_insecure=len(members) - n_sec,
-    )
+    ids, weight, n_sec = [], 0.0, 0
+    for e, w in zip(edges, weights, strict=True):
+        u, v = e.endpoints
+        if (u in side) != (v in side):
+            ids.append(e.id)
+            weight += w
+            n_sec += e.secure
+    ids.sort()
+    return CutResult(side_a=side, edges=tuple(ids), weight=weight,
+                     n_secure=n_sec, n_insecure=len(ids) - n_sec)
 
 
-def _reach(seed: int, adjacent: list[int], within: int = -1) -> int:
-    """Nodes that ``seed`` reaches inside ``within``; ``adjacent[i]`` holds node i's neighbours."""
-    label = frontier = seed
-    while frontier:
-        grown = 0
-        while frontier:
-            low = frontier & -frontier
-            grown |= adjacent[low.bit_length() - 1]
-            frontier ^= low
-        frontier = grown & within & ~label
-        label |= frontier
-    return label
-
-
-def _adjacency(n: int, pair_caps: Mapping[tuple[int, int], int]) -> list[dict[int, int]]:
-    """Symmetric packed capacities between nodes 0..n-1; ``pair_caps`` holds each pair once."""
-    adj: list[dict[int, int]] = [{} for _ in range(n)]
-    for (a, b), cap in pair_caps.items():
-        adj[a][b] = adj[b][a] = cap
-    return adj
-
-
-def _max_flow(n: int, pair_caps: Mapping[tuple[int, int], int], s: int, t: int) -> tuple[int, set[int]]:
-    """Packed max-flow value from s to t over nodes 0..n-1, and the nodes s then reaches.
+def _max_flow(rows: Sequence[dict[int, int]], s: int, t: int) -> tuple[int, set[int]]:
+    """Packed max-flow value from s to t over the rows' nodes, and the nodes s then reaches.
 
     Augments along breadth-first shortest paths in the residual capacities
     (Edmonds & Karp, JACM 1972). The search that no longer reaches t reaches
     the smallest source side of a minimum cut, the same for every maximum
     flow.
     """
-    residual = _adjacency(n, pair_caps)
+    residual = [row.copy() for row in rows]
     total = 0
     while True:
-        parent = [-1] * n
+        parent = [-1] * len(rows)
         parent[s] = s
         queue = [s]
         for u in queue:
@@ -180,8 +154,8 @@ def _max_flow(n: int, pair_caps: Mapping[tuple[int, int], int], s: int, t: int) 
         total += pushed
 
 
-def _stoer_wagner(n: int, pair_caps: Mapping[tuple[int, int], int]) -> tuple[int, set[int]]:
-    """Packed minimum cut value over nodes 0..n-1 and its side holding node 0.
+def _stoer_wagner(rows: Sequence[dict[int, int]]) -> tuple[int, set[int]]:
+    """Packed minimum cut value over the rows' nodes and its side holding node 0.
 
     The best cut starts as the lightest single node. Each phase grows a
     maximum-adjacency order from label 0, records the cut isolating the
@@ -193,7 +167,8 @@ def _stoer_wagner(n: int, pair_caps: Mapping[tuple[int, int], int]) -> tuple[int
     the lower label, so label 0 survives. On a disconnected graph the side
     is node 0's component, at value 0.
     """
-    adj = _adjacency(n, pair_caps)
+    n = len(rows)
+    adj = [row.copy() for row in rows]
     groups = {v: [v] for v in range(n)}  # label -> its nodes
     best_value, lightest = min((sum(row.values()), label) for label, row in enumerate(adj))
     best_group = groups[lightest]
@@ -248,9 +223,9 @@ class CutSolver:
 
     The graph's edges carry ``id``, ``endpoints`` and ``secure``, as in a
     ``MeasurementGraph`` or a ``WeightedGraph``; each solve takes
-    ``weights``, one per edge in edge order. Cut values are compared as
-    packed integers (weight, edge count, edge-id lexicography), so results
-    are exact and identical across calls.
+    ``weights``, one per edge in edge order, packed into adjacency rows.
+    Cut values are compared as packed integers (weight, edge count, edge-id
+    lexicography), so results are exact and identical across calls.
     """
 
     def __init__(self, graph):
@@ -261,16 +236,18 @@ class CutSolver:
         ranks = {eid: r for r, eid in enumerate(sorted(e.id for e in self._edges))}
         count_unit = 1 << (m + 2)
         self._weight_unit = (m + 2) * count_unit
-        self._layout: list[tuple[tuple[int, int], int]] = []  # node-index pair, count term less marker
+        self._layout: list[tuple[int, int, int]] = []  # node indices, count term less marker
         for e in self._edges:
             u, v = e.endpoints
-            a, b = self._index[u], self._index[v]
             marker = 1 << (m - 1 - ranks[e.id])
-            self._layout.append(((a, b) if a < b else (b, a), count_unit - marker))
-        self._packed: tuple[tuple[float, ...], dict[tuple[int, int], int]] | None = None
+            self._layout.append((self._index[u], self._index[v], count_unit - marker))
+        self._packed: tuple[tuple[float, ...], list[dict[int, int]]] | None = None
 
-    def _pair_caps(self, weights: Sequence[float]) -> dict[tuple[int, int], int]:
-        """Packed capacity of each node-index pair under ``weights``.
+    def _rows(self, weights: Sequence[float]) -> list[dict[int, int]]:
+        """Symmetric adjacency rows of packed capacities under ``weights``.
+
+        ``rows[a][b]`` sums the edges between node indices a and b; a row
+        lists its neighbours in the order of their first edge.
 
         Weights are quantized to 1e-12 of ``2**e``, with the largest finite
         weight in [2**(e-1), 2**e), so scaling every weight by a power of two
@@ -286,11 +263,12 @@ class CutSolver:
             top = math.frexp(max((w for w in key if not math.isinf(w)), default=0.0))[1]
             quanta = [None if math.isinf(w) else round(math.ldexp(w, -top) * _SCALE) for w in key]
             inf_quantum = sum(q for q in quanta if q is not None) + 1
-            caps: dict[tuple[int, int], int] = {}
-            for (pair, low), q in zip(self._layout, quanta):
-                q = inf_quantum if q is None else q
-                caps[pair] = caps.get(pair, 0) + q * self._weight_unit + low
-            self._packed = key, caps
+            rows: list[dict[int, int]] = [{} for _ in self._nodes]
+            for (a, b, low), q in zip(self._layout, quanta):
+                cap = (inf_quantum if q is None else q) * self._weight_unit + low
+                rows[a][b] = rows[a].get(b, 0) + cap
+                rows[b][a] = rows[b].get(a, 0) + cap
+            self._packed = key, rows
         return self._packed[1]
 
     def min_st_cut(self, weights: Sequence[float], s: int, t: int) -> tuple[int, CutResult]:
@@ -300,8 +278,7 @@ class CutSolver:
                 raise ValueError(f"node {v} is not in the graph")
         if s == t:
             raise ValueError("s and t must differ")
-        caps = self._pair_caps(weights)
-        value, side = _max_flow(len(self._nodes), caps, self._index[s], self._index[t])
+        value, side = _max_flow(self._rows(weights), self._index[s], self._index[t])
         return value, cut_from_side(self._edges, weights, frozenset(self._nodes[i] for i in side))
 
     def global_min_cut(self, weights: Sequence[float]) -> tuple[int, CutResult]:
@@ -312,9 +289,8 @@ class CutSolver:
         pair it joins is merged. The reported side contains the first node;
         on a disconnected graph it is that node's component.
         """
-        n = len(self._nodes)
-        if n < 2:
+        if len(self._nodes) < 2:
             raise ValueError("global min cut needs at least two nodes")
-        value, side = _stoer_wagner(n, self._pair_caps(weights))
+        value, side = _stoer_wagner(self._rows(weights))
         return value, cut_from_side(self._edges, weights, frozenset(self._nodes[i] for i in side))
 

@@ -33,12 +33,12 @@ import numpy as np
 
 from .attack import AttackPlan
 from .errors import PlanMismatch, RemovalFailed, UnobservableSystem
-from .estimator import WHITENED_LIMIT, DetectorConfig, EstimationReport, detect_and_remove
+from .estimator import (
+    DEFAULT_CONFIG, WHITENED_LIMIT, DetectorConfig, EstimationReport, detect_and_remove,
+)
 from .grid import MeasurementSystem, build_matrix, check_observable, remove_measurements, unchecked
 
 ESTIMATE_CHANGE_TOL = 1e-6
-
-_DEFAULT_CONFIG = DetectorConfig()
 
 # |alpha| outside this range makes a verdict depend on alpha, not on the plan.
 # At the default noise (sigma 0.01, default alpha 0.1) with susceptances across
@@ -151,7 +151,7 @@ def execute(
 
     memo = plan.graph.cut_memo["verify"]
     key = (
-        id(sys), truth.tobytes(), cfg or _DEFAULT_CONFIG, alpha,
+        id(sys), truth.tobytes(), cfg or DEFAULT_CONFIG, alpha,
         plan.jammed_insecure, plan.jammed_secure, plan.injected, plan.injection_state_shift,
     )
     entry = memo.get(key)

@@ -98,6 +98,31 @@ def test_parallel_measurements_distinct_edges():
     assert between[0].id != between[1].id
 
 
+def test_malformed_graph_rejected():
+    """A hand-built graph must have the nodes 0..n in order, edges that join
+    two of them and distinct edge ids, or it raises at construction rather
+    than at its first cut or state shift. ``build_graph`` skips these checks,
+    since a checked system's graph passes them, and keeps the system's
+    measurement tuple as its edges."""
+    def angle(mid, bus):
+        return ga.Measurement(mid, ga.MeasurementKind.PHASE_ANGLE, bus)
+
+    flow = ga.Measurement(2, ga.MeasurementKind.LINE_FLOW, 1, 2)
+    for nodes, edges, match in (
+        ((0, 2, 5), (angle(0, 2), angle(1, 5)), "nodes must be 0..2"),
+        ((1, 0, 2), (angle(0, 1), angle(1, 2)), "nodes must be 0..2"),
+        ((0, 1), (angle(0, 1), flow), "edge 2 joins a node outside"),
+        ((0, 1, 2), (angle(0, 1), angle(0, 2), flow), "distinct"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            ga.MeasurementGraph(nodes=nodes, edges=edges)
+    good = ga.MeasurementGraph(nodes=(0, 1, 2), edges=(angle(0, 1), angle(1, 2), flow))
+    plan = ga.design(ga.AttackType.HIDDEN_INJECTION, good, ga.CostModel(1, 0.5, 0.25))
+    assert plan.cut.edges == (0, 1) and plan.injection_state_shift == (1, 1, 0)
+    sys_ = triangle_system()
+    assert ga.build_graph(sys_).edges is sys_.measurements
+
+
 def test_ieee14_graph_shape():
     case = ga.load_case("ieee14")
     sys_ = ga.place_measurements(case, 0.6, 0.0, seed=3)
