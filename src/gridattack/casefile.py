@@ -38,6 +38,7 @@ from .grid import (
     MeasurementKind,
     MeasurementSystem,
     check_observable,
+    connected,
     unchecked,
     valid_susceptance,
 )
@@ -59,21 +60,24 @@ class CaseFile:
     secure_ids: Optional[frozenset[int]] = None
 
     @cached_property
-    def placement_buses(self) -> tuple[Bus, ...]:
-        """The buses of every placement, once the lines pass as flow rows.
+    def placement(self) -> tuple[tuple[Bus, ...], tuple[tuple[Measurement, ...], ...], bool]:
+        """What every placement shares: the buses, each line's flow row
+        (insecure, then secure) and whether the lines join buses 1..n.
 
-        Runs the ``Measurement`` and ``MeasurementSystem`` checks on one flow
-        row per line, once per case object, and raises their ValueError on a
-        bad line (nothing is cached then). Every placement adds only angle
-        meters on buses 1..n and secure flags, which those checks accept.
+        Once per case object, the rows pass the ``Measurement`` checks and the
+        insecure ones the ``MeasurementSystem`` checks; a bad line raises
+        their ValueError, and nothing is cached then. Every placement adds
+        only angle meters on buses 1..n, which those checks accept.
         """
         buses = _buses(self.n_buses)
         flows = tuple(
-            Measurement(mid, MeasurementKind.LINE_FLOW, i, j, susceptance=b)
+            tuple(Measurement(mid, MeasurementKind.LINE_FLOW, i, j, susceptance=b, secure=s)
+                  for s in (False, True))
             for mid, (i, j, b) in enumerate(self.lines)
         )
-        MeasurementSystem(buses=buses, lines=self.lines, measurements=flows)
-        return buses
+        MeasurementSystem(buses=buses, lines=self.lines, measurements=tuple(f for f, _ in flows))
+        joined = connected(range(1, self.n_buses + 1), ((i, j) for i, j, _ in self.lines))
+        return buses, flows, joined
 
 
 def _check_bus(case_name: str, n: int, bus: int, line_no: int) -> None:
@@ -243,34 +247,37 @@ def place_measurements(
     Angle meters go on round(angle_fraction * n) distinct buses, never the
     reference; round(secure_fraction * m) measurements are flagged secure.
     Counts round half to even. Pure function of (case, fractions, seed).
-    The case's lines are checked once per case object
-    (``CaseFile.placement_buses``), so the rows and the system are built
-    without rerunning their checks, each row with its endpoints; the result
-    equals the checked build.
+    The flow rows are the case's own (``CaseFile.placement``), shared by
+    every placement of the case object; only the angle rows and the system
+    are new, built without rerunning their checks. The result equals the
+    checked build. Raises ``UnobservableSystem`` when the measurements leave
+    a bus unjoined to the reference. When the lines join buses 1..n, that is
+    decided by whether an angle meter is placed, without a graph search.
     """
     if not 0 <= angle_fraction <= 1 or not 0 <= secure_fraction <= 1:
         raise ValueError("fractions must lie in [0, 1]")
-    buses = case.placement_buses
+    buses, flows, joined = case.placement
     rng = random.Random(seed)
     n = case.n_buses
     n_angles = round(angle_fraction * n)
     angle_buses = sorted(rng.sample(range(1, n + 1), n_angles))
-    m = len(case.lines) + n_angles
+    m = len(flows) + n_angles
     n_secure = round(secure_fraction * m)
     secure = set(rng.sample(range(m), n_secure))
-    flow, angle = MeasurementKind.LINE_FLOW, MeasurementKind.PHASE_ANGLE
-    rows = [(flow, i, j, b, (i, j)) for i, j, b in case.lines]
-    rows += [(angle, bus, None, 1.0, (bus, REFERENCE_BUS)) for bus in angle_buses]
-    measurements = tuple(
-        unchecked(Measurement, id=mid, kind=kind, bus_i=i, bus_j=j, susceptance=b,
-                  secure=mid in secure, endpoints=ends)
-        for mid, (kind, i, j, b, ends) in enumerate(rows)
+    rows = [pair[mid in secure] for mid, pair in enumerate(flows)]
+    rows += (
+        unchecked(Measurement, id=mid, kind=MeasurementKind.PHASE_ANGLE, bus_i=bus, bus_j=None,
+                  susceptance=1.0, secure=mid in secure, endpoints=(bus, REFERENCE_BUS))
+        for mid, bus in enumerate(angle_buses, len(flows))
     )
+    # with a flow on every line, an angle meter joins the reference to every bus
+    known = {"observable": n_angles > 0 or n == 0} if joined else {}
     system = unchecked(
         MeasurementSystem,
+        known,
         buses=buses,
         lines=case.lines,
-        measurements=measurements,
+        measurements=tuple(rows),
         noise_variance=(DEFAULT_NOISE_STD**2,) * m,
     )
     check_observable(system)

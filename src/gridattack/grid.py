@@ -152,8 +152,17 @@ class MeasurementSystem:
 
     @cached_property
     def observable(self) -> bool:
-        """Whether the measurements connect every bus to the reference; see ``check_observable``."""
-        return connected((b.id for b in self.buses), (m.endpoints for m in self.measurements))
+        """Whether the measurements connect every bus to the reference; see ``check_observable``.
+
+        The buses are the nodes 0..n, so each is its own position in the
+        neighbour bitmasks that ``connected`` searches.
+        """
+        adjacent = [0] * len(self.buses)
+        for meas in self.measurements:
+            u, v = meas.endpoints
+            adjacent[u] |= 1 << v
+            adjacent[v] |= 1 << u
+        return _reaches_all(adjacent)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -234,8 +243,10 @@ def build_matrix(sys: MeasurementSystem) -> np.ndarray:
 def check_observable(sys: MeasurementSystem) -> None:
     """Raise UnobservableSystem unless the measurements connect every bus to the reference.
 
-    Connectivity is computed once per system object; every call on a
-    disconnected system raises.
+    Connectivity is decided once per system object: by a search, or by the
+    code that built the system where it already knows the answer (a
+    placement whose lines join every bus, the reduced system of a plan that
+    jams nothing in ``verify``). Every call on a disconnected system raises.
     """
     if not sys.observable:
         raise UnobservableSystem("measurement graph is disconnected")
@@ -257,6 +268,12 @@ def connected(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> bool:
         i, j = position[a], position[b]
         adjacent[i] |= 1 << j
         adjacent[j] |= 1 << i
+    return _reaches_all(adjacent)
+
+
+def _reaches_all(adjacent: list[int]) -> bool:
+    """Whether a breadth-first search over the neighbour bitmasks reaches every
+    node from node 0."""
     reached = frontier = 1
     while frontier:
         grown = 0
@@ -266,7 +283,7 @@ def connected(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> bool:
             frontier ^= low
         frontier = grown & ~reached
         reached |= frontier
-    return reached == (1 << len(position)) - 1
+    return reached == (1 << len(adjacent)) - 1
 
 
 def build_graph(sys: MeasurementSystem) -> MeasurementGraph:

@@ -252,20 +252,26 @@ class CutSolver:
         Weights are quantized to 1e-12 of ``2**e``, with the largest finite
         weight in [2**(e-1), 2**e), so scaling every weight by a power of two
         packs the same integers. +inf packs as the sum of the finite quanta
-        plus one, so it outweighs every finite cut. The last packing is kept,
+        plus one, so it outweighs every finite cut. Each distinct weight is
+        checked and quantized once, as a solve has only a few: the class
+        weights and +inf. The last packing is kept,
         keyed by the weights' values, so a global cut and the s-t flows that
         follow it under the same weights pack once.
         """
         key = tuple(weights)
         if self._packed is None or self._packed[0] != key:
-            if len(key) != len(self._layout) or any(math.isnan(w) or w < 0 for w in key):
+            distinct = set(key)
+            if len(key) != len(self._layout) or any(math.isnan(w) or w < 0 for w in distinct):
                 raise ValueError(f"need {len(self._layout)} nonnegative weights, one per edge")
-            top = math.frexp(max((w for w in key if not math.isinf(w)), default=0.0))[1]
-            quanta = [None if math.isinf(w) else round(math.ldexp(w, -top) * _SCALE) for w in key]
-            inf_quantum = sum(q for q in quanta if q is not None) + 1
+            top = math.frexp(max((w for w in distinct if not math.isinf(w)), default=0.0))[1]
+            unit = self._weight_unit
+            caps = {w: round(math.ldexp(w, -top) * _SCALE) * unit
+                    for w in distinct if not math.isinf(w)}
+            if INFINITY in distinct:
+                caps[INFINITY] = sum(c * key.count(w) for w, c in caps.items()) + unit
             rows: list[dict[int, int]] = [{} for _ in self._nodes]
-            for (a, b, low), q in zip(self._layout, quanta):
-                cap = (inf_quantum if q is None else q) * self._weight_unit + low
+            for (a, b, low), w in zip(self._layout, key):
+                cap = caps[w] + low
                 rows[a][b] = rows[a].get(b, 0) + cap
                 rows[b][a] = rows[b].get(a, 0) + cap
             self._packed = key, rows

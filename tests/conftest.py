@@ -1,6 +1,6 @@
 """Shared builders and references.
 
-Builders: a triangle example, random systems and random cost triples.
+Builders: a triangle example, random systems, removal sets and cost triples.
 Describers: every field of a design result or a verdict, at full precision.
 References kept apart from the package code they check: a dict union-find
 for connectivity and a brute-force cut enumeration.
@@ -8,6 +8,7 @@ for connectivity and a brute-force cut enumeration.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import random
 from typing import Optional
@@ -83,6 +84,26 @@ def random_system(
         lines=tuple((i, j, 1.0) for i, j in lines),
         measurements=tuple(measurements),
     )
+
+
+def random_removals(rng, sys_, count):
+    """Removal sets of which many disconnect: a random subset, or every row
+    across a random side, whole or less one row, often a parallel one."""
+    ids = [m.id for m in sys_.measurements]
+    for _ in range(count):
+        side = set(rng.sample(range(sys_.n + 1), rng.randint(1, sys_.n)))
+        across = [m for m in sys_.measurements if len(side.intersection(m.endpoints)) == 1]
+        removed = {m.id for m in across}
+        kind = rng.random()
+        if kind < 0.25:
+            removed = set(rng.sample(ids, rng.randint(0, len(ids))))
+        elif kind < 0.5:
+            removed.discard(rng.choice(ids))
+        elif kind < 0.75:
+            pairs = collections.Counter(frozenset(m.endpoints) for m in across)
+            parallel = [m.id for m in across if pairs[frozenset(m.endpoints)] > 1]
+            removed.discard(rng.choice(parallel or ids))
+        yield removed
 
 
 def random_cost(rng: random.Random, interval: Optional[ga.CostInterval] = None) -> ga.CostModel:

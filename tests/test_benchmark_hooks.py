@@ -121,3 +121,56 @@ def test_repeated_oracle_units_redo_their_structural_work(tmp_path, monkeypatch)
     assert built == {"census": 0, "table": 0, "solver": 0}
     check(twin)
     assert built == {"census": 1, "table": len(AttackType), "solver": 1}
+
+
+def test_repeated_sweep_units_redo_their_placements(tmp_path, monkeypatch):
+    """Two sweep units place, build, solve and estimate alike, on new objects:
+    only the case's own flow rows are shared between them."""
+    from gridattack import casefile, experiment
+
+    made = {"placement": [], "system": [], "graph": [], "solver": [], "estimate": []}
+
+    def listing(name, real):
+        def run(*args, **kwargs):
+            result = real(*args, **kwargs)
+            made[name].append(result)
+            return result
+        return run
+
+    def recording(real):
+        def run(cls, *args, **kwargs):
+            obj = real(cls, *args, **kwargs)
+            if cls is grid.MeasurementSystem:
+                made["system"].append(obj)
+            return obj
+        return run
+
+    monkeypatch.setattr(experiment, "place_measurements",
+                        listing("placement", experiment.place_measurements))
+    monkeypatch.setattr(experiment, "build_graph", listing("graph", experiment.build_graph))
+    for module in (casefile, grid):  # placements and reduced systems are built unchecked
+        monkeypatch.setattr(module, "unchecked", recording(module.unchecked))
+    monkeypatch.setattr(mincut.CutSolver, "__init__", listing("solver", mincut.CutSolver.__init__))
+    monkeypatch.setattr(verify, "detect_and_remove", listing("estimate", verify.detect_and_remove))
+    work = workloads.SweepWorkload("tiny", "ieee14", trials=(2, 1, 1),
+                                   fractions=((0.0, 0.25, 0.5),) * 3)
+    work.prepare(seed=1, out_dir=tmp_path)
+    units = []
+    for _ in range(2):
+        for name in made:
+            made[name] = []
+        tally = workloads.Tally()
+        work.run_unit(tally)
+        assert tally.failed == 0, tally.errors
+        units.append(dict(made))  # holds every object, so no id is reused
+    first, second = units
+    counts = [{k: len(v) for k, v in u.items()} for u in units]
+    assert counts[0] == counts[1] and all(counts[0].values()), counts
+    assert counts[0]["placement"] == work.trials_per_unit
+    for name in ("placement", "system", "graph"):
+        assert {id(x) for x in first[name]}.isdisjoint(id(x) for x in second[name]), name
+    assert all(any(p is s for s in second["system"]) for p in second["placement"])
+    rows = {id(r): r for p in first["placement"] for r in p.measurements}
+    _, flows, _ = work.case.placement
+    shared = [r for p in second["placement"] for r in p.measurements if id(r) in rows]
+    assert shared and all(r.id < len(flows) and r is flows[r.id][r.secure] for r in shared)

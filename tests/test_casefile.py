@@ -1,5 +1,6 @@
 """Case parsing, bundled topologies, and randomized placement."""
 
+import collections
 import random
 import re
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import gridattack as ga
 from gridattack.casefile import CaseFile
 from gridattack.experiment import trial_seed
+from gridattack.grid import connected
 
 MINIMAL = """
 buses 2
@@ -233,6 +235,41 @@ def test_placement_equals_checked_constructors(name):
             assert got == want
             assert [r.endpoints for r in got.measurements] == [r.endpoints for r in want.measurements]
             assert all(type(r) is ga.Measurement for r in got.measurements)
+
+
+def test_placement_observability_matches_graph_search():
+    """A placement raises ``UnobservableSystem`` exactly when ``grid.connected``
+    finds its rows leave a bus unjoined to the reference. The cases are random,
+    with parallel lines, lines that leave buses apart, placements with no
+    angle meter and cases with no bus, so the rule that skips the search meets
+    each of its branches."""
+    rng = random.Random(36)
+    seen = collections.Counter()
+    for _ in range(800):
+        n = rng.randint(0, 8)
+        n_lines = rng.randint(1, 2 * n) if n > 1 else 0
+        lines = tuple((*rng.sample(range(1, n + 1), 2), 1.0) for _ in range(n_lines))
+        case = CaseFile("random", n, lines)
+        angle_fraction = rng.choice([0.0, 0.1, 0.25, 0.5, 1.0, rng.random()])
+        args = (angle_fraction, rng.random(), rng.randrange(10**6))
+        want = _checked_placement(case, *args)
+        observable = connected(range(n + 1), [r.endpoints for r in want.measurements])
+        joined = connected(range(1, n + 1), [(i, j) for i, j, _ in lines])
+        seen[joined, want.m > len(lines), observable] += 1
+        if observable:
+            got = ga.place_measurements(case, *args)
+            assert got == want and got.observable
+        else:
+            with pytest.raises(ga.UnobservableSystem):
+                ga.place_measurements(case, *args)
+    # (lines join buses 1..n, an angle meter placed, observable)
+    assert seen[True, True, True] >= 100
+    assert seen[True, False, False] >= 50
+    assert seen[False, True, False] >= 100
+    assert seen[False, True, True] >= 20
+    assert seen[False, False, False] >= 20
+    assert seen[True, False, True] >= 20  # no bus: the reference alone
+    assert len(seen) == 6
 
 
 @pytest.mark.parametrize("lines, message", [

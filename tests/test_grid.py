@@ -1,5 +1,6 @@
 """Measurement model, matrix construction, and cut extraction."""
 
+import collections
 import random
 import re
 
@@ -9,7 +10,7 @@ import pytest
 import gridattack as ga
 from gridattack import grid as grid_module
 from gridattack.mincut import cut_from_side
-from conftest import triangle_graph, triangle_system, random_system
+from conftest import triangle_graph, triangle_system, random_removals, random_system
 
 
 def test_build_matrix_two_bus_rows():
@@ -251,16 +252,20 @@ def test_remove_measurements_equals_constructed_system():
 
 def test_observability_checked_once_per_system(monkeypatch):
     calls = []
-    real = grid_module.connected
+    search = ga.MeasurementSystem.observable.func
 
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
+    def counted(system):
+        calls.append(system)
+        return search(system)
 
-    monkeypatch.setattr(grid_module, "connected", counted)
+    monkeypatch.setattr(ga.MeasurementSystem.observable, "func", counted)
     sys_ = ga.place_measurements(ga.load_case("ieee14"), 0.5, 0.3, seed=3)
     ga.build_graph(sys_)
     ga.build_matrix(sys_)
+    assert len(calls) == 0  # the lines join every bus and an angle meter is placed
+    twin = ga.remove_measurements(sys_, [])
+    ga.build_graph(twin)
+    ga.build_matrix(twin)
     assert len(calls) == 1
     # a disconnected system raises on every call, through every entry point
     split = ga.remove_measurements(
@@ -271,6 +276,26 @@ def test_observability_checked_once_per_system(monkeypatch):
         with pytest.raises(ga.UnobservableSystem):
             check(split)
     assert len(calls) == 2
+
+
+def test_observable_matches_graph_search_on_random_removals():
+    """A system's observability agrees with ``grid.connected`` on its rows, for
+    random systems less random removal sets. Parallel meters are common, and
+    often a pair loses one of them but keeps another: merging them would
+    change the answer."""
+    rng = random.Random(13)
+    seen = collections.Counter()
+    for _ in range(150):
+        sys_ = random_system(rng)
+        for removed in random_removals(rng, sys_, 8):
+            kept = [m.endpoints for m in sys_.measurements if m.id not in removed]
+            want = grid_module.connected(range(sys_.n + 1), kept)
+            assert ga.remove_measurements(sys_, removed).observable == want
+            touched = {frozenset(m.endpoints) for m in sys_.measurements if m.id in removed}
+            merged = [p for p in kept if frozenset(p) not in touched]
+            seen[want] += 1
+            seen["parallel"] += grid_module.connected(range(sys_.n + 1), merged) != want
+    assert seen[True] >= 200 and seen[False] >= 300 and seen["parallel"] >= 100, seen
 
 
 def test_measurement_validation():

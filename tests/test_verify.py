@@ -1,5 +1,6 @@
 """Plan execution against the estimator and outcome classification."""
 
+import collections
 import dataclasses
 import math
 import random
@@ -11,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 import gridattack as ga
 from gridattack import verify
 from gridattack.attack import AttackType
-from gridattack.grid import SUSCEPTANCE_RANGE
+from gridattack.grid import SUSCEPTANCE_RANGE, connected
 from gridattack.verify import ALPHA_RANGE
 from conftest import (
-    describe_verdict, triangle_system, random_cost, random_edge_list, random_system,
+    describe_verdict, triangle_system, random_cost, random_edge_list, random_removals,
+    random_system,
 )
 
 EXHAUSTIVE = ga.DetectorConfig(removal_mode=ga.RemovalMode.EXHAUSTIVE_MINIMAL)
@@ -175,6 +177,52 @@ def test_observability_break_reported_not_raised():
     verdict = ga.execute(sys_, np.zeros(3), plan, EXHAUSTIVE)
     assert not verdict.observability_ok
     assert not verdict.success
+
+
+def test_jammed_observability_matches_graph_search():
+    """A plan is judged unobservable exactly when ``grid.connected`` finds its
+    jammed rows disconnect the system it runs on, its graph's or another, and
+    its verdict is the same with the graph (memo) and without it."""
+    rng = random.Random(8)
+    seen = collections.Counter()
+    for _ in range(40):
+        sys_ = random_system(rng)
+        # the same ids on other rows: a plan's graph may be another system's
+        other = random_system(rng, n_buses=sys_.n, m=sys_.m)
+        g = ga.build_graph(sys_)
+        for jammed in random_removals(rng, sys_, 6):
+            plan = dataclasses.replace(
+                _noop_plan(g), graph=g,
+                jammed_insecure=frozenset(i for i in jammed if i in g.insecure_ids),
+                jammed_secure=frozenset(i for i in jammed if i in g.secure_ids),
+            )
+            for system in (sys_, other):
+                truth = np.zeros(system.n + 1)
+                got = ga.execute(system, truth, plan, EXHAUSTIVE)
+                fresh = ga.execute(system, truth, dataclasses.replace(plan, graph=None), EXHAUSTIVE)
+                assert describe_verdict(got) == describe_verdict(fresh)
+                kept = [m.endpoints for m in system.measurements if m.id not in jammed]
+                assert got.observability_ok == connected(range(system.n + 1), kept)
+                seen[system is sys_, got.observability_ok] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 50, seen  # (own system, observable)
+
+
+def test_execute_keeps_nothing_on_the_system():
+    """``execute`` adds no key to the system beyond the id set and noise sigma
+    its input checks cache: a per-system cache would live as long as the
+    system, past every graph and plan on it."""
+    system = ga.place_measurements(ga.load_case("ieee14"), 0.6, 0.3, seed=5)
+    graph = ga.build_graph(system)
+    system.ids, system.max_noise_std  # cached by the input checks
+    keys = set(vars(system))
+    plans = [ga.design(t, graph, ga.CostModel(1, 0.5, 0.25)) for t in AttackType]
+    plans = [p for p in plans if isinstance(p, ga.AttackPlan)]
+    assert any(p.jammed for p in plans) and not all(p.jammed for p in plans)
+    greedy = ga.DetectorConfig(removal_mode=ga.RemovalMode.GREEDY_NORMALIZED_RESIDUAL)
+    for plan in plans:
+        for g in (graph, None):
+            ga.execute(system, np.zeros(system.n + 1), dataclasses.replace(plan, graph=g), greedy)
+    assert set(vars(system)) == keys
 
 
 def test_nonzero_truth_state():
