@@ -76,7 +76,7 @@ class CaseFile:
             for mid, (i, j, b) in enumerate(self.lines)
         )
         MeasurementSystem(buses=buses, lines=self.lines, measurements=tuple(f for f, _ in flows))
-        joined = connected(range(1, self.n_buses + 1), ((i, j) for i, j, _ in self.lines))
+        joined = connected(self.n_buses, ((i - 1, j - 1) for i, j, _ in self.lines))
         return buses, flows, joined
 
 
@@ -246,7 +246,9 @@ def place_measurements(
 
     Angle meters go on round(angle_fraction * n) distinct buses, never the
     reference; round(secure_fraction * m) measurements are flagged secure.
-    Counts round half to even. Pure function of (case, fractions, seed).
+    Counts round half to even. Pure function of (case, fractions, seed); a
+    negative seed raises ValueError, as ``random.Random`` would seed with
+    its absolute value.
     The flow rows are the case's own (``CaseFile.placement``), shared by
     every placement of the case object; only the angle rows and the system
     are new, built without rerunning their checks. The result equals the
@@ -256,6 +258,8 @@ def place_measurements(
     """
     if not 0 <= angle_fraction <= 1 or not 0 <= secure_fraction <= 1:
         raise ValueError("fractions must lie in [0, 1]")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     buses, flows, joined = case.placement
     rng = random.Random(seed)
     n = case.n_buses

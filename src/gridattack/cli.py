@@ -11,9 +11,11 @@ import numpy as np
 
 from .attack import AttackPlan, AttackType, CostModel, Infeasible, NoSolutionFound, classify_interval, design
 from .casefile import load_case, place_measurements, system_from_case
-from .errors import InvalidCosts, ParseError, TopologyError, UnobservableSystem
+from .errors import InvalidCosts, ParseError, TooLarge, TopologyError, UnobservableSystem
 from .estimator import DetectorConfig, RemovalMode
-from .experiment import MAX_FRACTIONS, MAX_TRIALS, check_out_path, run_sweep, summarize, write_csv
+from .experiment import (
+    MAX_FRACTIONS, MAX_TRIALS, check_out_path, check_types, run_sweep, summarize, write_csv,
+)
 from .grid import build_graph
 from .verify import ALPHA_RANGE, execute, valid_alpha
 
@@ -206,6 +208,7 @@ def _cmd_sweep(args) -> int:
         types = [AttackType(t.strip()) for t in args.types.split(",") if t.strip()]
         if not types:
             raise ValueError(f"--types {args.types!r} names no attack type")
+        check_types(types)
         fractions = _fractions(args.fractions)
         condition = None if args.condition == "none" else AttackType(args.condition)
     except ValueError as exc:
@@ -234,6 +237,8 @@ def _cmd_sweep(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.seed < 0:  # before any case load: a negative seed would repeat its absolute value
+        return _usage_error(args, f"--seed must be nonnegative, got {args.seed}")
     try:
         return args.func(args)
     except InvalidCosts as exc:
@@ -247,6 +252,9 @@ def main(argv=None) -> int:
         return EX_DATA
     except UnobservableSystem as exc:
         print(f"grid-attack: unobservable system: {exc}", file=sys.stderr)
+        return EX_DATA
+    except TooLarge as exc:
+        print(f"grid-attack: too large: {exc}; try --removal greedy", file=sys.stderr)
         return EX_DATA
 
 

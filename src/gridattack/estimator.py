@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import RemovalFailed
+from .errors import RemovalFailed, TooLarge
 from .grid import MeasurementSystem, build_matrix, connected, unchecked
 
 DEFAULT_THRESHOLD = 1e-6
@@ -49,6 +49,12 @@ WHITENED_LIMIT = 1e100
 _SCREEN_MARGIN_REL = 1e-6
 _SCREEN_MARGIN_SIGNAL = 1e-12
 _SCREEN_EIGEN_FLOOR = 1e-6
+# The most removal subsets the exhaustive search may count, C(m, k) summed over
+# the sizes k it reaches: it raises TooLarge before a size that would pass this.
+# The largest counts are 106,761 in the tests (18 rows, sizes 1-8), 105 in the
+# golden digests and 696 on the oracle benchmark (seeds 1-8). At the screen's
+# 0.3-2M subsets/s, the cap bounds a search to a few seconds.
+MAX_REMOVAL_SUBSETS = 1_000_000
 # Subsets per screened chunk: 16 at first, then four times the last, up to
 # 2^14 / size^2 so that each of a chunk's arrays stays near 128 kB.
 _SCREEN_FIRST_CHUNK = 16
@@ -122,7 +128,7 @@ def _solve(Hw: np.ndarray, zw: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _keeps_connected(n: int, pairs: list, removed_positions: set[int]) -> bool:
-    return connected(range(n + 1), (p for k, p in enumerate(pairs) if k not in removed_positions))
+    return connected(n + 1, (p for k, p in enumerate(pairs) if k not in removed_positions))
 
 
 def detect_and_remove(
@@ -135,8 +141,10 @@ def detect_and_remove(
     at the first passing one, which is therefore of minimum size. Greedy
     mode repeatedly drops the connectivity-preserving measurement with the
     largest normalized residual. Raises RemovalFailed when no subset
-    within budget passes, ValueError on a wrong-length ``z`` or one with an
-    entry that is not finite or exceeds ``WHITENED_LIMIT`` once whitened.
+    within budget passes, TooLarge before an exhaustive search would count
+    more than ``MAX_REMOVAL_SUBSETS`` subsets, ValueError on a wrong-length
+    ``z`` or one with an entry that is not finite or exceeds
+    ``WHITENED_LIMIT`` once whitened.
     """
     cfg = cfg or DEFAULT_CONFIG
     z = np.asarray(z, dtype=float)
@@ -184,7 +192,12 @@ def _exhaustive_removal(sys, Hw, zw, threshold, budget):
     r = omega @ zw
     J = float(r @ r)
     limit = threshold**2 + _SCREEN_MARGIN_REL * J + _SCREEN_MARGIN_SIGNAL * float(zw @ zw)
+    counted = 0
     for size in range(1, budget + 1):
+        counted += math.comb(m, size)
+        if counted > MAX_REMOVAL_SUBSETS:
+            raise TooLarge(f"exhaustive removal of up to {size} of {m} measurements counts "
+                           f"{counted} subsets, over the cap {MAX_REMOVAL_SUBSETS}")
         combos = itertools.combinations(range(m), size)
         chunk, cap = _SCREEN_FIRST_CHUNK, max(1, _SCREEN_CHUNK_ENTRIES // (size * size))
         while True:

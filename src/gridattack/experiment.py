@@ -46,6 +46,13 @@ def trial_seed(base: int, fraction_index: int, trial: int) -> int:
     return base * 1_000_000 + fraction_index * 10_000 + trial
 
 
+def check_types(types: Sequence[AttackType]) -> None:
+    """Raise ValueError naming the first attack type listed twice: its rows would repeat."""
+    for k, attack_type in enumerate(types):
+        if attack_type in types[:k]:
+            raise ValueError(f"attack type {attack_type.value} is listed twice")
+
+
 def run_sweep(
     case: CaseFile,
     types: Sequence[AttackType],
@@ -67,7 +74,9 @@ def run_sweep(
 
     Returns the rows plus, per (fraction, trial), whether the conditioning
     attack type was feasible there (all True when no condition is given).
+    Raises ValueError when a type is listed twice (``check_types``).
     """
+    check_types(types)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     fractions = sorted(set(float(f) for f in fractions))

@@ -152,17 +152,8 @@ class MeasurementSystem:
 
     @cached_property
     def observable(self) -> bool:
-        """Whether the measurements connect every bus to the reference; see ``check_observable``.
-
-        The buses are the nodes 0..n, so each is its own position in the
-        neighbour bitmasks that ``connected`` searches.
-        """
-        adjacent = [0] * len(self.buses)
-        for meas in self.measurements:
-            u, v = meas.endpoints
-            adjacent[u] |= 1 << v
-            adjacent[v] |= 1 << u
-        return _reaches_all(adjacent)
+        """Whether the measurements join the buses 0..n; see ``check_observable``."""
+        return connected(len(self.buses), [meas.endpoints for meas in self.measurements])
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -243,37 +234,27 @@ def build_matrix(sys: MeasurementSystem) -> np.ndarray:
 def check_observable(sys: MeasurementSystem) -> None:
     """Raise UnobservableSystem unless the measurements connect every bus to the reference.
 
-    Connectivity is decided once per system object: by a search, or by the
-    code that built the system where it already knows the answer (a
-    placement whose lines join every bus, the reduced system of a plan that
-    jams nothing in ``verify``). Every call on a disconnected system raises.
+    Connectivity is decided once per system object: by ``connected``, or by
+    the code that built the system where it already knows the answer (a
+    placement whose lines join every bus; a ``remove_measurements`` copy
+    that keeps every row). Every call on a disconnected system raises.
     """
     if not sys.observable:
         raise UnobservableSystem("measurement graph is disconnected")
 
 
-def connected(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> bool:
-    """Whether the pairs link every node of the set.
+def connected(n: int, pairs: Iterable[tuple[int, int]]) -> bool:
+    """Whether the pairs of positions in 0..n-1 join all n nodes; True for n == 0.
 
-    Each node gets one bit, and the set is connected when a breadth-first
-    search over neighbour bitmasks reaches every bit from the first node's.
+    The package's one connectivity search: breadth-first from node 0 over
+    neighbour bitmasks, one bit per node.
     """
-    position: dict[int, int] = {}
-    for v in nodes:
-        position.setdefault(v, len(position))
-    if not position:
+    if not n:
         return True
-    adjacent = [0] * len(position)
+    adjacent = [0] * n
     for a, b in pairs:
-        i, j = position[a], position[b]
-        adjacent[i] |= 1 << j
-        adjacent[j] |= 1 << i
-    return _reaches_all(adjacent)
-
-
-def _reaches_all(adjacent: list[int]) -> bool:
-    """Whether a breadth-first search over the neighbour bitmasks reaches every
-    node from node 0."""
+        adjacent[a] |= 1 << b
+        adjacent[b] |= 1 << a
     reached = frontier = 1
     while frontier:
         grown = 0
@@ -283,7 +264,7 @@ def _reaches_all(adjacent: list[int]) -> bool:
             frontier ^= low
         frontier = grown & ~reached
         reached |= frontier
-    return reached == (1 << len(adjacent)) - 1
+    return reached == (1 << n) - 1
 
 
 def build_graph(sys: MeasurementSystem) -> MeasurementGraph:
@@ -310,11 +291,14 @@ def remove_measurements(sys: MeasurementSystem, ids: Iterable[int]) -> Measureme
 
     A subset of a valid system is valid, so the constructor's checks are
     not run again; the result equals the system built from the kept rows.
+    A result that keeps every row takes the input's ``observable``.
     """
     drop = set(ids)
     keep = [k for k, m in enumerate(sys.measurements) if m.id not in drop]
+    known = {"observable": sys.observable} if len(keep) == sys.m else {}
     return unchecked(
         MeasurementSystem,
+        known,
         buses=sys.buses,
         lines=sys.lines,
         measurements=tuple(sys.measurements[k] for k in keep),

@@ -9,8 +9,8 @@ estimate; a detectable plan must shift the estimate with at least one
 injected measurement surviving removal and the final residual test
 passing. The run does not depend on the type, so a copy of its verdict
 with only the type changed judges the plan as any type. The input system's
-matrix is never built. A plan that jams nothing leaves the input's rows, so
-the reduced system takes the input's observability; otherwise the reduced
+matrix is never built. A plan that jams nothing keeps the input's rows,
+whose observability ``remove_measurements`` passes on; otherwise the reduced
 system's graph is searched, and the input's only when that fails.
 
 A noiseless run of a designed plan is kept, with read-only arrays, in this
@@ -184,8 +184,6 @@ def _run(
     if not (np.abs(truth) <= WHITENED_LIMIT).all():
         raise ValueError(f"truth must be finite, at most {WHITENED_LIMIT:g} in magnitude")
     reduced = remove_measurements(sys, plan.jammed)
-    if not plan.jammed:  # the same rows as the input
-        vars(reduced)["observable"] = sys.observable
     try:
         H = build_matrix(reduced)
     except UnobservableSystem:

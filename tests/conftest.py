@@ -1,6 +1,8 @@
 """Shared builders and references.
 
-Builders: a triangle example, random systems, removal sets and cost triples.
+Builders: a triangle example, random systems, removal sets and cost triples,
+and a case that exhaustive removal cannot finish, with a count of the
+subsets its screen is given.
 Describers: every field of a design result or a verdict, at full precision.
 References kept apart from the package code they check: a dict union-find
 for connectivity and a brute-force cut enumeration.
@@ -14,6 +16,7 @@ import random
 from typing import Optional
 
 import gridattack as ga
+from gridattack import estimator
 from gridattack.mincut import cut_from_side
 
 
@@ -84,6 +87,37 @@ def random_system(
         lines=tuple((i, j, 1.0) for i, j in lines),
         measurements=tuple(measurements),
     )
+
+
+def parallel_bundle_case() -> str:
+    """Case text: buses 1 and 2 joined by nineteen flow meters, nine of them
+    secure, on a chain of fifteen buses whose meters are all secure.
+
+    76 measurements. Its detectable-injection plan at (1, .8, .6) injects the
+    ten insecure meters and leaves the nine secure ones, so the smallest
+    passing removal has nine rows: its sizes below hold about 2e10 subsets.
+    """
+    meters = ["flow 1 2"] * 19 + [f"flow {k} {k + 1}" for k in range(2, 16) for _ in range(3)]
+    meters += [f"angle {bus}" for bus in range(2, 17)]
+    secure = " ".join(str(k) for k in range(10, len(meters)))
+    chain = "\n".join(f"{k} {k + 1}" for k in range(1, 16))
+    return f"name bundle\nbuses 16\nlines\n{chain}\nmeasurements\n" + "\n".join(meters) + (
+        f"\nsecure\n{secure}\n")
+
+
+def count_screened(monkeypatch) -> list[int]:
+    """Sizes of the subset blocks the removal screen is given; fails as soon
+    as they add up past ``estimator.MAX_REMOVAL_SUBSETS``."""
+    blocks = []
+    screen = estimator._screened_residual
+
+    def counted(omega, r, J, block):
+        blocks.append(len(block))
+        assert sum(blocks) <= estimator.MAX_REMOVAL_SUBSETS, "walked past the cap"
+        return screen(omega, r, J, block)
+
+    monkeypatch.setattr(estimator, "_screened_residual", counted)
+    return blocks
 
 
 def random_removals(rng, sys_, count):

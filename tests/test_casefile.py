@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import gridattack as ga
 from gridattack.casefile import CaseFile
 from gridattack.experiment import trial_seed
-from gridattack.grid import connected
+from conftest import reference_connected
 
 MINIMAL = """
 buses 2
@@ -238,7 +238,7 @@ def test_placement_equals_checked_constructors(name):
 
 
 def test_placement_observability_matches_graph_search():
-    """A placement raises ``UnobservableSystem`` exactly when ``grid.connected``
+    """A placement raises ``UnobservableSystem`` exactly when the conftest union-find
     finds its rows leave a bus unjoined to the reference. The cases are random,
     with parallel lines, lines that leave buses apart, placements with no
     angle meter and cases with no bus, so the rule that skips the search meets
@@ -253,8 +253,8 @@ def test_placement_observability_matches_graph_search():
         angle_fraction = rng.choice([0.0, 0.1, 0.25, 0.5, 1.0, rng.random()])
         args = (angle_fraction, rng.random(), rng.randrange(10**6))
         want = _checked_placement(case, *args)
-        observable = connected(range(n + 1), [r.endpoints for r in want.measurements])
-        joined = connected(range(1, n + 1), [(i, j) for i, j, _ in lines])
+        observable = reference_connected(range(n + 1), [r.endpoints for r in want.measurements])
+        joined = reference_connected(range(1, n + 1), [(i, j) for i, j, _ in lines])
         seen[joined, want.m > len(lines), observable] += 1
         if observable:
             got = ga.place_measurements(case, *args)
@@ -285,6 +285,16 @@ def test_placement_rejects_bad_hand_built_case(lines, message):
     for _ in range(2):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ga.place_measurements(case, 0.6, 0.3, seed=1)
+
+
+def test_negative_seed_rejected():
+    """``random.Random`` seeds with the absolute value, so -1 would repeat 1's
+    placement, and the sweep cell (-1, 99, 5) that of (0, 0, 9995)."""
+    case = ga.parse_case(MINIMAL)
+    assert ga.place_measurements(case, 0.5, 0.5, seed=0).m
+    for seed in (-1, trial_seed(-1, 99, 5)):
+        with pytest.raises(ValueError, match=f"seed must be nonnegative, got {seed}"):
+            ga.place_measurements(case, 0.5, 0.5, seed=seed)
 
 
 def test_fraction_bounds_validated():

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -18,10 +19,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gridattack as ga
-from gridattack import cli, experiment, verify
+from gridattack import cli, estimator, experiment, verify
 from gridattack.cli import main
 from gridattack.experiment import CSV_HEADER, run_sweep, summarize, write_csv
 from gridattack.attack import AttackType
+from conftest import count_screened, parallel_bundle_case
 
 
 def test_attack_hidden_generalized_exit_zero(capsys):
@@ -191,6 +193,8 @@ COSTS = ["--pi", "1", "--pjs", ".5", "--pjsc", ".25"]
         (["attack", "--type", "hidden-injection", "--alpha", "0.01"], "--alpha"),
         (["attack", "--type", "hidden-injection", "--alpha", "-1e-3"], "--alpha"),
         (["attack", "--type", "hidden-injection", "--angle-fraction", "-inf"], "--angle-fraction"),
+        (["sweep", "--trials", "2", "--fractions", "0.1",
+          "--types", "hidden-injection,hidden-jamming,hidden-injection"], "hidden-injection"),
     ],
 )
 def test_out_of_range_options_exit_64(argv, flag, capsys):
@@ -199,6 +203,43 @@ def test_out_of_range_options_exit_64(argv, flag, capsys):
     assert code == 64
     assert err.count("\n") == 1 and err.startswith(f"grid-attack {argv[0]}: error: ")
     assert flag in err
+
+
+@pytest.mark.parametrize("command", [
+    ["attack", "--type", "hidden-injection"],
+    ["sweep", "--trials", "1", "--fractions", "0"],
+])
+def test_negative_seed_exit_64_before_case_and_out(command, tmp_path, capsys):
+    """``random.Random`` seeds with the absolute value, so ``--seed=-7`` would
+    print what ``--seed 7`` prints. It is refused before the case is read and
+    before ``--out`` is checked, each of which would exit 65 here."""
+    missing = tmp_path / "missing"
+    command = command + COSTS + ["--case", str(missing / "case.grid")]
+    if command[0] == "sweep":
+        command += ["--out", str(missing / "out.csv")]
+    for seed in (["--seed=-7"], ["--seed", "-1"]):
+        code = main(command + seed)
+        err = capsys.readouterr().err
+        assert code == 64, err
+        assert err.count("\n") == 1 and err.startswith(f"grid-attack {command[0]}: error: --seed ")
+
+
+def test_exhaustive_removal_past_the_cap_exit_65(tmp_path, capsys, monkeypatch):
+    """``--removal exhaustive`` on the parallel bundle would walk about 2e10
+    subsets. It exits 65 within a second, with one line naming the cap and
+    ``--removal greedy``, having walked no more than the cap."""
+    blocks = count_screened(monkeypatch)
+    case = tmp_path / "bundle.grid"
+    case.write_text(parallel_bundle_case())
+    start = time.perf_counter()
+    code = main(["attack", "--case", str(case), "--type", "detectable-injection",
+                 "--pi", "1", "--pjs", ".8", "--pjsc", ".6", "--removal", "exhaustive"])
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert code == 65
+    assert err.count("\n") == 1 and err.startswith("grid-attack: too large: ")
+    assert f"over the cap {estimator.MAX_REMOVAL_SUBSETS}; try --removal greedy" in err
+    assert 0 < sum(blocks) <= estimator.MAX_REMOVAL_SUBSETS
 
 
 def test_negative_exponent_value_runs_like_its_decimal(capsys):
@@ -606,6 +647,17 @@ def test_sweep_rows_pure_function_of_inputs():
     rows1, _ = run_sweep(case, [AttackType.DETECTABLE_GENERALIZED], cost, [0.1], 4, seed=9)
     rows2, _ = run_sweep(case, [AttackType.DETECTABLE_GENERALIZED], cost, [0.1], 4, seed=9)
     assert rows1 == rows2
+
+
+def test_sweep_rejects_a_repeated_type():
+    """A type listed twice would write each of its rows twice and count each
+    trial twice in the summary."""
+    case = ga.load_case("ieee14")
+    types = [AttackType.HIDDEN_INJECTION, AttackType.HIDDEN_JAMMING, AttackType.HIDDEN_INJECTION]
+    with pytest.raises(ValueError, match="^attack type hidden-injection is listed twice$"):
+        run_sweep(case, types, ga.CostModel(1, 0.5, 0.25), [0.1], 2, seed=1)
+    rows, _ = run_sweep(case, types[:2], ga.CostModel(1, 0.5, 0.25), [0.1], 2, seed=1)
+    assert len(rows) == 4
 
 
 def test_fraction_range_parsing(capsys):

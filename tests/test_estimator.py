@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 import gridattack as ga
 from gridattack import estimator
-from conftest import random_edge_list, reference_connected, triangle_system, random_system
+from conftest import (
+    count_screened, parallel_bundle_case, random_edge_list, reference_connected,
+    triangle_system, random_system,
+)
 
 EXHAUSTIVE = ga.DetectorConfig(removal_mode=ga.RemovalMode.EXHAUSTIVE_MINIMAL)
 GREEDY = ga.DetectorConfig(removal_mode=ga.RemovalMode.GREEDY_NORMALIZED_RESIDUAL)
@@ -215,6 +219,23 @@ def test_only_max_removals_makes_removal_fail(rng, mode, threshold):
         tight = dataclasses.replace(cfg, max_removals=len(report.removed) - 1)
         with pytest.raises(ga.RemovalFailed):
             ga.detect_and_remove(sys_, z, tight)
+
+
+def test_exhaustive_removal_raises_before_a_size_past_the_cap(monkeypatch):
+    """On the parallel bundle, whose smallest passing removal has nine of 76
+    rows, exhaustive removal walks sizes 1-3 and raises ``TooLarge`` before
+    size 4 would take the count past the cap, within a second; it does not
+    return a verdict."""
+    blocks = count_screened(monkeypatch)
+    system = ga.system_from_case(ga.parse_case(parallel_bundle_case()))
+    plan = ga.detectable_injection(ga.build_graph(system), ga.CostModel(1, 0.8, 0.6))
+    assert len(plan.injected) == 10 and len(plan.untouched) == 9
+    start = time.perf_counter()
+    with pytest.raises(ga.TooLarge, match="up to 4 of 76 measurements counts 1356201 subsets"):
+        ga.execute(system, np.zeros(system.n + 1), plan, EXHAUSTIVE)
+    assert time.perf_counter() - start < 1.0
+    assert sum(blocks) == sum(math.comb(76, k) for k in (1, 2, 3))
+    assert ga.execute(system, np.zeros(system.n + 1), plan, GREEDY).success
 
 
 def test_detector_threshold_validation():

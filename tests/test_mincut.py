@@ -85,8 +85,9 @@ def test_enumerate_counts():
 def test_reachability_matches_union_find_reference():
     """``grid.connected`` agrees with the conftest union-find.
 
-    Random node sets in shuffled order: the empty set, isolated nodes,
-    parallel pairs, disconnected sets, and sets of more than 64 nodes.
+    Random labelled node sets in shuffled order, each label mapped to its
+    position for ``connected``: the empty set, isolated nodes, parallel
+    pairs, disconnected sets, and sets of more than 64 nodes.
     """
     rng = random.Random(18)
     seen = collections.Counter()
@@ -101,7 +102,8 @@ def test_reachability_matches_union_find_reference():
             pairs += rng.sample(pairs, min(len(pairs), rng.randint(0, 3)))
             rng.shuffle(pairs)
         want = reference_connected(nodes, pairs)
-        assert connected(nodes, pairs) == want
+        position = {v: k for k, v in enumerate(nodes)}
+        assert connected(n, [(position[a], position[b]) for a, b in pairs]) == want
         seen["empty" if not n else (n > 64, want)] += 1
         seen["isolated"] += n > 1 and bool(set(nodes) - {v for p in pairs for v in p})
         seen["parallel"] += len({frozenset(p) for p in pairs}) < len(pairs)

@@ -12,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 import gridattack as ga
 from gridattack import verify
 from gridattack.attack import AttackType
-from gridattack.grid import SUSCEPTANCE_RANGE, connected
+from gridattack.grid import SUSCEPTANCE_RANGE
 from gridattack.verify import ALPHA_RANGE
 from conftest import (
     describe_verdict, triangle_system, random_cost, random_edge_list, random_removals,
-    random_system,
+    random_system, reference_connected,
 )
 
 EXHAUSTIVE = ga.DetectorConfig(removal_mode=ga.RemovalMode.EXHAUSTIVE_MINIMAL)
@@ -180,7 +180,7 @@ def test_observability_break_reported_not_raised():
 
 
 def test_jammed_observability_matches_graph_search():
-    """A plan is judged unobservable exactly when ``grid.connected`` finds its
+    """A plan is judged unobservable exactly when the conftest union-find finds its
     jammed rows disconnect the system it runs on, its graph's or another, and
     its verdict is the same with the graph (memo) and without it."""
     rng = random.Random(8)
@@ -202,7 +202,7 @@ def test_jammed_observability_matches_graph_search():
                 fresh = ga.execute(system, truth, dataclasses.replace(plan, graph=None), EXHAUSTIVE)
                 assert describe_verdict(got) == describe_verdict(fresh)
                 kept = [m.endpoints for m in system.measurements if m.id not in jammed]
-                assert got.observability_ok == connected(range(system.n + 1), kept)
+                assert got.observability_ok == reference_connected(range(system.n + 1), kept)
                 seen[system is sys_, got.observability_ok] += 1
     assert len(seen) == 4 and min(seen.values()) >= 50, seen  # (own system, observable)
 
