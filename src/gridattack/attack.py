@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 from .errors import InvalidCosts
 from .grid import REFERENCE_BUS, MeasurementGraph
@@ -254,21 +254,21 @@ def _secure_free_min_cut(graph: MeasurementGraph) -> Optional[CutResult]:
 
 
 def constrained_min_cut(
-    graph: MeasurementGraph, weights: Sequence[float], constraint: CutConstraint
+    graph: MeasurementGraph, constraint: CutConstraint, secure_w: float, insecure_w: float
 ) -> Union[CutResult, NoSolutionFound]:
     """Iterative minimum-weight cut subject to a composition constraint.
 
-    Recomputes the global minimum cut under ``weights``, one per edge of
-    ``graph`` in edge order, and while the constraint fails, boosts one
-    violating cut edge to +inf in a copy of them: the lightest, largest id
-    on ties; a secure edge under the minority constraint or when the cut
-    has no insecure edge, else an insecure one. The returned cut reports
-    its weight under the original weights.
+    Weighs secure edges at ``secure_w`` and insecure ones at ``insecure_w``,
+    and while the global minimum cut fails the constraint, boosts its
+    largest-id violating edge to +inf and cuts again: a secure edge under the
+    minority constraint or when the cut has no insecure edge, else an
+    insecure one. The returned cut reports its weight under the class weights.
 
     It stops on a satisfied cut, an infinite one (every cut crosses a boosted
     edge) or an empty one (a disconnected graph); each boost hits a new edge.
     It runs on the graph's one solver, kept in its ``cut_memo``.
     """
+    weights = [secure_w if e.secure else insecure_w for e in graph.edges]
     slot = {e.id: k for k, e in enumerate(graph.edges)}  # edge id -> its weight's index
     solver = _memoized(graph, ("solver",), CutSolver)
     working = list(weights)
@@ -286,8 +286,8 @@ def constrained_min_cut(
         if not cut.edges:
             return NoSolutionFound("the global cut is empty: the graph is disconnected")
         boost_secure = constraint is CutConstraint.SECURE_MINORITY or n_ins == 0
-        candidates = [slot[i] for i in cut.edges if graph.edges[slot[i]].secure == boost_secure]
-        working[min(candidates, key=lambda k: (weights[k], -graph.edges[k].id))] = INFINITY
+        boost = next(i for i in reversed(cut.edges) if graph.edges[slot[i]].secure == boost_secure)
+        working[slot[boost]] = INFINITY
 
 
 def hidden_injection(graph: MeasurementGraph, cost: CostModel) -> DesignResult:
@@ -341,18 +341,10 @@ def _constrained_plan(
     The search is memoized on the graph object, so designers that share a
     constraint and weights on one graph run it once.
     """
-    found = _memoized(graph, ("constrained", constraint, secure_w, insecure_w), _class_search)
+    found = _memoized(graph, ("constrained", constraint, secure_w, insecure_w), constrained_min_cut)
     if isinstance(found, NoSolutionFound):
         return found
     return _plan(attack_type, graph, found, cost, *counts(found))
-
-
-def _class_search(
-    graph: MeasurementGraph, constraint: CutConstraint, secure_w: float, insecure_w: float
-) -> Union[CutResult, NoSolutionFound]:
-    """``constrained_min_cut`` with each secure edge at one weight, each insecure one at another."""
-    weights = [secure_w if e.secure else insecure_w for e in graph.edges]
-    return constrained_min_cut(graph, weights, constraint)
 
 
 def _case_a(

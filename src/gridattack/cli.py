@@ -14,7 +14,8 @@ from .casefile import load_case, place_measurements, system_from_case
 from .errors import InvalidCosts, ParseError, TooLarge, TopologyError, UnobservableSystem
 from .estimator import DetectorConfig, RemovalMode
 from .experiment import (
-    MAX_FRACTIONS, MAX_TRIALS, check_out_path, check_types, run_sweep, summarize, write_csv,
+    MAX_FRACTIONS, MAX_TRIALS, check_case, check_out_path, check_types, run_sweep, summarize,
+    write_csv,
 )
 from .grid import build_graph
 from .verify import ALPHA_RANGE, execute, valid_alpha
@@ -165,21 +166,21 @@ def _cmd_attack(args) -> int:
     if isinstance(outcome, NoSolutionFound):
         print(f"no solution found: {outcome.reason}", file=sys.stderr)
         return EX_NO_SOLUTION
-    if args.removal == "auto":
-        mode = (
-            RemovalMode.EXHAUSTIVE_MINIMAL
-            if system.m <= _EXHAUSTIVE_LIMIT
-            else RemovalMode.GREEDY_NORMALIZED_RESIDUAL
-        )
+
+    def run(mode: RemovalMode):
+        return execute(system, np.zeros(system.n + 1), outcome, DetectorConfig(removal_mode=mode),
+                       alpha=args.alpha)
+
+    greedy = RemovalMode.GREEDY_NORMALIZED_RESIDUAL
+    if args.removal != "auto":
+        verdict = run(RemovalMode(args.removal))
+    elif system.m > _EXHAUSTIVE_LIMIT:
+        verdict = run(greedy)
     else:
-        mode = RemovalMode(args.removal)
-    verdict = execute(
-        system,
-        np.zeros(system.n + 1),
-        outcome,
-        DetectorConfig(removal_mode=mode),
-        alpha=args.alpha,
-    )
+        try:
+            verdict = run(RemovalMode.EXHAUSTIVE_MINIMAL)
+        except TooLarge:  # past the subset cap, auto answers as greedy does
+            verdict = run(greedy)
     if args.json:
         print(json.dumps(_plan_json(outcome, cost, verdict), indent=2))
     else:
@@ -214,6 +215,10 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         return _usage_error(args, exc)
     case = load_case(args.case)
+    try:
+        check_case(case)
+    except ValueError as exc:
+        return _usage_error(args, exc)
     cost = CostModel(args.pi, args.pjs, args.pjsc)
     check_out_path(args.out)  # before the sweep, which can run for minutes
     rows, cond_ok = run_sweep(

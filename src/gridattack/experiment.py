@@ -53,6 +53,12 @@ def check_types(types: Sequence[AttackType]) -> None:
             raise ValueError(f"attack type {attack_type.value} is listed twice")
 
 
+def check_case(case: CaseFile) -> None:
+    """Raise ValueError for a case that lists its measurements: a sweep places its own."""
+    if case.measurements is not None:
+        raise ValueError(f"case {case.name} lists its measurements, which a sweep does not read")
+
+
 def run_sweep(
     case: CaseFile,
     types: Sequence[AttackType],
@@ -74,9 +80,11 @@ def run_sweep(
 
     Returns the rows plus, per (fraction, trial), whether the conditioning
     attack type was feasible there (all True when no condition is given).
-    Raises ValueError when a type is listed twice (``check_types``).
+    Raises ValueError when a type is listed twice (``check_types``) or the
+    case lists its measurements (``check_case``).
     """
     check_types(types)
+    check_case(case)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     fractions = sorted(set(float(f) for f in fractions))

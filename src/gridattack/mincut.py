@@ -52,18 +52,18 @@ class WeightedEdge:
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Undirected multigraph with nonnegative (possibly infinite) edge weights."""
+    """Multigraph over the nodes 0..n-1, in order, with nonnegative or infinite weights."""
 
     nodes: tuple[int, ...]
     edges: tuple[WeightedEdge, ...]
 
     def __post_init__(self):
-        node_set = set(self.nodes)
-        if len(node_set) != len(self.nodes):
-            raise ValueError("duplicate node id")
+        n = len(self.nodes)
+        if tuple(self.nodes) != tuple(range(n)):
+            raise ValueError(f"graph nodes must be 0..{n - 1} in order")
         seen = set()
         for e in self.edges:
-            if e.u == e.v or e.u not in node_set or e.v not in node_set:
+            if e.u == e.v or e.u not in range(n) or e.v not in range(n):
                 raise ValueError(f"edge {e.id} has invalid endpoints ({e.u},{e.v})")
             if math.isnan(e.weight) or e.weight < 0:
                 raise ValueError(f"edge {e.id} weight must be nonnegative")
@@ -221,32 +221,31 @@ def _stoer_wagner(rows: Sequence[dict[int, int]]) -> tuple[int, set[int]]:
 class CutSolver:
     """Reusable exact min-cut solver for one graph's structure.
 
-    The graph's edges carry ``id``, ``endpoints`` and ``secure``, as in a
-    ``MeasurementGraph`` or a ``WeightedGraph``; each solve takes
-    ``weights``, one per edge in edge order, packed into adjacency rows.
+    The graph's nodes are 0..n-1 in order; its edges carry ``id``, ``endpoints``
+    and ``secure``, as in a ``MeasurementGraph`` or a ``WeightedGraph``. Each
+    solve packs ``weights``, one per edge in edge order, into adjacency rows.
     Cut values are compared as packed integers (weight, edge count, edge-id
     lexicography), so results are exact and identical across calls.
     """
 
     def __init__(self, graph):
-        self._nodes = list(graph.nodes)
-        self._index = {v: i for i, v in enumerate(self._nodes)}
+        self._n = len(graph.nodes)
         self._edges = graph.edges
         m = len(self._edges)
         ranks = {eid: r for r, eid in enumerate(sorted(e.id for e in self._edges))}
         count_unit = 1 << (m + 2)
         self._weight_unit = (m + 2) * count_unit
-        self._layout: list[tuple[int, int, int]] = []  # node indices, count term less marker
+        self._layout: list[tuple[int, int, int]] = []  # endpoints, count term less marker
         for e in self._edges:
             u, v = e.endpoints
             marker = 1 << (m - 1 - ranks[e.id])
-            self._layout.append((self._index[u], self._index[v], count_unit - marker))
+            self._layout.append((u, v, count_unit - marker))
         self._packed: tuple[tuple[float, ...], list[dict[int, int]]] | None = None
 
     def _rows(self, weights: Sequence[float]) -> list[dict[int, int]]:
         """Symmetric adjacency rows of packed capacities under ``weights``.
 
-        ``rows[a][b]`` sums the edges between node indices a and b; a row
+        ``rows[a][b]`` sums the edges between nodes a and b; a row
         lists its neighbours in the order of their first edge.
 
         Weights are quantized to 1e-12 of ``2**e``, with the largest finite
@@ -269,7 +268,7 @@ class CutSolver:
                     for w in distinct if not math.isinf(w)}
             if INFINITY in distinct:
                 caps[INFINITY] = sum(c * key.count(w) for w, c in caps.items()) + unit
-            rows: list[dict[int, int]] = [{} for _ in self._nodes]
+            rows: list[dict[int, int]] = [{} for _ in range(self._n)]
             for (a, b, low), w in zip(self._layout, key):
                 cap = caps[w] + low
                 rows[a][b] = rows[a].get(b, 0) + cap
@@ -280,23 +279,23 @@ class CutSolver:
     def min_st_cut(self, weights: Sequence[float], s: int, t: int) -> tuple[int, CutResult]:
         """Packed cut value and the unique optimal cut separating s and t."""
         for v in (s, t):
-            if v not in self._index:
+            if v not in range(self._n):
                 raise ValueError(f"node {v} is not in the graph")
         if s == t:
             raise ValueError("s and t must differ")
-        value, side = _max_flow(self._rows(weights), self._index[s], self._index[t])
-        return value, cut_from_side(self._edges, weights, frozenset(self._nodes[i] for i in side))
+        value, side = _max_flow(self._rows(weights), s, t)
+        return value, cut_from_side(self._edges, weights, frozenset(side))
 
     def global_min_cut(self, weights: Sequence[float]) -> tuple[int, CutResult]:
         """Packed value and the unique minimum cut over all proper bipartitions.
 
         Stoer-Wagner with Nagamochi-Ono-Ibaraki contraction. An infinite
         edge needs no special case: once a phase finds a finite cut, the
-        pair it joins is merged. The reported side contains the first node;
-        on a disconnected graph it is that node's component.
+        pair it joins is merged. The reported side holds node 0; on a
+        disconnected graph it is node 0's component.
         """
-        if len(self._nodes) < 2:
+        if self._n < 2:
             raise ValueError("global min cut needs at least two nodes")
         value, side = _stoer_wagner(self._rows(weights))
-        return value, cut_from_side(self._edges, weights, frozenset(self._nodes[i] for i in side))
+        return value, cut_from_side(self._edges, weights, frozenset(side))
 

@@ -7,14 +7,13 @@ counts, since all insecure edges share one cost and all secure edges share
 another. A cut's price depends only on its (secure, insecure) counts, so
 each count class is priced once.
 
-Census order: with ``others = graph.nodes[1:]``, mask ``1 .. 2**len(others)
-- 1`` puts ``others[i]`` on ``side_a`` when bit ``i`` is set; the first node
-(the reference) is never on ``side_a``. Cuts appear in increasing mask order.
-This census is the package's one cut enumeration. It keeps each side as a
-bitmask over ``graph.nodes``, tests the connectivity of every node set at
-once on bitsets, and counts a cut's class by popcount: the XOR of its
-nodes' incident-edge masks holds exactly its edges. A ``CutResult`` is
-built, at unit weights, only for a witness.
+Census order: a side is a bitmask over the graph's nodes 0..n, bit ``v``
+for node ``v``; node 0 (the reference) is never on ``side_a``, and cuts
+appear in increasing mask order. This census is the package's one cut
+enumeration. It tests the connectivity of every node set at once on
+bitsets, and counts a cut's class by popcount: the XOR of its nodes'
+incident-edge masks holds exactly its edges. A ``CutResult`` is built, at
+unit weights, only for a witness.
 
 The price table of an attack type lists the admissible (inject,
 jam-insecure, jam-secure) counts of every class, classes in census order and
@@ -61,13 +60,11 @@ Census = tuple[tuple[int, ...], tuple[tuple[tuple[int, int], int], ...]]
 def _take_census(graph: MeasurementGraph) -> Census:
     """Every cut whose two sides both induce connected subgraphs, by its side."""
     n = len(graph.nodes)
-    position = {v: i for i, v in enumerate(graph.nodes)}
     neighbours: list[set[int]] = [set() for _ in range(n)]
     incident = [0] * n  # node -> its edges, bit k for graph.edges[k]
     secure = 0
     for k, e in enumerate(graph.edges):
-        u, v = e.endpoints
-        a, b = position[u], position[v]
+        a, b = e.endpoints
         neighbours[a].add(b)
         neighbours[b].add(a)
         incident[a] ^= 1 << k
@@ -127,8 +124,8 @@ def _connected_sets(neighbours: list[set[int]]) -> int:
 
 
 def _census_cut(graph: MeasurementGraph, side: int) -> CutResult:
-    """The unit-weight cut of a census side."""
-    return cut_edges(graph, (v for i, v in enumerate(graph.nodes) if side >> i & 1))
+    """The unit-weight cut of a census side: the nodes whose bits it sets."""
+    return cut_edges(graph, (v for v in graph.nodes if side >> v & 1))
 
 
 def _splits(attack_type: AttackType, n_sec: int, n_ins: int) -> Iterator[tuple[int, int, int]]:

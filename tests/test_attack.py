@@ -496,24 +496,20 @@ def test_sweep_min_cut_shortcut_matches_pair_sweep():
 
 def test_constrained_min_cut_immediate():
     g = triangle_graph(secure=(False, False, False))
-    cut = ga.constrained_min_cut(g, class_weights(g, 1.0, 1.0), ga.CutConstraint.SECURE_MINORITY)
+    cut = ga.constrained_min_cut(g, ga.CutConstraint.SECURE_MINORITY, 1.0, 1.0)
     assert len(cut.edges) == 2
 
 
 def test_constrained_min_cut_case_b_triangle():
     g = triangle_graph()
-    cut = ga.constrained_min_cut(
-        g, class_weights(g, 0.8, 0.2), ga.CutConstraint.SECURE_WEAK_MAJORITY
-    )
+    cut = ga.constrained_min_cut(g, ga.CutConstraint.SECURE_WEAK_MAJORITY, 0.8, 0.2)
     assert cut.edges == (0, 1)
     assert cut.weight == pytest.approx(1.0)
 
 
 def test_constrained_min_cut_case_b_unsatisfiable():
     g = triangle_graph(secure=(True, True, True))
-    result = ga.constrained_min_cut(
-        g, class_weights(g, 0.8, 0.2), ga.CutConstraint.SECURE_WEAK_MAJORITY
-    )
+    result = ga.constrained_min_cut(g, ga.CutConstraint.SECURE_WEAK_MAJORITY, 0.8, 0.2)
     assert isinstance(result, ga.NoSolutionFound)
 
 
@@ -524,9 +520,40 @@ def test_constrained_min_cut_empty_global_cut_gives_up(constraint):
     disconnected = ga.MeasurementGraph(nodes=(0, 1, 2), edges=(angle,))
     edgeless = ga.MeasurementGraph(nodes=(0, 1), edges=())
     for g in (disconnected, edgeless):
-        result = ga.constrained_min_cut(g, [1.0] * len(g.edges), constraint)
+        result = ga.constrained_min_cut(g, constraint, 1.0, 1.0)
         assert isinstance(result, ga.NoSolutionFound)
         assert result.reason == "the global cut is empty: the graph is disconnected"
+
+
+@pytest.mark.parametrize("constraint, angles, flows, boosts", [
+    # {1, 2} cuts the flows {1S, 3S, 4I}: boost secure 3; then the angles {0S, 2S, 5I, 6I}: secure 2
+    (ga.CutConstraint.SECURE_MINORITY, {0: True, 2: True, 5: False, 6: False},
+     {1: True, 3: True, 4: False}, [3, 2]),
+    # the flows {0I, 1I, 4S} hold an insecure majority: boost insecure 1; then the all-secure angles: 6
+    (ga.CutConstraint.SECURE_WEAK_MAJORITY, {2: True, 3: True, 5: True, 6: True},
+     {0: False, 1: False, 4: True}, [1, 6]),
+])
+def test_constrained_min_cut_boosts_largest_id_of_violating_class(
+    monkeypatch, constraint, angles, flows, boosts
+):
+    """Each boost hits the largest-id cut edge of the class that violates the
+    constraint, although a larger id of the other class, and a smaller one of
+    its own, share the cut. The angles on bus 1 and the flows 1-2 are listed
+    in reverse, so an edge's position does not follow its id."""
+    edges = [ga.Measurement(i, ga.MeasurementKind.PHASE_ANGLE, 1, secure=s) for i, s in angles.items()]
+    edges += [ga.Measurement(i, ga.MeasurementKind.LINE_FLOW, 1, 2, secure=s) for i, s in flows.items()]
+    g = ga.MeasurementGraph(nodes=(0, 1, 2), edges=tuple(reversed(edges)))
+    boosted = []
+    real = ga.CutSolver.global_min_cut
+
+    def spy(self, weights):
+        boosted.append({e.id for e, w in zip(g.edges, weights) if math.isinf(w)})
+        return real(self, weights)
+
+    monkeypatch.setattr(ga.CutSolver, "global_min_cut", spy)
+    result = ga.constrained_min_cut(g, constraint, 1.0, 1.0)
+    assert [b - a for a, b in zip(boosted, boosted[1:])] == [{i} for i in boosts]
+    assert result == ga.NoSolutionFound("the working cut is infinite: every cut crosses a boosted edge")
 
 
 # -- cross-designer invariants ----------------------------------------------------

@@ -242,6 +242,30 @@ def test_exhaustive_removal_past_the_cap_exit_65(tmp_path, capsys, monkeypatch):
     assert 0 < sum(blocks) <= estimator.MAX_REMOVAL_SUBSETS
 
 
+def test_auto_removal_past_the_cap_answers_as_greedy(tmp_path, capsys, monkeypatch):
+    """Past ``estimator.MAX_REMOVAL_SUBSETS``, ``--removal auto`` prints what
+    ``--removal greedy`` prints, with nothing on stderr, while ``--removal
+    exhaustive`` still exits 65. The plan leaves three meters to remove, so
+    with the cap at 10 the exhaustive search stops before its 55 pairs."""
+    monkeypatch.setattr(estimator, "MAX_REMOVAL_SUBSETS", 10)
+    meters = ["flow 1 2"] * 6 + ["flow 2 3", "angle 1", "angle 2", "angle 3"]
+    case = tmp_path / "small.grid"
+    case.write_text("name small\nbuses 3\nlines\n1 2\n2 3\nmeasurements\n"
+                    + "\n".join(meters) + "\nsecure\n4 5 6 7 8 9\n")
+    outputs = {}
+    for removal in ("auto", "greedy", "exhaustive"):
+        for form in ([], ["--json"]):
+            code = main(["attack", "--case", str(case), "--type", "detectable-injection",
+                         "--pi", "1", "--pjs", ".8", "--pjsc", ".6", "--removal", removal] + form)
+            outputs[removal, *form] = code, capsys.readouterr()
+    for form in ((), ("--json",)):
+        assert outputs[("auto", *form)] == outputs[("greedy", *form)]
+        assert outputs[("auto", *form)][0] == 0 and outputs[("auto", *form)][1].err == ""
+        code, captured = outputs[("exhaustive", *form)]
+        assert code == 65 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "counts 55 subsets, over the cap 10" in captured.err
+
+
 def test_negative_exponent_value_runs_like_its_decimal(capsys):
     outputs = []
     for alpha in ("-0.1", "-1e-1"):
@@ -658,6 +682,33 @@ def test_sweep_rejects_a_repeated_type():
         run_sweep(case, types, ga.CostModel(1, 0.5, 0.25), [0.1], 2, seed=1)
     rows, _ = run_sweep(case, types[:2], ga.CostModel(1, 0.5, 0.25), [0.1], 2, seed=1)
     assert len(rows) == 4
+
+
+_LISTED_CASE = "name listed\nbuses 2\nlines\n1 2\nmeasurements\nflow 1 2\nflow 2 1\nangle 1\nsecure\n0\n"
+
+
+def test_sweep_rejects_a_case_that_lists_its_measurements(tmp_path):
+    """A sweep places its own meters, so it would ignore the case's list and
+    secure set and report a random placement as the case."""
+    path = tmp_path / "listed.grid"
+    path.write_text(_LISTED_CASE)
+    with pytest.raises(ValueError, match="^case listed lists its measurements, which a sweep"):
+        run_sweep(ga.load_case(str(path)), [AttackType.HIDDEN_INJECTION],
+                  ga.CostModel(1, 0.5, 0.25), [0.0], 1, seed=1)
+
+
+def test_sweep_listed_case_exit_64_before_out(tmp_path, capsys):
+    """The case is refused with one line before ``--out`` is checked, which
+    would exit 65 here."""
+    path = tmp_path / "listed.grid"
+    path.write_text(_LISTED_CASE)
+    code = main(["sweep", "--case", str(path), "--types", "hidden-injection", "--fractions", "0",
+                 "--trials", "1", "--pi", "1", "--pjs", ".5", "--pjsc", ".25",
+                 "--out", str(tmp_path / "missing" / "out.csv")])
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert captured.err == (
+        "grid-attack sweep: error: case listed lists its measurements, which a sweep does not read\n")
 
 
 def test_fraction_range_parsing(capsys):

@@ -1,6 +1,7 @@
 """Cut engines against exhaustive enumeration and an independent flow solver."""
 
 import collections
+import dataclasses
 import heapq
 import itertools
 import math
@@ -24,6 +25,13 @@ def _graph(nodes, edges):
         nodes=tuple(nodes),
         edges=tuple(ga.WeightedEdge(*e) for e in edges),
     )
+
+
+def _relabel(edges, order):
+    """The edges with node ``order[i]`` renamed i, so nodes listed in that order
+    keep the rows and row order they packed into."""
+    position = {v: i for i, v in enumerate(order)}
+    return tuple(dataclasses.replace(e, u=position[e.u], v=position[e.v]) for e in edges)
 
 
 def _st_cut(g, s, t):
@@ -293,11 +301,11 @@ def test_contracting_engine_matches_plain_phases():
         edges = tuple(
             ga.WeightedEdge(eid, u, v, w, rng.random() < 0.4) for eid, (u, v, w) in enumerate(pairs)
         )
-        g = ga.WeightedGraph(nodes=tuple(rng.sample(range(n), n)), edges=edges)
+        edges = _relabel(edges, rng.sample(range(n), n))
+        g = ga.WeightedGraph(nodes=tuple(range(n)), edges=edges)
         weights = [e.weight for e in edges]
         rows = ga.CutSolver(g)._rows(weights)
-        position = {v: i for i, v in enumerate(g.nodes)}
-        infinite = [(position[e.u], position[e.v]) for e in edges if math.isinf(e.weight)]
+        infinite = [(e.u, e.v) for e in edges if math.isinf(e.weight)]
         runs = [range(n)]
         if infinite:
             merged = reference_labels(range(n), infinite)
@@ -309,8 +317,8 @@ def test_contracting_engine_matches_plain_phases():
             want = _plain_stoer_wagner(labels, rows)
             assert got[0] == want[0]
             assert got[1] == want[1]
-            cut = cut_from_side(g.edges, weights, frozenset(g.nodes[i] for i in got[1]))
-            assert cut == cut_from_side(g.edges, weights, frozenset(g.nodes[i] for i in want[1]))
+            cut = cut_from_side(g.edges, weights, frozenset(got[1]))
+            assert cut == cut_from_side(g.edges, weights, frozenset(want[1]))
             seen["merged"] += max(labels) < n - 1
             seen["disconnected" if cut.edges == () else "connected"] += 1
             seen["infinite"] += math.isinf(cut.weight)
@@ -417,7 +425,8 @@ def test_rows_match_pair_packing_reference():
         edges = tuple(
             ga.WeightedEdge(eid, u, v, w, rng.random() < 0.4) for eid, (u, v, w) in zip(ids, pairs)
         )
-        g = ga.WeightedGraph(nodes=tuple(rng.sample(range(n), n)), edges=edges)
+        edges = _relabel(edges, rng.sample(range(n), n))
+        g = ga.WeightedGraph(nodes=tuple(range(n)), edges=edges)
         own = [e.weight for e in edges]
         solver = ga.CutSolver(g)
         for weights in (own, [1.0 if e.secure else 0.5 for e in edges],
@@ -528,7 +537,7 @@ def test_st_min_matches_enumeration():
             if (u < split) == (v < split):
                 weight = rng.choice((0.0, 1e-13, 0.5, 1.0, math.inf))
                 edges.append(ga.WeightedEdge(eid, u, v, weight, rng.random() < 0.4))
-        g = ga.WeightedGraph(nodes=tuple(rng.sample(range(n), n)), edges=tuple(edges))
+        g = ga.WeightedGraph(nodes=tuple(range(n)), edges=_relabel(edges, rng.sample(range(n), n)))
         cuts = all_cuts(g)
         for s, t in itertools.permutations(g.nodes, 2):
             got = _st_cut(g, s, t)
@@ -581,5 +590,7 @@ def test_negative_weight_rejected():
 
 
 def test_duplicate_node_rejected():
-    with pytest.raises(ValueError, match="duplicate node"):
+    with pytest.raises(ValueError, match=r"graph nodes must be 0\.\.3 in order"):
         _graph([0, 1, 1, 2], [(0, 0, 1, 1.0), (1, 1, 2, 2.0)])
+    with pytest.raises(ValueError, match=r"graph nodes must be 0\.\.2 in order"):
+        _graph([0, 2, 1], [(0, 0, 1, 1.0), (1, 1, 2, 2.0)])
