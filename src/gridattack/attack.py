@@ -15,7 +15,7 @@ when the iterative constrained-cut search exhausts without a certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Union
 
@@ -139,21 +139,6 @@ def classify_interval(cost: CostModel) -> CostInterval:
     return CostInterval.III
 
 
-def _split(graph: MeasurementGraph, side: frozenset) -> tuple[list, list, tuple]:
-    """The sorted insecure and secure ids of the edges crossing ``side``, and the
-    state shift: the 0-1 indicator of the reference-free side, reference last."""
-    crossing = sorted((e.id, e.secure) for e in graph.edges
-                      for u, v in (e.endpoints,) if (u in side) != (v in side))
-    ins = [i for i, secure in crossing if not secure]
-    sec = [i for i, secure in crossing if secure]
-    if REFERENCE_BUS in side:
-        side = frozenset(graph.nodes) - side
-    vec = [0] * len(graph.nodes)
-    for node in side:
-        vec[graph.state_index(node)] = 1
-    return ins, sec, tuple(vec)
-
-
 def _plan(
     attack_type: AttackType,
     graph: MeasurementGraph,
@@ -166,13 +151,14 @@ def _plan(
     """Split a cut into actions by counts, taking edge ids in increasing order.
 
     Injects the first ``k_inject`` insecure cut edges and jams the next
-    ``k_jam_insecure``; jams the first ``k_jam_secure`` secure cut edges.
-    The split and shift are taken once per graph object and cut side, which
-    fixes the cut's edges, from that graph's edges, and kept in its
-    ``cut_memo``; every check runs per call. The three slices are disjoint
-    cut members by construction, so the checks are on counts.
+    ``k_jam_insecure``; jams the first ``k_jam_secure`` secure cut edges,
+    taking the classes the cut recorded when it was built on ``graph``'s
+    edges. The three slices are disjoint cut members by construction, so
+    the checks are on counts. The state shift is the 0-1 indicator of the
+    cut's side without the reference, over buses 1..n, then a 0 for the
+    reference.
     """
-    ins, sec, shift = _memoized(graph, ("split", cut.side_a), _split)
+    ins, sec = cut.insecure, cut.secure
     assert k_inject + k_jam_insecure <= len(ins) and k_jam_secure <= len(sec)
     inj = frozenset(ins[:k_inject])
     jam_i = frozenset(ins[k_inject : k_inject + k_jam_insecure])
@@ -188,6 +174,8 @@ def _plan(
         + cost.p_jam_insecure * len(jam_i)
         + cost.p_jam_secure * len(jam_s)
     )
+    on, off = (0, 1) if REFERENCE_BUS in cut.side_a else (1, 0)
+    shift = (*[on if v in cut.side_a else off for v in graph.nodes[1:]], 0)
     return AttackPlan(
         attack_type=attack_type,
         cut=cut,
@@ -212,7 +200,7 @@ def _memoized(graph: MeasurementGraph, key: tuple, search: Callable[..., object]
     ``cut_memo`` keeps the result under one of these keys: ("solver",), the
     one ``CutSolver`` of all its searches; ("insecure pairs",); ("sweep",
     secure weight, insecure weight); ("constrained", constraint, secure
-    weight, insecure weight); ("split", cut side).
+    weight, insecure weight).
     """
     memo = graph.cut_memo["attack"]
     if key not in memo:
@@ -225,24 +213,25 @@ def _sweep(graph: MeasurementGraph, secure_w: float, insecure_w: float) -> Optio
 
     Every cut separating the endpoints of an insecure edge contains that
     edge, and the optimum contains some insecure edge, so the sweep is
-    exact. When the global minimum cut already holds an insecure edge it
-    is the sweep's answer, reported from the side of the first insecure
-    pair it separates, as that pair's s-t cut would be. Returns None when
-    the graph has no insecure edges.
+    exact. The global minimum cut holds an insecure edge exactly when it
+    separates an insecure pair; it is then the answer, from the side of
+    the first such pair's s, as that pair's s-t cut would give it. Else
+    the side is the first least flow's. One cut is built, from the side.
+    Returns None when the graph has no insecure edges.
     """
     pairs = _memoized(graph, ("insecure pairs",), _insecure_pairs)
     if not pairs:
         return None
     weights = [secure_w if e.secure else insecure_w for e in graph.edges]
     solver = _memoized(graph, ("solver",), CutSolver)
-    _, cut = solver.global_min_cut(weights)
-    if cut.n_insecure:
-        s = next(s for s, t in pairs if (s in cut.side_a) != (t in cut.side_a))
-        if s not in cut.side_a:
-            cut = replace(cut, side_a=frozenset(graph.nodes) - cut.side_a)
-        return cut
-    # the first pair with the least packed value; every flow reuses the global cut's packing
-    return min((solver.min_st_cut(weights, s, t) for s, t in pairs), key=lambda vc: vc[0])[1]
+    _, side = solver.global_min_cut(weights)
+    s = next((s for s, t in pairs if (s in side) != (t in side)), None)
+    if s is None:
+        # the first pair with the least packed value; every flow reuses the global cut's packing
+        side = min((solver.min_st_cut(weights, s, t) for s, t in pairs), key=lambda vc: vc[0])[1]
+    elif s not in side:
+        side = frozenset(graph.nodes) - side
+    return cut_from_side(graph.edges, weights, side)
 
 
 def _secure_free_min_cut(graph: MeasurementGraph) -> Optional[CutResult]:
@@ -273,7 +262,7 @@ def constrained_min_cut(
     solver = _memoized(graph, ("solver",), CutSolver)
     working = list(weights)
     while True:
-        _, cut = solver.global_min_cut(working)
+        cut = cut_from_side(graph.edges, working, solver.global_min_cut(working)[1])
         n_ins = cut.n_insecure
         if constraint is CutConstraint.SECURE_MINORITY:
             satisfied = 2 * cut.n_secure < len(cut.edges)
@@ -286,8 +275,7 @@ def constrained_min_cut(
         if not cut.edges:
             return NoSolutionFound("the global cut is empty: the graph is disconnected")
         boost_secure = constraint is CutConstraint.SECURE_MINORITY or n_ins == 0
-        boost = next(i for i in reversed(cut.edges) if graph.edges[slot[i]].secure == boost_secure)
-        working[slot[boost]] = INFINITY
+        working[slot[(cut.secure if boost_secure else cut.insecure)[-1]]] = INFINITY
 
 
 def hidden_injection(graph: MeasurementGraph, cost: CostModel) -> DesignResult:

@@ -29,6 +29,9 @@ EX_DATA = 65
 
 _EXHAUSTIVE_LIMIT = 24  # measurements; larger systems verify greedily
 
+# attack's placement options, left None when not given: a listed case refuses them
+_PLACEMENT_DEFAULTS = {"seed": 0, "angle_fraction": 0.6, "secure_fraction": 0.0}
+
 
 # a token that starts like a negative number is a value: argparse's own
 # pattern takes "-1" and "-.5" but reads "-1e-3" and "-inf" as unknown options
@@ -104,11 +107,11 @@ def _build_parser() -> _Parser:
     attack = sub.add_parser("attack", help="design and verify one attack")
     common(attack)
     attack.add_argument("--type", required=True, choices=type_names)
-    attack.add_argument("--secure-fraction", type=float, default=0.0)
+    attack.add_argument("--secure-fraction", type=float)
     attack.add_argument("--alpha", type=float, default=None, help="injection state-shift magnitude")
     attack.add_argument("--removal", choices=["auto", "greedy", "exhaustive"], default="auto")
     attack.add_argument("--json", action="store_true", help="print the plan as JSON")
-    attack.set_defaults(func=_cmd_attack)
+    attack.set_defaults(func=_cmd_attack, seed=None, angle_fraction=None)
 
     sweep = sub.add_parser("sweep", help="randomized sweep over secure fractions")
     common(sweep)
@@ -143,6 +146,8 @@ def _plan_json(plan: AttackPlan, cost: CostModel, verdict) -> dict:
 
 
 def _cmd_attack(args) -> int:
+    given = ["--" + k.replace("_", "-") for k in _PLACEMENT_DEFAULTS if getattr(args, k) is not None]
+    vars(args).update((k, v) for k, v in _PLACEMENT_DEFAULTS.items() if getattr(args, k) is None)
     try:
         _check_fraction("--angle-fraction", args.angle_fraction)
         _check_fraction("--secure-fraction", args.secure_fraction)
@@ -154,6 +159,9 @@ def _cmd_attack(args) -> int:
     case = load_case(args.case)
     cost = CostModel(args.pi, args.pjs, args.pjsc)
     if case.measurements is not None:
+        if given:
+            return _usage_error(args, f"case {case.name} lists its measurements, so these "
+                                      f"placement options do not apply: {', '.join(given)}")
         system = system_from_case(case)
     else:
         system = place_measurements(case, args.angle_fraction, args.secure_fraction, args.seed)
@@ -242,7 +250,8 @@ def _cmd_sweep(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.seed < 0:  # before any case load: a negative seed would repeat its absolute value
+    # before any case load: a negative seed would repeat its absolute value
+    if args.seed is not None and args.seed < 0:
         return _usage_error(args, f"--seed must be nonnegative, got {args.seed}")
     try:
         return args.func(args)

@@ -203,18 +203,14 @@ class MeasurementGraph:
         """Work already done on this graph object, one dict per owning module,
         under its name; no module reads or writes another's.
 
-        "attack" keeps the graph's ``CutSolver``, its cut searches and cut
-        splits; "oracle" its census, price tables and witness actions;
-        "verify" its noiseless estimator runs. Each module documents its own
-        keys. No entry refers to the graph, so dropping the last reference to
-        the graph frees it at once. It is held per object, not by value: a
-        value-equal graph built separately starts with an empty memo.
+        "attack" keeps the graph's ``CutSolver`` and its cut searches;
+        "oracle" its census, price tables and witness actions; "verify" its
+        noiseless estimator runs. Each module documents its own keys. No entry
+        refers to the graph, so dropping the last reference to the graph frees
+        it at once. It is held per object, not by value: a value-equal graph
+        built separately starts with an empty memo.
         """
         return defaultdict(dict)
-
-    def state_index(self, node: int) -> int:
-        """Column position of a node: bus i -> i-1, reference -> last."""
-        return len(self.nodes) - 1 if node == REFERENCE_BUS else node - 1
 
 
 def build_matrix(sys: MeasurementSystem) -> np.ndarray:

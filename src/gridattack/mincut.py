@@ -5,11 +5,12 @@ The s-t cut is a shortest-augmenting-path max-flow (Edmonds & Karp, JACM
 algorithm", JACM 1997) with a heap-ordered maximum-adjacency search, whose
 phases also merge every pair the Nagamochi-Ono-Ibaraki test proves
 inseparable by a lighter cut (Math. Programming 1994). Both copy the
-adjacency rows ``CutSolver`` packs, one integer capacity per node pair, but
-cuts are always reported edge-by-edge. Weights may be +inf, which is
-absorbing: an infinite edge packs heavier than all finite edges together, so
-it never enters a returned cut while any finite cut exists, and the global
-cut's contraction merges the pair it joins once a finite cut is found. A
+adjacency rows ``CutSolver`` packs, one integer capacity per node pair, and
+return only a packed value and a side; ``cut_from_side`` is the one place
+that builds a cut, edge by edge. Weights may be +inf, which is absorbing:
+an infinite edge packs heavier than all finite edges together, so it never
+enters a returned cut while any finite cut exists, and the global cut's
+contraction merges the pair it joins once a finite cut is found. A
 ``CutSolver`` keeps only a graph's structure and each solve takes one weight
 per edge, so the iterative constrained search boosts an edge by setting its
 weight to +inf.
@@ -90,33 +91,40 @@ class WeightedGraph:
 
 @dataclass(frozen=True)
 class CutResult:
-    """A graph cut: node bipartition, member edge ids, class counts, weight."""
+    """A graph cut: node bipartition, weight, and sorted edge ids, all and by class."""
 
     side_a: frozenset[int]
     edges: tuple[int, ...]
     weight: float
-    n_secure: int
-    n_insecure: int
+    insecure: tuple[int, ...]
+    secure: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.edges)
 
+    @property
+    def n_secure(self) -> int:
+        return len(self.secure)
+
+    @property
+    def n_insecure(self) -> int:
+        return len(self.insecure)
+
 
 def cut_from_side(edges: Sequence, weights: Sequence[float], side: frozenset[int]) -> CutResult:
-    """Materialize the cut a node subset defines, ``weights[k]`` weighing ``edges[k]``.
+    """Materialize the cut a node subset defines, ``weights[k]`` weighing ``edges[k]``,
+    split by the edges' ``secure`` flags in the same pass.
 
     The weight is summed left to right in edge order, as 3.12's ``sum`` is not.
     """
-    ids, weight, n_sec = [], 0.0, 0
+    ins, sec, weight = [], [], 0.0
     for e, w in zip(edges, weights, strict=True):
         u, v = e.endpoints
         if (u in side) != (v in side):
-            ids.append(e.id)
+            (sec if e.secure else ins).append(e.id)
             weight += w
-            n_sec += e.secure
-    ids.sort()
-    return CutResult(side_a=side, edges=tuple(ids), weight=weight,
-                     n_secure=n_sec, n_insecure=len(ids) - n_sec)
+    return CutResult(side_a=side, edges=tuple(sorted(ins + sec)), weight=weight,
+                     insecure=tuple(sorted(ins)), secure=tuple(sorted(sec)))
 
 
 def _max_flow(rows: Sequence[dict[int, int]], s: int, t: int) -> tuple[int, set[int]]:
@@ -221,22 +229,22 @@ def _stoer_wagner(rows: Sequence[dict[int, int]]) -> tuple[int, set[int]]:
 class CutSolver:
     """Reusable exact min-cut solver for one graph's structure.
 
-    The graph's nodes are 0..n-1 in order; its edges carry ``id``, ``endpoints``
-    and ``secure``, as in a ``MeasurementGraph`` or a ``WeightedGraph``. Each
+    The graph's nodes are 0..n-1 in order; its edges carry ``id`` and
+    ``endpoints``, as in a ``MeasurementGraph`` or a ``WeightedGraph``. Each
     solve packs ``weights``, one per edge in edge order, into adjacency rows.
     Cut values are compared as packed integers (weight, edge count, edge-id
-    lexicography), so results are exact and identical across calls.
+    lexicography), so results are exact and identical across calls. A solve
+    returns a value and a side, from which callers build the cut they keep.
     """
 
     def __init__(self, graph):
         self._n = len(graph.nodes)
-        self._edges = graph.edges
-        m = len(self._edges)
-        ranks = {eid: r for r, eid in enumerate(sorted(e.id for e in self._edges))}
+        m = len(graph.edges)
+        ranks = {eid: r for r, eid in enumerate(sorted(e.id for e in graph.edges))}
         count_unit = 1 << (m + 2)
         self._weight_unit = (m + 2) * count_unit
         self._layout: list[tuple[int, int, int]] = []  # endpoints, count term less marker
-        for e in self._edges:
+        for e in graph.edges:
             u, v = e.endpoints
             marker = 1 << (m - 1 - ranks[e.id])
             self._layout.append((u, v, count_unit - marker))
@@ -276,18 +284,18 @@ class CutSolver:
             self._packed = key, rows
         return self._packed[1]
 
-    def min_st_cut(self, weights: Sequence[float], s: int, t: int) -> tuple[int, CutResult]:
-        """Packed cut value and the unique optimal cut separating s and t."""
+    def min_st_cut(self, weights: Sequence[float], s: int, t: int) -> tuple[int, frozenset[int]]:
+        """Packed value of the unique optimal cut separating s and t, and its side holding s."""
         for v in (s, t):
             if v not in range(self._n):
                 raise ValueError(f"node {v} is not in the graph")
         if s == t:
             raise ValueError("s and t must differ")
         value, side = _max_flow(self._rows(weights), s, t)
-        return value, cut_from_side(self._edges, weights, frozenset(side))
+        return value, frozenset(side)
 
-    def global_min_cut(self, weights: Sequence[float]) -> tuple[int, CutResult]:
-        """Packed value and the unique minimum cut over all proper bipartitions.
+    def global_min_cut(self, weights: Sequence[float]) -> tuple[int, frozenset[int]]:
+        """Packed value and side of the unique minimum cut over all proper bipartitions.
 
         Stoer-Wagner with Nagamochi-Ono-Ibaraki contraction. An infinite
         edge needs no special case: once a phase finds a finite cut, the
@@ -297,5 +305,5 @@ class CutSolver:
         if self._n < 2:
             raise ValueError("global min cut needs at least two nodes")
         value, side = _stoer_wagner(self._rows(weights))
-        return value, cut_from_side(self._edges, weights, frozenset(side))
+        return value, frozenset(side)
 

@@ -176,7 +176,8 @@ def test_hidden_injection_no_secure_equals_global_min_cut():
         sys_ = random_system(rng, secure_prob=0.0)
         g = ga.build_graph(sys_)
         plan = ga.hidden_injection(g, BASE_COST)
-        _, unit = ga.CutSolver(g).global_min_cut(class_weights(g, 1.0, 1.0))
+        weights = class_weights(g, 1.0, 1.0)
+        unit = cut_from_side(g.edges, weights, ga.CutSolver(g).global_min_cut(weights)[1])
         assert len(plan.cut.edges) == len(unit.edges)
 
 
@@ -461,7 +462,7 @@ def _pair_sweep(graph, secure_w, insecure_w):
         candidate = solver.min_st_cut(weights, s, t)
         if best is None or candidate[0] < best[0]:
             best = candidate
-    return best[1]
+    return cut_from_side(graph.edges, weights, best[1])
 
 
 def test_sweep_min_cut_shortcut_matches_pair_sweep():
@@ -484,7 +485,8 @@ def test_sweep_min_cut_shortcut_matches_pair_sweep():
             for weights in ((math.inf, 1.0), (cost.p_jam_secure, cost.p_jam_insecure)):
                 found = attack_module._memoized(g, ("sweep", *weights), attack_module._sweep)
                 assert found == _pair_sweep(g, *weights)
-                _, cut = ga.CutSolver(g).global_min_cut(class_weights(g, *weights))
+                flat = class_weights(g, *weights)
+                cut = cut_from_side(g.edges, flat, ga.CutSolver(g).global_min_cut(flat)[1])
                 if cut.n_insecure:
                     shortcut += 1
                 else:
@@ -554,6 +556,32 @@ def test_constrained_min_cut_boosts_largest_id_of_violating_class(
     result = ga.constrained_min_cut(g, constraint, 1.0, 1.0)
     assert [b - a for a, b in zip(boosted, boosted[1:])] == [{i} for i in boosts]
     assert result == ga.NoSolutionFound("the working cut is infinite: every cut crosses a boosted edge")
+
+
+def test_constrained_min_cut_satisfied_on_a_boosted_edge_reports_class_weight(monkeypatch):
+    """The fourth global cut crosses two boosted edges, so its working weight
+    is +inf, and it satisfies the constraint; the search returns it weighed at
+    the class weights, 0.8 per secure edge and 0.2 per insecure one."""
+    F, T = False, True
+    spec = [(2, 0, F), (2, 3, F), (2, 3, F), (2, 0, T), (2, 0, T), (1, 0, F), (1, 3, F)]
+    g = ga.MeasurementGraph(nodes=(0, 1, 2, 3), edges=tuple(
+        ga.Measurement(i, ga.MeasurementKind.PHASE_ANGLE, u, secure=s) if v == ga.REFERENCE_BUS
+        else ga.Measurement(i, ga.MeasurementKind.LINE_FLOW, u, v, secure=s)
+        for i, (u, v, s) in enumerate(spec)
+    ))
+    boosted = []
+    real = ga.CutSolver.global_min_cut
+
+    def spy(self, weights):
+        boosted.append(frozenset(e.id for e, w in zip(g.edges, weights) if math.isinf(w)))
+        return real(self, weights)
+
+    monkeypatch.setattr(ga.CutSolver, "global_min_cut", spy)
+    cut = ga.constrained_min_cut(g, ga.CutConstraint.SECURE_WEAK_MAJORITY, 0.8, 0.2)
+    assert len(boosted) == 4
+    assert cut.edges == (0, 3, 4, 5) and (cut.insecure, cut.secure) == ((0, 5), (3, 4))
+    assert cut.weight == 2.0
+    assert boosted[-1] & set(cut.edges)
 
 
 # -- cross-designer invariants ----------------------------------------------------
@@ -734,8 +762,10 @@ def _assert_split_follows(plan: ga.AttackPlan, graph: ga.MeasurementGraph) -> No
 
 def test_split_depends_only_on_its_side():
     """On graphs of up to 10 nodes with parallel edges, mixed flags and ids out
-    of position order, the split of every census side and of its complement
-    is that of the cut ``cut_from_side`` takes on the side."""
+    of position order, the cut ``cut_from_side`` takes on every census side and
+    on its complement holds the sorted insecure and secure ids of the edges
+    crossing the side, and wherever it has an insecure edge ``_plan`` shifts
+    the indicator of the side without the reference."""
     rng = random.Random(34)
     parallel = shuffled = 0
     for _ in range(150):
@@ -755,13 +785,17 @@ def test_split_depends_only_on_its_side():
             side = frozenset(v for v in graph.nodes if mask >> v & 1)
             for s in (side, everything - side):
                 cut = cut_from_side(edges, [1.0] * len(edges), s)
+                crossing = sorted(e.id for e in edges if (e.endpoints[0] in s) != (e.endpoints[1] in s))
+                assert cut.edges == tuple(crossing)
+                assert cut.insecure == tuple(i for i in crossing if not by_id[i].secure)
+                assert cut.secure == tuple(i for i in crossing if by_id[i].secure)
+                if not cut.insecure:
+                    continue
                 free = everything - s if ga.REFERENCE_BUS in s else s
-                want = (
-                    [i for i in cut.edges if not by_id[i].secure],
-                    [i for i in cut.edges if by_id[i].secure],
-                    tuple(int(v in free) for v in (*graph.nodes[1:], ga.REFERENCE_BUS)),
-                )
-                assert attack_module._split(graph, s) == want
+                plan = attack_module._plan(AttackType.HIDDEN_GENERALIZED, graph, cut, BASE_COST,
+                                           1, cut.n_insecure - 1, cut.n_secure)
+                assert plan.injection_state_shift == tuple(
+                    int(v in free) for v in (*graph.nodes[1:], ga.REFERENCE_BUS))
         parallel += len(set(pairs)) < len(pairs)
         shuffled += ids != sorted(ids)
     assert parallel >= 50 and shuffled >= 140, (parallel, shuffled)

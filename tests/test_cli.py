@@ -711,6 +711,28 @@ def test_sweep_listed_case_exit_64_before_out(tmp_path, capsys):
         "grid-attack sweep: error: case listed lists its measurements, which a sweep does not read\n")
 
 
+def test_attack_listed_case_refuses_placement_options(tmp_path, capsys):
+    """``--seed``, ``--angle-fraction`` and ``--secure-fraction`` place meters,
+    so on a case that lists its own each one, given alone or together, exits
+    64 with one line and no output, where it would be ignored; without them
+    the case's own meters are attacked."""
+    path = tmp_path / "listed.grid"
+    path.write_text(_LISTED_CASE)
+    base = ["attack", "--case", str(path), "--type", "hidden-injection",
+            "--pi", "1", "--pjs", ".5", "--pjsc", ".25"]
+    assert main(base) == 0
+    assert "case           : listed (2 buses, 3 measurements)" in capsys.readouterr().out
+    for extra, named in ((["--seed", "0"], "--seed"), (["--angle-fraction", ".6"], "--angle-fraction"),
+                         (["--secure-fraction=0"], "--secure-fraction"),
+                         (["--angle-fraction", "0", "--secure-fraction", "1", "--seed", "5"],
+                          "--seed, --angle-fraction, --secure-fraction")):
+        code = main(base + extra + ["--json"])
+        captured = capsys.readouterr()
+        assert code == 64 and captured.out == ""
+        assert captured.err == ("grid-attack attack: error: case listed lists its measurements, so "
+                                f"these placement options do not apply: {named}\n")
+
+
 def test_fraction_range_parsing(capsys):
     code = main([
         "sweep", "--types", "hidden-generalized", "--pi", "1", "--pjs", ".5",

@@ -180,7 +180,7 @@ def test_cut_matches_nonzero_matrix_rows():
             continue
         indicator = np.zeros(len(nodes))
         for v in side:
-            indicator[g.state_index(v)] = 1.0
+            indicator[v - 1] = 1.0
         rows = np.nonzero(np.abs(H @ indicator) > 1e-12)[0]
         cut = ga.cut_edges(g, side)
         row_ids = tuple(sorted(sys_.measurements[k].id for k in rows))

@@ -35,13 +35,15 @@ def _relabel(edges, order):
 
 
 def _st_cut(g, s, t):
-    """``CutSolver.min_st_cut`` under the weights ``g``'s edges carry."""
-    return ga.CutSolver(g).min_st_cut([e.weight for e in g.edges], s, t)[1]
+    """The cut of ``CutSolver.min_st_cut``'s side under the weights ``g``'s edges carry."""
+    weights = [e.weight for e in g.edges]
+    return cut_from_side(g.edges, weights, ga.CutSolver(g).min_st_cut(weights, s, t)[1])
 
 
 def _global_cut(g):
-    """``CutSolver.global_min_cut`` under the weights ``g``'s edges carry."""
-    return ga.CutSolver(g).global_min_cut([e.weight for e in g.edges])[1]
+    """The cut of ``CutSolver.global_min_cut``'s side under the weights ``g``'s edges carry."""
+    weights = [e.weight for e in g.edges]
+    return cut_from_side(g.edges, weights, ga.CutSolver(g).global_min_cut(weights)[1])
 
 
 def test_path_st_cut():
@@ -330,11 +332,12 @@ def test_contracting_engine_matches_plain_phases():
     assert seen["infinite"] >= 90 and seen["zero"] >= 20 and seen["not single"] >= 50
 
 
-def _everything_cut(solver, weights, nodes):
-    """The global cut and every s-t cut under ``weights``, each with its packed value."""
-    return [solver.global_min_cut(weights)] + [
-        solver.min_st_cut(weights, s, t) for s, t in itertools.permutations(nodes, 2)
+def _everything_cut(solver, weights, g):
+    """The global cut and every s-t cut of ``g`` under ``weights``, each with its packed value."""
+    solves = [solver.global_min_cut(weights)] + [
+        solver.min_st_cut(weights, s, t) for s, t in itertools.permutations(g.nodes, 2)
     ]
+    return [(value, cut_from_side(g.edges, weights, side)) for value, side in solves]
 
 
 def test_packing_memo_follows_weights_edited_in_place():
@@ -369,8 +372,8 @@ def test_packing_memo_follows_weights_edited_in_place():
             moves[math.isinf(weights[k]), math.isinf(new)] += 1
             weights[k] = new
             fresh = ga.CutSolver(g)
-            got = _everything_cut(solver, weights, g.nodes)
-            assert got == _everything_cut(fresh, list(weights), g.nodes)
+            got = _everything_cut(solver, weights, g)
+            assert got == _everything_cut(fresh, list(weights), g)
             assert solver._rows(weights) == fresh._rows(list(weights))
     assert disconnected >= 10
     assert min(moves[False, True], moves[True, False]) >= 40 and moves[False, False] >= 40

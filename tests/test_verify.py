@@ -261,7 +261,7 @@ def test_unobservable_input_raises():
     sys_ = triangle_system()
     # flow meter only: no measurement ties the buses to the reference node
     flows_only = ga.remove_measurements(sys_, [1, 2])
-    cut = ga.CutResult(frozenset({1}), (0,), 1.0, 0, 1)
+    cut = ga.CutResult(frozenset({1}), (0,), 1.0, insecure=(0,), secure=())
     plan = dataclasses.replace(_noop_plan(ga.build_graph(sys_)), cut=cut)
     with pytest.raises(ga.UnobservableSystem):
         ga.execute(flows_only, np.zeros(3), plan, EXHAUSTIVE)
