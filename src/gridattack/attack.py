@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Callable, Optional, Union
 
 from .errors import InvalidCosts
-from .grid import REFERENCE_BUS, MeasurementGraph
+from .grid import REFERENCE_BUS, MeasurementGraph, unchecked
 from .mincut import INFINITY, CutResult, CutSolver, cut_from_side
 
 
@@ -157,35 +157,37 @@ def _plan(
     the checks are on counts. The state shift is the 0-1 indicator of the
     cut's side without the reference, over buses 1..n, then a 0 for the
     reference.
+
+    The split (cut, slices, shift) is built once per graph object, cut and
+    counts, and kept in its ``cut_memo``; plans of one split share it, and
+    each call sets only the type, total and graph.
     """
-    ins, sec = cut.insecure, cut.secure
-    assert k_inject + k_jam_insecure <= len(ins) and k_jam_secure <= len(sec)
-    inj = frozenset(ins[:k_inject])
-    jam_i = frozenset(ins[k_inject : k_inject + k_jam_insecure])
-    jam_s = frozenset(sec[:k_jam_secure])
+    assert k_inject + k_jam_insecure <= len(cut.insecure) and k_jam_secure <= len(cut.secure)
+    jams = k_jam_insecure + k_jam_secure
     if attack_type.hidden:
-        assert len(inj) + len(jam_i) + len(jam_s) == len(cut), "hidden attacks must touch the whole cut"
-        assert inj, "hidden attacks inject at least one measurement"
+        assert k_inject + jams == len(cut), "hidden attacks must touch the whole cut"
+        assert k_inject, "hidden attacks inject at least one measurement"
     else:
-        survivors = len(cut) - len(jam_i) - len(jam_s)
-        assert 2 * len(inj) > survivors, "injected edges must outnumber the surviving residue"
+        assert 2 * k_inject > len(cut) - jams, "injected edges must outnumber the surviving residue"
+    memo = graph.cut_memo["attack"]
+    key = ("split", cut.side_a, cut.weight, k_inject, k_jam_insecure, k_jam_secure)
+    split = memo.get(key)
+    if split is None:
+        ins, side = cut.insecure, cut.side_a
+        on, off = (0, 1) if REFERENCE_BUS in side else (1, 0)
+        split = memo[key] = {
+            "cut": cut,
+            "injected": frozenset(ins[:k_inject]),
+            "jammed_insecure": frozenset(ins[k_inject : k_inject + k_jam_insecure]),
+            "jammed_secure": frozenset(cut.secure[:k_jam_secure]),
+            "injection_state_shift": (*[on if v in side else off for v in graph.nodes[1:]], 0),
+        }
     total = (
-        cost.p_inject * len(inj)
-        + cost.p_jam_insecure * len(jam_i)
-        + cost.p_jam_secure * len(jam_s)
+        cost.p_inject * k_inject
+        + cost.p_jam_insecure * k_jam_insecure
+        + cost.p_jam_secure * k_jam_secure
     )
-    on, off = (0, 1) if REFERENCE_BUS in cut.side_a else (1, 0)
-    shift = (*[on if v in cut.side_a else off for v in graph.nodes[1:]], 0)
-    return AttackPlan(
-        attack_type=attack_type,
-        cut=cut,
-        injected=inj,
-        jammed_insecure=jam_i,
-        jammed_secure=jam_s,
-        injection_state_shift=shift,
-        total_cost=total,
-        graph=graph,
-    )
+    return unchecked(AttackPlan, split, attack_type=attack_type, total_cost=total, graph=graph)
 
 
 def _insecure_pairs(graph: MeasurementGraph) -> list[tuple[int, int]]:
@@ -200,7 +202,8 @@ def _memoized(graph: MeasurementGraph, key: tuple, search: Callable[..., object]
     ``cut_memo`` keeps the result under one of these keys: ("solver",), the
     one ``CutSolver`` of all its searches; ("insecure pairs",); ("sweep",
     secure weight, insecure weight); ("constrained", constraint, secure
-    weight, insecure weight).
+    weight, insecure weight). ``_plan`` keeps its splits there too, under
+    ("split", cut side, cut weight, k_inject, k_jam_insecure, k_jam_secure).
     """
     memo = graph.cut_memo["attack"]
     if key not in memo:

@@ -28,7 +28,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .errors import ParseError, TopologyError
+from .errors import ParseError, TooLarge, TopologyError
 from .grid import (
     DEFAULT_NOISE_STD,
     REFERENCE_BUS,
@@ -49,6 +49,11 @@ BUNDLED = ("ieee14", "ieee57")
 # unbounded count lets a one-line case file exhaust memory; IEEE-57 is the
 # largest bundled case.
 MAX_BUSES = 100_000
+
+# The one budget on the work a system sets: its dense measurement matrix has
+# m * (n + 1) entries, and every solve of the estimator grows with them.
+# 2**24 entries (128 MiB) admit a 1,600-bus grid with 4,080 meters, 6.5e6.
+MAX_MATRIX_ENTRIES = 2**24
 
 
 @dataclass(frozen=True)
@@ -213,10 +218,20 @@ def _buses(n: int) -> tuple[Bus, ...]:
     return (Bus(0, is_reference=True),) + tuple(Bus(i) for i in range(1, n + 1))
 
 
+def _check_size(case: CaseFile, m: int) -> None:
+    """Raise TooLarge when m measurements on the case pass ``MAX_MATRIX_ENTRIES``."""
+    entries = m * (case.n_buses + 1)
+    if entries > MAX_MATRIX_ENTRIES:
+        raise TooLarge(f"case {case.name}: {m} measurements on {case.n_buses} buses make "
+                       f"{entries} matrix entries, over the budget {MAX_MATRIX_ENTRIES}")
+
+
 def system_from_case(case: CaseFile) -> MeasurementSystem:
-    """Build the system from a case with an explicit measurement list."""
+    """Build the system from a case with an explicit measurement list; TooLarge
+    past ``MAX_MATRIX_ENTRIES``, before anything is built."""
     if case.measurements is None:
         raise ValueError(f"case {case.name} has no fixed measurement list")
+    _check_size(case, len(case.measurements))
     secure = case.secure_ids or frozenset()
     measurements = []
     for mid, entry in enumerate(case.measurements):
@@ -255,17 +270,19 @@ def place_measurements(
     checked build. Raises ``UnobservableSystem`` when the measurements leave
     a bus unjoined to the reference. When the lines join buses 1..n, that is
     decided by whether an angle meter is placed, without a graph search.
+    Raises ``TooLarge`` past ``MAX_MATRIX_ENTRIES``, before anything is built.
     """
     if not 0 <= angle_fraction <= 1 or not 0 <= secure_fraction <= 1:
         raise ValueError("fractions must lie in [0, 1]")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    buses, flows, joined = case.placement
-    rng = random.Random(seed)
     n = case.n_buses
     n_angles = round(angle_fraction * n)
+    m = len(case.lines) + n_angles
+    _check_size(case, m)
+    buses, flows, joined = case.placement
+    rng = random.Random(seed)
     angle_buses = sorted(rng.sample(range(1, n + 1), n_angles))
-    m = len(flows) + n_angles
     n_secure = round(secure_fraction * m)
     secure = set(rng.sample(range(m), n_secure))
     rows = [pair[mid in secure] for mid, pair in enumerate(flows)]

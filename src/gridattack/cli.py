@@ -181,7 +181,10 @@ def _cmd_attack(args) -> int:
 
     greedy = RemovalMode.GREEDY_NORMALIZED_RESIDUAL
     if args.removal != "auto":
-        verdict = run(RemovalMode(args.removal))
+        try:
+            verdict = run(RemovalMode(args.removal))
+        except TooLarge as exc:  # the subset cap, which greedy removal does not have
+            raise TooLarge(f"{exc}; try --removal greedy") from exc
     elif system.m > _EXHAUSTIVE_LIMIT:
         verdict = run(greedy)
     else:
@@ -268,7 +271,7 @@ def main(argv=None) -> int:
         print(f"grid-attack: unobservable system: {exc}", file=sys.stderr)
         return EX_DATA
     except TooLarge as exc:
-        print(f"grid-attack: too large: {exc}; try --removal greedy", file=sys.stderr)
+        print(f"grid-attack: too large: {exc}", file=sys.stderr)
         return EX_DATA
 
 

@@ -203,8 +203,8 @@ class MeasurementGraph:
         """Work already done on this graph object, one dict per owning module,
         under its name; no module reads or writes another's.
 
-        "attack" keeps the graph's ``CutSolver`` and its cut searches;
-        "oracle" its census, price tables and witness actions; "verify" its
+        "attack" keeps the graph's ``CutSolver``, cut searches and plan splits;
+        "oracle" its census, price tables and witness cuts; "verify" its
         noiseless estimator runs. Each module documents its own keys. No entry
         refers to the graph, so dropping the last reference to the graph frees
         it at once. It is held per object, not by value: a value-equal graph

@@ -25,10 +25,11 @@ one anyway. Two shortcuts drop only what that rule drops: a detectable
 class stops at the first inject count that needs no jam, and a class with
 at least as many secure and insecure edges as an earlier class with an
 insecure majority is skipped. The census, the tables and each witness's
-actions depend only on the graph's structure, so this module's entry in the
+cut depend only on the graph's structure, so this module's entry in the
 graph's ``cut_memo`` keeps them: "census"; each attack type's table, under
-the type; and each witness's actions but its type, total and graph, under
-its (ki, kji, kjs, census side) row. A call only prices its table.
+the type; and each witness's cut, under its census side. A call only
+prices its table, and ``attack._plan`` splits the witness, as it splits
+every designed plan.
 
 Tie-breaks. A call prices each candidate as ``p_inject*ki +
 p_jam_insecure*kji + p_jam_secure*kjs`` and takes the first minimum. So of
@@ -44,7 +45,7 @@ from typing import Iterator, Union
 
 from .attack import AttackPlan, AttackType, CostModel, Infeasible, _plan
 from .errors import TooLarge
-from .grid import MeasurementGraph, cut_edges, unchecked
+from .grid import MeasurementGraph, cut_edges
 from .mincut import CutResult
 
 MAX_ORACLE_NODES = 12
@@ -189,17 +190,10 @@ def optimal_cost(
     p_i, p_s, p_sc = cost.p_inject, cost.p_jam_secure, cost.p_jam_insecure
     values = [p_i * a + p_sc * b + p_s * c for a, b, c, _ in table]
     best = values.index(min(values))
-    a, b, c, side = candidate = table[best]
-    # a witness's actions depend only on its cut and counts, so they are built
-    # once per graph object for every type that meets them; its total is the
-    # value, summed as _plan sums it. The graph is set per call: kept in the
-    # graph's own memo, it would make a cycle only the cyclic collector frees.
-    actions = memo.get(candidate)
-    if actions is None:
-        plan = _plan(attack_type, graph, _census_cut(graph, side), cost, a, b, c)
-        actions = memo[candidate] = {
-            k: v for k, v in vars(plan).items() if k not in ("attack_type", "total_cost", "graph")}
-    value = values[best]
-    plan = unchecked(AttackPlan, actions, attack_type=attack_type, total_cost=value, graph=graph)
+    a, b, c, side = table[best]
+    cut = memo.get(side)
+    if cut is None:
+        cut = memo[side] = _census_cut(graph, side)
+    plan = _plan(attack_type, graph, cut, cost, a, b, c)
     # hidden injection reports the bare product, the other types a float
-    return (p_i * a if attack_type is AttackType.HIDDEN_INJECTION else float(value)), plan
+    return (p_i * a if attack_type is AttackType.HIDDEN_INJECTION else float(values[best])), plan

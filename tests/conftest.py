@@ -105,6 +105,18 @@ def parallel_bundle_case() -> str:
         f"\nsecure\n{secure}\n")
 
 
+def over_budget_case(listed: bool) -> str:
+    """Case text: a chain of 4,000 buses. Placed at angle fraction .6 it holds
+    6,399 meters, and listing a flow on every line and an angle on every bus
+    gives 7,999; at 4,001 columns either passes ``casefile.MAX_MATRIX_ENTRIES``."""
+    n = 4000
+    text = f"name big\nbuses {n}\nlines\n" + "".join(f"{k} {k + 1}\n" for k in range(1, n))
+    if listed:
+        text += "measurements\n" + "".join(f"flow {k} {k + 1}\n" for k in range(1, n))
+        text += "".join(f"angle {k}\n" for k in range(1, n + 1))
+    return text
+
+
 def count_screened(monkeypatch) -> list[int]:
     """Sizes of the subset blocks the removal screen is given; fails as soon
     as they add up past ``estimator.MAX_REMOVAL_SUBSETS``."""

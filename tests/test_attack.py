@@ -1,6 +1,8 @@
 """Attack designers: frozen worked examples plus structural invariants."""
 
+import collections
 import dataclasses
+import gc
 import math
 import random
 
@@ -861,3 +863,65 @@ def test_plan_actions_partition_cut():
             survivors = len(plan.cut.edges) - len(plan.jammed)
             if not t.hidden:
                 assert 2 * len(plan.injected) > survivors
+
+
+# one triple per interval (I, II, III), then (1, .5, .25)
+SPLIT_COSTS = [ga.CostModel(1, 0.8, 0.6), ga.CostModel(1, 0.8, 0.25), ga.CostModel(1, 0.4, 0.2),
+               BASE_COST]
+
+
+def _assert_same_plan(plan, fresh):
+    assert plan == fresh and float.hex(plan.total_cost) == float.hex(fresh.total_cost)
+    assert plan.cut == fresh.cut and plan.injection_state_shift == fresh.injection_state_shift
+
+
+def _holds(obj, kinds) -> bool:
+    """Whether ``obj``, or anything it holds through containers and cuts, is of ``kinds``."""
+    if isinstance(obj, kinds):
+        return True
+    if isinstance(obj, (tuple, list, frozenset, set, dict, ga.CutResult)):
+        held = gc.get_referents(vars(obj) if isinstance(obj, ga.CutResult) else obj)
+        return any(_holds(x, kinds) for x in held)
+    return False
+
+
+def test_memo_hit_plans_equal_fresh_ones():
+    """On 60 random systems and 10 IEEE-14 placements, every type is designed
+    twice on one graph at each of four cost triples, and every admissible split
+    of each designed cut, by every type, is planned on it too. Each plan equals
+    the one a fresh graph of the same system gives; repeated plans share their
+    split's sets and tuple; and no split kept in the memo refers to a graph or
+    a plan."""
+    rng = random.Random(41)
+    systems = [random_system(rng) for _ in range(60)]
+    case = ga.load_case("ieee14")
+    systems += [ga.place_measurements(case, 0.6, f / 20, 7) for f in range(10)]
+    widened = probed = 0
+    for system in systems:
+        graph = ga.build_graph(system)
+        for cost in SPLIT_COSTS:
+            for t in AttackType:
+                first, again = ga.design(t, graph, cost), ga.design(t, graph, cost)
+                fresh = ga.design(t, ga.build_graph(system), cost)
+                if not isinstance(fresh, ga.AttackPlan):
+                    assert first == again == fresh
+                    continue
+                _assert_same_plan(first, fresh)
+                _assert_same_plan(again, fresh)
+                for name in ("cut", "injected", "jammed_insecure", "jammed_secure",
+                             "injection_state_shift"):
+                    assert getattr(again, name) is getattr(first, name)
+                cut = first.cut
+                for u in AttackType:
+                    for counts in oracle._splits(u, cut.n_secure, cut.n_insecure):
+                        planned = attack_module._plan(u, graph, cut, cost, *counts)
+                        _assert_same_plan(planned, attack_module._plan(
+                            u, ga.build_graph(system), cut, cost, *counts))
+                        probed += 1
+        splits = {k: v for k, v in graph.cut_memo["attack"].items() if k[0] == "split"}
+        assert not any(_holds(v, (ga.MeasurementGraph, ga.AttackPlan)) for v in splits.values())
+        weights = collections.defaultdict(set)
+        for _, side, weight, *_ in splits:
+            weights[side].add(weight)
+        widened += any(len(w) > 1 for w in weights.values())
+    assert widened >= 60 and probed >= 12_000, (widened, probed)

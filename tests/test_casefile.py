@@ -3,6 +3,7 @@
 import collections
 import random
 import re
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import gridattack as ga
 from gridattack.casefile import CaseFile
 from gridattack.experiment import trial_seed
-from conftest import reference_connected
+from conftest import over_budget_case, reference_connected
 
 MINIMAL = """
 buses 2
@@ -147,6 +148,39 @@ def test_parse_rejects_bus_count_above_cap(count):
         ga.parse_case(f"buses {count}\nlines\n1 2\n")
     assert err.value.line == 1
     assert ga.parse_case("buses 0100000\nlines\n1 2\n").n_buses == ga.casefile.MAX_BUSES
+
+
+@pytest.mark.parametrize("listed", [False, True], ids=["placed", "listed"])
+def test_system_past_the_size_budget_raises_before_building(listed, monkeypatch):
+    """A case whose measurement matrix would pass the budget raises ``TooLarge``
+    within a second, before it builds its placement or a single ``Bus``."""
+    case = ga.parse_case(over_budget_case(listed))
+    buses = []
+    monkeypatch.setattr(ga.casefile, "_buses", buses.append)
+    start = time.perf_counter()
+    with pytest.raises(ga.TooLarge, match=f"over the budget {ga.casefile.MAX_MATRIX_ENTRIES}$"):
+        if listed:
+            ga.system_from_case(case)
+        else:
+            ga.place_measurements(case, 0.6, 0.0, 0)
+    assert time.perf_counter() - start < 1.0
+    assert "placement" not in vars(case) and not buses
+
+
+def test_size_budget_counts_the_placed_matrix(monkeypatch):
+    """On IEEE-14 at angle fraction .6 (20 flows, 8 angles, 15 columns) and on
+    a listed 3-bus case, a budget of exactly m * (n + 1) entries admits the
+    system and one entry less refuses it."""
+    ieee14 = ga.load_case("ieee14")
+    listed = ga.parse_case("buses 3\nlines\n1 2\n2 3\nmeasurements\nflow 1 2\nflow 2 3\nangle 1\n")
+    for build, entries in ((lambda: ga.place_measurements(ieee14, 0.6, 0.3, 1), 28 * 15),
+                           (lambda: ga.system_from_case(listed), 3 * 4)):
+        monkeypatch.setattr(ga.casefile, "MAX_MATRIX_ENTRIES", entries)
+        system = build()
+        assert system.m * (system.n + 1) == entries
+        monkeypatch.setattr(ga.casefile, "MAX_MATRIX_ENTRIES", entries - 1)
+        with pytest.raises(ga.TooLarge, match=f"{entries} matrix entries"):
+            build()
 
 
 def test_parse_flow_on_missing_line():

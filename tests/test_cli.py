@@ -23,7 +23,7 @@ from gridattack import cli, estimator, experiment, verify
 from gridattack.cli import main
 from gridattack.experiment import CSV_HEADER, run_sweep, summarize, write_csv
 from gridattack.attack import AttackType
-from conftest import count_screened, parallel_bundle_case
+from conftest import count_screened, over_budget_case, parallel_bundle_case
 
 
 def test_attack_hidden_generalized_exit_zero(capsys):
@@ -170,6 +170,26 @@ def test_attack_bus_count_above_cap_exit_65(count, tmp_path, capsys):
 
 
 COSTS = ["--pi", "1", "--pjs", ".5", "--pjsc", ".25"]
+
+
+@pytest.mark.parametrize("listed", [False, True], ids=["placed", "listed"])
+def test_case_past_the_size_budget_exit_65(listed, tmp_path, capsys):
+    """A case whose measurement matrix would pass the budget exits 65 within a
+    second, with one line naming the budget; a sweep of the placed case too."""
+    path = tmp_path / "big.grid"
+    path.write_text(over_budget_case(listed))
+    commands = [["attack", "--type", "hidden-generalized"]]
+    if not listed:
+        commands.append(["sweep", "--fractions", "0", "--trials", "1", "--out", str(tmp_path / "o.csv")])
+    for command in commands:
+        start = time.perf_counter()
+        code = main(command + ["--case", str(path)] + COSTS)
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert code == 65 and err.count("\n") == 1
+        assert err.startswith("grid-attack: too large: case big: ")
+        assert err.endswith(f"over the budget {ga.casefile.MAX_MATRIX_ENTRIES}\n")
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize(

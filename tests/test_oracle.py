@@ -1,5 +1,6 @@
 """The exhaustive cost oracle: frozen examples and cross-checks."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridattack as ga
-from gridattack import estimator, oracle
+from gridattack import attack as attack_module, estimator, oracle
 from gridattack.attack import AttackType
 from conftest import all_cuts, reference_connected, triangle_graph, random_cost, random_system
 
@@ -413,3 +414,46 @@ def test_property_design_order_independent(sys_, cost, order):
     shared = ga.build_graph(sys_)
     for t in order:
         assert ga.design(t, shared, cost) == ga.design(t, ga.build_graph(sys_), cost), t
+
+
+def _reference_witness(graph, cost, attack_type):
+    """The witness as the oracle once built it: ``_plan`` on a fresh census cut
+    of a fresh twin graph, with type, total and graph restamped."""
+    table = oracle._take_table(oracle._take_census(graph), attack_type)
+    if not table:
+        return None
+    values = [cost.p_inject * a + cost.p_jam_insecure * b + cost.p_jam_secure * c
+              for a, b, c, _ in table]
+    best = values.index(min(values))
+    a, b, c, side = table[best]
+    twin = ga.MeasurementGraph(nodes=graph.nodes, edges=graph.edges)
+    plan = attack_module._plan(attack_type, twin, oracle._census_cut(twin, side), cost, a, b, c)
+    return dataclasses.replace(plan, attack_type=attack_type, total_cost=values[best], graph=graph)
+
+
+def test_witnesses_match_the_reference_construction():
+    """On random graphs of 2 to 12 nodes, the witness of every type at a cost
+    triple per interval, asked for twice on one graph after its designs, equals
+    the reference construction field by field."""
+    rng = random.Random(57)
+    costs = [ga.CostModel(1, 0.8, 0.6), ga.CostModel(1, 0.8, 0.25), ga.CostModel(1, 0.5, 0.25)]
+    assert [ga.classify_interval(c) for c in costs] == list(ga.CostInterval)
+    witnesses = 0
+    for _ in range(40):
+        graph = ga.build_graph(random_system(rng, n_buses=rng.randint(1, 11)))
+        for cost in costs:
+            for t in AttackType:
+                ga.design(t, graph, cost)
+                want = _reference_witness(graph, cost, t)
+                for _ in range(2):
+                    got = ga.optimal_cost(graph, cost, t)
+                    if want is None:
+                        assert isinstance(got, ga.Infeasible)
+                        continue
+                    plan = got[1]
+                    for f in dataclasses.fields(ga.AttackPlan):
+                        assert getattr(plan, f.name) == getattr(want, f.name), f.name
+                    assert float.hex(plan.total_cost) == float.hex(want.total_cost)
+                    assert plan.graph is graph
+                    witnesses += 1
+    assert witnesses >= 1100, witnesses
