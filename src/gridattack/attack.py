@@ -252,28 +252,28 @@ def constrained_min_cut(
 
     Weighs secure edges at ``secure_w`` and insecure ones at ``insecure_w``,
     and while the global minimum cut fails the constraint, boosts its
-    largest-id violating edge to +inf and cuts again: a secure edge under the
-    minority constraint or when the cut has no insecure edge, else an
-    insecure one. The returned cut reports its weight under the class weights.
-
-    It stops on a satisfied cut, an infinite one (every cut crosses a boosted
-    edge) or an empty one (a disconnected graph); each boost hits a new edge.
-    It runs on the graph's one solver, kept in its ``cut_memo``.
+    largest-id violating edge to +inf in its working weights and cuts again:
+    a secure edge under the minority constraint or when the cut has no
+    insecure edge, else an insecure one. Each round builds one cut, at the
+    class weights, and returns it when it is satisfied. Else it stops on an
+    infinite working cut (one crossing a +inf working weight, or whose class
+    weight sums to +inf) or an empty one (a disconnected graph); each boost
+    hits a new edge. It runs on the graph's one solver, kept in its ``cut_memo``.
     """
     weights = [secure_w if e.secure else insecure_w for e in graph.edges]
     slot = {e.id: k for k, e in enumerate(graph.edges)}  # edge id -> its weight's index
     solver = _memoized(graph, ("solver",), CutSolver)
     working = list(weights)
     while True:
-        cut = cut_from_side(graph.edges, working, solver.global_min_cut(working)[1])
+        cut = cut_from_side(graph.edges, weights, solver.global_min_cut(working)[1])
         n_ins = cut.n_insecure
         if constraint is CutConstraint.SECURE_MINORITY:
             satisfied = 2 * cut.n_secure < len(cut.edges)
         else:
             satisfied = n_ins >= 1 and 2 * n_ins <= len(cut.edges)
         if satisfied:
-            return cut_from_side(graph.edges, weights, cut.side_a)
-        if math.isinf(cut.weight):
+            return cut
+        if math.isinf(cut.weight) or any(math.isinf(working[slot[e]]) for e in cut.edges):
             return NoSolutionFound("the working cut is infinite: every cut crosses a boosted edge")
         if not cut.edges:
             return NoSolutionFound("the global cut is empty: the graph is disconnected")

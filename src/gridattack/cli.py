@@ -273,6 +273,9 @@ def main(argv=None) -> int:
     except TooLarge as exc:
         print(f"grid-attack: too large: {exc}", file=sys.stderr)
         return EX_DATA
+    except MemoryError:
+        print("grid-attack: out of memory: the case is too large for this machine", file=sys.stderr)
+        return EX_DATA
 
 
 if __name__ == "__main__":

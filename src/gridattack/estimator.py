@@ -165,7 +165,7 @@ def detect_and_remove(
         if cfg.removal_mode is RemovalMode.EXHAUSTIVE_MINIMAL:
             found = _exhaustive_removal(sys, Hw, zw, cfg.threshold, budget)
         else:
-            found = _greedy_removal(sys, Hw, zw, cfg.threshold, budget)
+            found = _greedy_removal(sys, Hw, zw, x0, cfg.threshold, budget)
         if found is None:
             raise RemovalFailed(
                 f"no connectivity-preserving removal of up to {budget} measurements passes"
@@ -235,18 +235,13 @@ def _screened_residual(omega, r, J, block):
     return np.where(eigenvalues[:, 0] >= _SCREEN_EIGEN_FLOOR, J - explained, -np.inf)
 
 
-def _greedy_removal(sys, Hw, zw, threshold, budget):
-    m = sys.m
+def _greedy_removal(sys, Hw, zw, x, threshold, budget):
+    """Greedy removal from detection's full-system estimate ``x``: the first step
+    scores ``Hw`` and ``zw`` as they are, and each removal takes one solve."""
     pairs = [meas.endpoints for meas in sys.measurements]
     removed: set[int] = set()
-    while True:
-        keep = [k for k in range(m) if k not in removed]
-        A, b = Hw[keep], zw[keep]
-        x, r_norm = _solve(A, b)
-        if removed and r_norm <= threshold:
-            return removed, x, r_norm
-        if len(removed) >= budget:
-            return None
+    keep, A, b = range(sys.m), Hw, zw
+    while len(removed) < budget:
         r = b - A @ x
         # residual covariance diagonal of the whitened system: I - A(A^T A)^+ A^T
         gram_inv = np.linalg.pinv(A.T @ A)
@@ -262,3 +257,9 @@ def _greedy_removal(sys, Hw, zw, threshold, budget):
         if target is None:
             return None
         removed.add(target)
+        keep = [k for k in range(sys.m) if k not in removed]
+        A, b = Hw[keep], zw[keep]
+        x, r_norm = _solve(A, b)
+        if r_norm <= threshold:
+            return removed, x, r_norm
+    return None

@@ -127,8 +127,8 @@ def cut_from_side(edges: Sequence, weights: Sequence[float], side: frozenset[int
                      insecure=tuple(sorted(ins)), secure=tuple(sorted(sec)))
 
 
-def _max_flow(rows: Sequence[dict[int, int]], s: int, t: int) -> tuple[int, set[int]]:
-    """Packed max-flow value from s to t over the rows' nodes, and the nodes s then reaches.
+def _max_flow(rows: Sequence[dict[int, int]], s: int, t: int) -> tuple[int, frozenset[int]]:
+    """Packed max-flow value from s to t, and the frozenset of nodes s then reaches.
 
     Augments along breadth-first shortest paths in the residual capacities
     (Edmonds & Karp, JACM 1972). The search that no longer reaches t reaches
@@ -149,7 +149,7 @@ def _max_flow(rows: Sequence[dict[int, int]], s: int, t: int) -> tuple[int, set[
             if parent[t] >= 0:
                 break
         else:
-            return total, set(queue)
+            return total, frozenset(queue)
         path = []
         v = t
         while v != s:
@@ -162,8 +162,8 @@ def _max_flow(rows: Sequence[dict[int, int]], s: int, t: int) -> tuple[int, set[
         total += pushed
 
 
-def _stoer_wagner(rows: Sequence[dict[int, int]]) -> tuple[int, set[int]]:
-    """Packed minimum cut value over the rows' nodes and its side holding node 0.
+def _stoer_wagner(rows: Sequence[dict[int, int]]) -> tuple[int, frozenset[int]]:
+    """Packed minimum cut value and its side holding node 0, as a frozenset.
 
     The best cut starts as the lightest single node. Each phase grows a
     maximum-adjacency order from label 0, records the cut isolating the
@@ -190,7 +190,7 @@ def _stoer_wagner(rows: Sequence[dict[int, int]]) -> tuple[int, set[int]]:
         merges = []
         while left:
             if not heap:  # the first node's component is closed: a cut of weight 0
-                return 0, {v for v in range(n) if added[v]}
+                return 0, frozenset(v for v in range(n) if added[v])
             v = pop(heap)[1]
             if added[v]:
                 continue  # stale entry left by a key increase
@@ -223,7 +223,8 @@ def _stoer_wagner(rows: Sequence[dict[int, int]]) -> tuple[int, set[int]]:
                     adj[a][u] = adj[a].get(u, 0) + cap
                     adj[u][a] = adj[u].get(a, 0) + cap
                 del adj[u][b]
-    return best_value, set(best_group) if 0 in best_group else set(range(n)) - set(best_group)
+    side = frozenset(best_group)
+    return best_value, side if 0 in side else frozenset(range(n)) - side
 
 
 class CutSolver:
@@ -291,8 +292,7 @@ class CutSolver:
                 raise ValueError(f"node {v} is not in the graph")
         if s == t:
             raise ValueError("s and t must differ")
-        value, side = _max_flow(self._rows(weights), s, t)
-        return value, frozenset(side)
+        return _max_flow(self._rows(weights), s, t)
 
     def global_min_cut(self, weights: Sequence[float]) -> tuple[int, frozenset[int]]:
         """Packed value and side of the unique minimum cut over all proper bipartitions.
@@ -304,6 +304,5 @@ class CutSolver:
         """
         if self._n < 2:
             raise ValueError("global min cut needs at least two nodes")
-        value, side = _stoer_wagner(self._rows(weights))
-        return value, frozenset(side)
+        return _stoer_wagner(self._rows(weights))
 

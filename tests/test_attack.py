@@ -586,6 +586,93 @@ def test_constrained_min_cut_satisfied_on_a_boosted_edge_reports_class_weight(mo
     assert boosted[-1] & set(cut.edges)
 
 
+def _reference_constrained_min_cut(graph, constraint, secure_w, insecure_w):
+    """The search with a cut built at the working weights each round, and the
+    satisfied one built again at the class weights. Also returns the last
+    working cut and the working weights."""
+    weights = class_weights(graph, secure_w, insecure_w)
+    slot = {e.id: k for k, e in enumerate(graph.edges)}
+    solver = ga.CutSolver(graph)
+    working = list(weights)
+    while True:
+        cut = cut_from_side(graph.edges, working, solver.global_min_cut(working)[1])
+        n_ins = cut.n_insecure
+        if constraint is ga.CutConstraint.SECURE_MINORITY:
+            satisfied = 2 * cut.n_secure < len(cut.edges)
+        else:
+            satisfied = n_ins >= 1 and 2 * n_ins <= len(cut.edges)
+        if satisfied:
+            result = cut_from_side(graph.edges, weights, cut.side_a)
+        elif math.isinf(cut.weight):
+            result = ga.NoSolutionFound("the working cut is infinite: every cut crosses a boosted edge")
+        elif not cut.edges:
+            result = ga.NoSolutionFound("the global cut is empty: the graph is disconnected")
+        else:
+            boost_secure = constraint is ga.CutConstraint.SECURE_MINORITY or n_ins == 0
+            working[slot[(cut.secure if boost_secure else cut.insecure)[-1]]] = math.inf
+            continue
+        return result, cut, working
+
+
+CLASS_WEIGHTS = [(1.0, 1.0), (0.8, 0.2), (0.2, 0.8), (math.inf, 1.0), (1.0, math.inf),
+                 (1e308, 1e308)]
+
+
+def test_constrained_min_cut_matches_the_two_build_reference(monkeypatch):
+    """On 120 seeded random graphs and 12 IEEE-14 placements, under both
+    constraints and six class-weight pairs, among them +inf classes and weights
+    whose sums overflow, the search returns what the reference returns: the
+    same cut field by field, its weight by ``float.hex``, or the same
+    ``NoSolutionFound`` reason. Each search builds one cut per global cut.
+    Both ends, a satisfied cut and the infinite stop, are reached with the
+    last working cut on a boosted edge, at a +inf class weight and at a class
+    weight sum that overflows."""
+    rng = random.Random(43)
+    graphs = [ga.build_graph(random_system(rng)) for _ in range(120)]
+    case = ga.load_case("ieee14")
+    graphs += [ga.build_graph(ga.place_measurements(case, 0.6, f / 20, 3)) for f in range(12)]
+    calls = collections.Counter()
+
+    def counted(name, real):
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+        return spy
+
+    monkeypatch.setattr(attack_module, "cut_from_side", counted("cut", cut_from_side))
+    monkeypatch.setattr(ga.CutSolver, "global_min_cut",
+                        counted("global", ga.CutSolver.global_min_cut))
+    seen = collections.Counter()
+    for graph in graphs:
+        for constraint in ga.CutConstraint:
+            for secure_w, insecure_w in CLASS_WEIGHTS:
+                want, last, working = _reference_constrained_min_cut(
+                    graph, constraint, secure_w, insecure_w)
+                calls.clear()
+                got = ga.constrained_min_cut(graph, constraint, secure_w, insecure_w)
+                assert calls["cut"] == calls["global"] >= 1
+                if isinstance(want, ga.NoSolutionFound):
+                    assert got == want
+                else:
+                    assert isinstance(got, ga.CutResult)
+                    assert (got.side_a, got.edges, got.insecure, got.secure) == (
+                        want.side_a, want.edges, want.insecure, want.secure)
+                    assert got.weight.hex() == want.weight.hex()
+                weights = class_weights(graph, secure_w, insecure_w)
+                if any(working[k] != weights[k] for k, e in enumerate(graph.edges)
+                       if e.id in last.edges):
+                    how = "on a boosted edge"
+                elif math.isinf(cut_from_side(graph.edges, weights, last.side_a).weight):
+                    how = "+inf class" if math.inf in (secure_w, insecure_w) else "overflow"
+                else:
+                    how = "finite"
+                seen[type(want).__name__, how] += 1
+    ends = [("NoSolutionFound", "on a boosted edge"), ("NoSolutionFound", "+inf class"),
+            ("NoSolutionFound", "overflow"), ("CutResult", "+inf class"), ("CutResult", "overflow"),
+            ("CutResult", "finite")]
+    assert all(seen[end] >= 50 for end in ends) and seen["CutResult", "on a boosted edge"], seen
+
+
 # -- cross-designer invariants ----------------------------------------------------
 
 def test_dominance_chain():

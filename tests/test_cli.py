@@ -192,6 +192,26 @@ def test_case_past_the_size_budget_exit_65(listed, tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("command, target", [
+    (["attack", "--type", "hidden-generalized"], "build_graph"),
+    (["sweep", "--types", "hidden-generalized", "--fractions", "0", "--trials", "1",
+      "--out", "o.csv"], "run_sweep"),
+])
+def test_out_of_memory_exit_65(command, target, tmp_path, capsys, monkeypatch):
+    """A MemoryError on either subcommand's path exits 65 with one stderr line
+    and no traceback, and a sweep writes no output file."""
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, target, exhaust)
+    monkeypatch.chdir(tmp_path)
+    code = main(command + ["--case", "ieee14"] + COSTS)
+    captured = capsys.readouterr()
+    assert code == 65 and captured.out == ""
+    assert captured.err == "grid-attack: out of memory: the case is too large for this machine\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

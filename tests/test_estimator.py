@@ -1,5 +1,6 @@
 """Weighted least squares, detection, and bad-data removal."""
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -468,3 +469,132 @@ def test_screen_margin_covers_residual_rounding_of_large_measurements():
     )
     z = ga.build_matrix(sys_) @ np.array([0.0, 1e3, 0.0])
     assert _assert_same_removal(sys_, z, ga.DetectorConfig().threshold, 1) == {1}
+
+
+# --- greedy removal against the search that solves the full system again ---
+
+
+def _reference_greedy_removal(sys_, Hw, zw, threshold, budget):
+    """Greedy removal whose first step solves the full system itself."""
+    pairs = [meas.endpoints for meas in sys_.measurements]
+    removed = set()
+    while True:
+        keep = [k for k in range(sys_.m) if k not in removed]
+        A, b = Hw[keep], zw[keep]
+        x, r_norm = estimator._solve(A, b)
+        if removed and r_norm <= threshold:
+            return removed, x, r_norm
+        if len(removed) >= budget:
+            return None
+        r = b - A @ x
+        gram_inv = np.linalg.pinv(A.T @ A)
+        leverage = np.einsum("ij,jk,ik->i", A, gram_inv, A)
+        scores = np.abs(r) / np.sqrt(np.clip(1.0 - leverage, 1e-12, None))
+        order = sorted(range(len(keep)), key=lambda i: (-scores[i], keep[i]))
+        target = next((keep[i] for i in order
+                       if estimator._keeps_connected(sys_.n, pairs, removed | {keep[i]})), None)
+        if target is None:
+            return None
+        removed.add(target)
+
+
+def _greedy_outcome(sys_, z, cfg, greedy, solves):
+    """The report's fields as bytes and hex, or RemovalFailed's message, with
+    ``greedy`` as the removal search; counts ``_solve`` calls into ``solves``."""
+    real_solve = estimator._solve
+
+    def counted(*args):
+        solves.append(1)
+        return real_solve(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimator, "_greedy_removal", greedy)
+        mp.setattr(estimator, "_solve", counted)
+        try:
+            report = ga.detect_and_remove(sys_, z, cfg)
+        except ga.RemovalFailed as exc:
+            return "RemovalFailed", str(exc)
+    return (report.detected, sorted(report.removed), report.estimate.tobytes(),
+            report.residual_norm.hex(), report.final_estimate.tobytes(),
+            report.final_residual_norm.hex())
+
+
+def _greedy_cases(rng: random.Random):
+    """A seeded system with uneven noise variances, critical rows among its
+    cases, and one to three corrupted, optionally noisy, measurements."""
+    sys_ = random_system(rng, n_buses=rng.randint(1, 5), m=rng.randint(1, 11))
+    variances = tuple(rng.choice([1e-6, 1e-4, 1e-2, 1.0]) for _ in range(sys_.m))
+    sys_ = dataclasses.replace(sys_, noise_variance=variances)
+    np_rng = np.random.default_rng(rng.getrandbits(32))
+    z = ga.build_matrix(sys_) @ _random_state(np_rng, sys_.n)
+    for k in rng.sample(range(sys_.m), rng.randint(1, min(3, sys_.m))):
+        z[k] += rng.choice([-1, 1]) * rng.choice([1e-3, 0.3, 5.0])
+    if rng.random() < 0.3:
+        z += np.sqrt(variances) * np_rng.normal(size=sys_.m)
+    return sys_, z, rng.choice([ga.DetectorConfig().threshold, 1e-3, 1.0, 3.0])
+
+
+def _assert_same_greedy(sys_, z, threshold, seen):
+    """Same report or RemovalFailed as the reference at ``max_removals`` None, 0,
+    1 and one short of what the unbounded run removed, if that is 3 or more;
+    one solve fewer, that is detection plus one per removed row. Tallies each
+    outcome in ``seen``."""
+    def reference(sys_, Hw, zw, *args):  # the caller's estimate, if passed, goes unused
+        return _reference_greedy_removal(sys_, Hw, zw, *args[-2:])
+
+    unbounded = 0  # rows the run at None removed
+    for label in (None, 0, 1, "one short"):
+        max_removals = unbounded - 1 if label == "one short" else label
+        if label == "one short" and max_removals < 2:  # at 1 it would repeat the run above
+            continue
+        cfg = ga.DetectorConfig(threshold, ga.RemovalMode.GREEDY_NORMALIZED_RESIDUAL, max_removals)
+        solves, reference_solves = [], []
+        got = _greedy_outcome(sys_, z, cfg, estimator._greedy_removal, solves)
+        assert got == _greedy_outcome(sys_, z, cfg, reference, reference_solves)
+        detected = got[0] is not False
+        assert len(solves) == len(reference_solves) - detected
+        if got[0] is True:
+            assert len(solves) == 1 + len(got[1])
+            unbounded = len(got[1]) if label is None else unbounded
+        outcome = got[0] if got[0] is not True else f"removed {min(len(got[1]), 2)}"
+        seen[outcome, label] += 1
+
+
+def test_greedy_removal_matches_the_full_solve_reference():
+    """On 400 seeded systems, greedy removal starting from detection's estimate
+    gives what the reference gives, byte for byte, with one solve fewer."""
+    rng = random.Random(43)
+    seen = collections.Counter()
+    for _ in range(400):
+        _assert_same_greedy(*_greedy_cases(rng), seen)
+    for outcome in ((False, None), ("removed 1", None), ("removed 2", None), ("RemovalFailed", 0),
+                    ("removed 1", 1), ("RemovalFailed", 1), ("RemovalFailed", "one short")):
+        assert seen[outcome] >= 20, seen
+
+
+def test_greedy_removal_without_a_connected_choice_returns_none():
+    """Three parallel flows and no angle meter: the graph is disconnected from the
+    start, so no removal keeps it connected and the search returns None at its
+    first step, as the reference does, with no solve. ``detect_and_remove``
+    refuses such a system (``build_matrix`` raises), and on a connected one some
+    row of a cycle is always left within budget, so the search is called here
+    on whitened rows built by hand."""
+    flow = ga.MeasurementKind.LINE_FLOW
+    sys_ = ga.MeasurementSystem(
+        buses=(ga.Bus(0, is_reference=True), ga.Bus(1), ga.Bus(2)),
+        lines=((1, 2, 1.0),),
+        measurements=tuple(ga.Measurement(k, flow, 1, 2) for k in range(3)),
+        noise_variance=(1e-4, 1e-2, 1.0),
+    )
+    w = 1.0 / np.sqrt(np.asarray(sys_.noise_variance))
+    Hw = np.array([[1.0, -1.0]] * 3) * w[:, None]
+    zw = np.array([0.3, 0.3, 1.3]) * w
+    x, r_norm = estimator._solve(Hw, zw)
+    assert r_norm > ga.DetectorConfig().threshold
+    solves = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimator, "_solve", lambda *args: solves.append(args))
+        for budget in (0, 1):
+            assert estimator._greedy_removal(sys_, Hw, zw, x, 1e-6, budget) is None
+    assert _reference_greedy_removal(sys_, Hw, zw, 1e-6, 1) is None
+    assert solves == []
