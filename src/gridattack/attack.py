@@ -255,15 +255,16 @@ def constrained_min_cut(
     largest-id violating edge to +inf in its working weights and cuts again:
     a secure edge under the minority constraint or when the cut has no
     insecure edge, else an insecure one. Each round builds one cut, at the
-    class weights, and returns it when it is satisfied. Else it stops on an
-    infinite working cut (one crossing a +inf working weight, or whose class
-    weight sums to +inf) or an empty one (a disconnected graph); each boost
-    hits a new edge. It runs on the graph's one solver, kept in its ``cut_memo``.
+    class weights, and returns it when it is satisfied. Else it stops on a cut
+    crossing a boosted edge, one whose class weight is +inf (a +inf class or
+    an overflowing sum) or an empty one (a disconnected graph), naming which;
+    each boost hits a new edge. It runs on the graph's one solver, in ``cut_memo``.
     """
     weights = [secure_w if e.secure else insecure_w for e in graph.edges]
     slot = {e.id: k for k, e in enumerate(graph.edges)}  # edge id -> its weight's index
     solver = _memoized(graph, ("solver",), CutSolver)
     working = list(weights)
+    boosted: set[int] = set()
     while True:
         cut = cut_from_side(graph.edges, weights, solver.global_min_cut(working)[1])
         n_ins = cut.n_insecure
@@ -273,12 +274,17 @@ def constrained_min_cut(
             satisfied = n_ins >= 1 and 2 * n_ins <= len(cut.edges)
         if satisfied:
             return cut
-        if math.isinf(cut.weight) or any(math.isinf(working[slot[e]]) for e in cut.edges):
+        if not boosted.isdisjoint(cut.edges):
             return NoSolutionFound("the working cut is infinite: every cut crosses a boosted edge")
+        if math.isinf(cut.weight):
+            return NoSolutionFound(
+                "the cut's class weight is infinite: a class weight is +inf or the sum overflows")
         if not cut.edges:
             return NoSolutionFound("the global cut is empty: the graph is disconnected")
         boost_secure = constraint is CutConstraint.SECURE_MINORITY or n_ins == 0
-        working[slot[(cut.secure if boost_secure else cut.insecure)[-1]]] = INFINITY
+        target = (cut.secure if boost_secure else cut.insecure)[-1]
+        boosted.add(target)
+        working[slot[target]] = INFINITY
 
 
 def hidden_injection(graph: MeasurementGraph, cost: CostModel) -> DesignResult:

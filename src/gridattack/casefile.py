@@ -13,9 +13,11 @@ Case file format, line oriented, ``#`` starts a comment:
     secure           # optional; 0-based ids into the measurement list
     0 2
 
-Susceptances default to 1.0: attack structure only depends on the
-incidence pattern, so bundled topologies normalize them away. Given ones
-must lie in ``grid.SUSCEPTANCE_RANGE``, [1e-6, 1e6].
+Lines and flow meters share one row grammar, ``i j [susceptance]``, and its
+checks; a row whose two buses are equal is a self-loop. Susceptances default
+to 1.0: attack structure only depends on the incidence pattern, so bundled
+topologies normalize them away. Given ones must lie in
+``grid.SUSCEPTANCE_RANGE``, [1e-6, 1e6].
 """
 
 from __future__ import annotations
@@ -90,14 +92,29 @@ def _check_bus(case_name: str, n: int, bus: int, line_no: int) -> None:
         raise TopologyError(f"{case_name}: line {line_no}: bus {bus} outside 1..{n}")
 
 
+def _link(name: str, n: int, tokens: list[str], first: int, line_no: int) -> tuple[int, int, float]:
+    """The ``i j [susceptance]`` of a line row (``first`` 0) or a flow row (1), checked."""
+    try:
+        i, j = int(tokens[first]), int(tokens[first + 1])
+        b = float(tokens[first + 2]) if len(tokens) == first + 3 else 1.0
+    except ValueError:
+        raise ParseError(f"bad number in {tokens}", line_no) from None
+    _check_bus(name, n, i, line_no)
+    _check_bus(name, n, j, line_no)
+    if i == j:
+        raise TopologyError(f"{name}: line {line_no}: self-loop on bus {i}")
+    if not valid_susceptance(b):
+        raise ParseError(f"susceptance outside {SUSCEPTANCE_RANGE}", line_no, first + 3)
+    return i, j, b
+
+
 def parse_case(text: str, name: str = "case") -> CaseFile:
     """Parse case text; raises ParseError or TopologyError."""
     n_buses: Optional[int] = None
     lines: list[tuple[int, int, float]] = []
     measurements: list[tuple] = []
     secure: set[int] = set()
-    have_measurements = False
-    have_secure = False
+    seen: set[str] = set()  # section headers given
     section = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         content = raw.split("#", 1)[0].strip()
@@ -121,39 +138,21 @@ def parse_case(text: str, name: str = "case") -> CaseFile:
             continue
         if head in ("lines", "measurements", "secure") and len(tokens) == 1:
             section = head
-            have_measurements |= head == "measurements"
-            have_secure |= head == "secure"
+            seen.add(head)
             continue
         if section == "lines":
             if len(tokens) not in (2, 3):
                 raise ParseError("line entries are: from to [susceptance]", line_no)
             if n_buses is None:
                 raise ParseError("lines section before buses count", line_no)
-            try:
-                i, j = int(tokens[0]), int(tokens[1])
-                b = float(tokens[2]) if len(tokens) == 3 else 1.0
-            except ValueError:
-                raise ParseError(f"bad number in {tokens}", line_no) from None
-            _check_bus(name, n_buses, i, line_no)
-            _check_bus(name, n_buses, j, line_no)
-            if i == j:
-                raise TopologyError(f"{name}: line {line_no}: self-loop on bus {i}")
-            if not valid_susceptance(b):
-                raise ParseError(f"susceptance outside {SUSCEPTANCE_RANGE}", line_no, 3)
-            lines.append((i, j, b))
+            lines.append(_link(name, n_buses, tokens, 0, line_no))
         elif section == "measurements":
             if n_buses is None:
                 raise ParseError("measurements section before buses count", line_no)
             kind = tokens[0].lower()
             try:
                 if kind == "flow" and len(tokens) in (3, 4):
-                    i, j = int(tokens[1]), int(tokens[2])
-                    b = float(tokens[3]) if len(tokens) == 4 else 1.0
-                    _check_bus(name, n_buses, i, line_no)
-                    _check_bus(name, n_buses, j, line_no)
-                    if not valid_susceptance(b):
-                        raise ParseError(f"susceptance outside {SUSCEPTANCE_RANGE}", line_no, 4)
-                    measurements.append(("flow", i, j, b))
+                    measurements.append(("flow", *_link(name, n_buses, tokens, 1, line_no)))
                 elif kind == "angle" and len(tokens) == 2:
                     i = int(tokens[1])
                     _check_bus(name, n_buses, i, line_no)
@@ -176,9 +175,9 @@ def parse_case(text: str, name: str = "case") -> CaseFile:
         raise ParseError("missing buses count")
     if not lines:
         raise ParseError("missing lines section")
-    if have_secure and not have_measurements:
+    if "secure" in seen and "measurements" not in seen:
         raise ParseError("secure section requires an explicit measurement list")
-    if have_secure and secure and max(secure) >= len(measurements):
+    if secure and max(secure) >= len(measurements):
         raise ParseError(f"secure id {max(secure)} beyond measurement count {len(measurements)}")
     line_pairs = {frozenset((i, j)) for i, j, _ in lines}
     for entry in measurements:
@@ -188,8 +187,8 @@ def parse_case(text: str, name: str = "case") -> CaseFile:
         name=name,
         n_buses=n_buses,
         lines=tuple(lines),
-        measurements=tuple(measurements) if have_measurements else None,
-        secure_ids=frozenset(secure) if have_secure else None,
+        measurements=tuple(measurements) if "measurements" in seen else None,
+        secure_ids=frozenset(secure) if "secure" in seen else None,
     )
 
 
@@ -233,22 +232,12 @@ def system_from_case(case: CaseFile) -> MeasurementSystem:
         raise ValueError(f"case {case.name} has no fixed measurement list")
     _check_size(case, len(case.measurements))
     secure = case.secure_ids or frozenset()
-    measurements = []
-    for mid, entry in enumerate(case.measurements):
-        if entry[0] == "flow":
-            measurements.append(
-                Measurement(mid, MeasurementKind.LINE_FLOW, entry[1], entry[2],
-                            susceptance=entry[3], secure=mid in secure)
-            )
-        else:
-            measurements.append(
-                Measurement(mid, MeasurementKind.PHASE_ANGLE, entry[1], secure=mid in secure)
-            )
-    return MeasurementSystem(
-        buses=_buses(case.n_buses),
-        lines=case.lines,
-        measurements=tuple(measurements),
+    # an entry's tag is its kind's value; its other fields follow Measurement's
+    rows = tuple(
+        Measurement(mid, MeasurementKind(entry[0]), *entry[1:], secure=mid in secure)
+        for mid, entry in enumerate(case.measurements)
     )
+    return MeasurementSystem(buses=_buses(case.n_buses), lines=case.lines, measurements=rows)
 
 
 def place_measurements(

@@ -58,17 +58,18 @@ class VerificationVerdict:
 
     ``success`` and ``reason`` are computed from the type and the facts, so
     ``dataclasses.replace(verdict, attack_type=other)`` judges the same run
-    as ``other``.
+    as ``other``. The facts default to those of a run that never reached the
+    estimator.
     """
 
     attack_type: object
-    observability_ok: bool
-    stealthy: bool
-    estimate_changed: bool
-    survived_injection: bool
-    removal_failed: bool
-    final_shift: Optional[np.ndarray]
-    report: Optional[EstimationReport]
+    observability_ok: bool = False
+    stealthy: bool = False
+    estimate_changed: bool = False
+    survived_injection: bool = False
+    removal_failed: bool = False
+    final_shift: Optional[np.ndarray] = None
+    report: Optional[EstimationReport] = None
 
     @property
     def success(self) -> bool:
@@ -95,19 +96,6 @@ class VerificationVerdict:
         if not self.attack_type.hidden and not self.survived_injection:
             return "injection-removed"
         return "estimate-unchanged"
-
-
-def _failure(plan: AttackPlan, removal_failed: bool = False, observable: bool = False):
-    return VerificationVerdict(
-        attack_type=plan.attack_type,
-        observability_ok=observable,
-        stealthy=False,
-        estimate_changed=False,
-        survived_injection=False,
-        removal_failed=removal_failed,
-        final_shift=None,
-        report=None,
-    )
 
 
 def execute(
@@ -198,7 +186,7 @@ def _run(
         keep = [k for k, meas in enumerate(sys.measurements) if meas.id not in plan.jammed]
         noise = noise_rng.normal(0.0, np.sqrt(np.asarray(sys.noise_variance)))[keep]
     if H is None:
-        return _failure(plan, observable=False)
+        return VerificationVerdict(plan.attack_type)
     z = H @ truth
     if noise is not None:
         z = z + noise
@@ -206,7 +194,7 @@ def _run(
     try:
         report = detect_and_remove(reduced, z + np.where(inject_mask, H @ shift, 0.0), cfg)
     except RemovalFailed:
-        return _failure(plan, removal_failed=True, observable=True)
+        return VerificationVerdict(plan.attack_type, observability_ok=True, removal_failed=True)
 
     final_shift = report.final_estimate - truth
     estimate_changed = bool(np.max(np.abs(final_shift[:-1])) > ESTIMATE_CHANGE_TOL)

@@ -588,8 +588,9 @@ def test_constrained_min_cut_satisfied_on_a_boosted_edge_reports_class_weight(mo
 
 def _reference_constrained_min_cut(graph, constraint, secure_w, insecure_w):
     """The search with a cut built at the working weights each round, and the
-    satisfied one built again at the class weights. Also returns the last
-    working cut and the working weights."""
+    satisfied one built again at the class weights. An infinite stop names a
+    boosted edge when one crosses the cut, else the infinite class weight.
+    Also returns the last working cut and the working weights."""
     weights = class_weights(graph, secure_w, insecure_w)
     slot = {e.id: k for k, e in enumerate(graph.edges)}
     solver = ga.CutSolver(graph)
@@ -603,8 +604,11 @@ def _reference_constrained_min_cut(graph, constraint, secure_w, insecure_w):
             satisfied = n_ins >= 1 and 2 * n_ins <= len(cut.edges)
         if satisfied:
             result = cut_from_side(graph.edges, weights, cut.side_a)
-        elif math.isinf(cut.weight):
+        elif any(working[slot[e]] != weights[slot[e]] for e in cut.edges):
             result = ga.NoSolutionFound("the working cut is infinite: every cut crosses a boosted edge")
+        elif math.isinf(cut.weight):
+            result = ga.NoSolutionFound(
+                "the cut's class weight is infinite: a class weight is +inf or the sum overflows")
         elif not cut.edges:
             result = ga.NoSolutionFound("the global cut is empty: the graph is disconnected")
         else:

@@ -188,6 +188,45 @@ def test_parse_flow_on_missing_line():
         ga.parse_case("buses 3\nlines\n1 2\n2 3\nmeasurements\nflow 1 3\n")
 
 
+_SUSCEPTANCE = "susceptance outside (1e-06, 1000000.0)"
+
+
+@pytest.mark.parametrize("text, error, line, column, message", [
+    ("buses 2\nlines\n1 2\nmeasurements\nflow 1 1\n",
+     ga.TopologyError, 5, None, "case: line 5: self-loop on bus 1"),
+    ("buses 2\nlines\n1 2\nmeasurements\nflow 2 2 0.5\nangle x\n",
+     ga.TopologyError, 5, None, "case: line 5: self-loop on bus 2"),
+    ("buses 2\nlines\n2 2\n", ga.TopologyError, 3, None, "case: line 3: self-loop on bus 2"),
+    ("lines\n1 2 3 4\nbuses 2\n",
+     ga.ParseError, 2, 1, "line 2, col 1: line entries are: from to [susceptance]"),
+    ("lines\n1 2\nbuses 2\n", ga.ParseError, 2, 1, "line 2, col 1: lines section before buses count"),
+    ("buses 2\nlines\n1 2\nmeasurements\nflow 1 x 0.5\n",
+     ga.ParseError, 5, 1, "line 5, col 1: bad number in ['flow', '1', 'x', '0.5']"),
+    ("buses 2\nlines\n1 2\nmeasurements\nflow 1 2 1e7\n",
+     ga.ParseError, 5, 4, f"line 5, col 4: {_SUSCEPTANCE}"),
+    ("buses 2\nlines\n1 2 1e7\n", ga.ParseError, 3, 3, f"line 3, col 3: {_SUSCEPTANCE}"),
+    ("buses 2\nlines\n1 2\nmeasurements\nangle \u00b2\n",
+     ga.ParseError, 5, 1, "line 5, col 1: bad number in ['angle', '\u00b2']"),
+], ids=["flow-self-loop", "flow-self-loop-before-a-later-error", "line-self-loop",
+        "line-token-count-before-buses", "line-before-buses", "flow-bad-number",
+        "flow-susceptance", "line-susceptance", "angle-bad-number"])
+def test_parse_error_table(text, error, line, column, message):
+    """Lines and flow meters share one row grammar: a flow on one bus is the
+    lines section's self-loop at its own line, and a susceptance out of range
+    is reported at its own column, 3 in a line row and 4 in a flow row."""
+    with pytest.raises(error) as err:
+        ga.parse_case(text)
+    assert type(err.value) is error and str(err.value) == message
+    assert (getattr(err.value, "line", line), getattr(err.value, "column", None)) == (line, column)
+
+
+@pytest.mark.parametrize("bundled", [None, "ieee14"], ids=["minimal", "ieee14"])
+def test_system_from_case_refuses_a_placed_case(bundled):
+    case = ga.load_case(bundled) if bundled else ga.parse_case(MINIMAL)
+    with pytest.raises(ValueError, match=f"^case {case.name} has no fixed measurement list$"):
+        ga.system_from_case(case)
+
+
 def test_place_measurements_ieee14_sixty_percent():
     case = ga.load_case("ieee14")
     sys_ = ga.place_measurements(case, angle_fraction=0.6, secure_fraction=0.0, seed=9)

@@ -235,6 +235,10 @@ def test_out_of_memory_exit_65(command, target, tmp_path, capsys, monkeypatch):
         (["attack", "--type", "hidden-injection", "--angle-fraction", "-inf"], "--angle-fraction"),
         (["sweep", "--trials", "2", "--fractions", "0.1",
           "--types", "hidden-injection,hidden-jamming,hidden-injection"], "hidden-injection"),
+        (["sweep", "--trials", "1", "--fractions", "0:1"], "fraction range is start:stop:step"),
+        (["sweep", "--trials", "1", "--fractions", "0:1:0"], "fraction step must be positive"),
+        (["sweep", "--trials", "1", "--fractions", ",".join(str(k / 1000) for k in range(101))],
+         "at most 100 fractions"),
     ],
 )
 def test_out_of_range_options_exit_64(argv, flag, capsys):
@@ -656,6 +660,32 @@ def test_sweep_summary_matches_row_means():
         assert cell["count"] == len(sample)
         if sample:
             assert cell["mean_cost"] == pytest.approx(sum(sample) / len(sample))
+
+
+def test_summarize_a_cell_where_no_trial_counts():
+    """An infeasible trial and a trial that fails the condition leave a cell
+    with no mean cost and no running total."""
+    rows = [experiment.SweepRow(0.1, 0, AttackType.HIDDEN_INJECTION, "I", None, None),
+            experiment.SweepRow(0.1, 1, AttackType.HIDDEN_INJECTION, "I", 2.0, True)]
+    summary = summarize(rows, {(0.1, 0): True, (0.1, 1): False})
+    assert summary == {(0.1, AttackType.HIDDEN_INJECTION): {
+        "count": 0, "mean_cost": None, "verified": 0, "greedy_escapes": 0}}
+
+
+@pytest.mark.parametrize("trials, fractions, message", [
+    (0, [0.0], "trials must be at least 1"),
+    (10_001, [0.0], "sweep grid too large for the per-trial seed scheme"),
+    (1, [k / 1000 for k in range(101)], "sweep grid too large for the per-trial seed scheme"),
+], ids=["no-trials", "10001-trials", "101-fractions"])
+def test_run_sweep_rejects_a_grid_outside_the_seed_scheme(trials, fractions, message, monkeypatch):
+    """The grid is checked before any trial is placed."""
+    def placed(*args):
+        raise AssertionError("a trial was placed")
+
+    monkeypatch.setattr(experiment, "place_measurements", placed)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_sweep(ga.load_case("ieee14"), [AttackType.HIDDEN_INJECTION],
+                  ga.CostModel(1, 0.5, 0.25), fractions, trials, seed=1)
 
 
 def test_sweep_fraction_zero_all_feasible_and_dominated():

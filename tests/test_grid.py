@@ -309,6 +309,45 @@ def test_measurement_validation():
         ga.Measurement(0, ga.MeasurementKind.PHASE_ANGLE, 0)
 
 
+@pytest.mark.parametrize("kind, buses, message", [
+    (ga.MeasurementKind.LINE_FLOW, (1,), "flow needs two endpoints"),
+    (ga.MeasurementKind.PHASE_ANGLE, (1, 2), "angle takes a single bus"),
+], ids=["flow-one-bus", "angle-two-buses"])
+def test_measurement_rejects_a_wrong_bus_count(kind, buses, message):
+    with pytest.raises(ValueError, match=f"^measurement 0: {message}$"):
+        ga.Measurement(0, kind, *buses)
+
+
+def _flow(mid, i, j):
+    return ga.Measurement(mid, ga.MeasurementKind.LINE_FLOW, i, j)
+
+
+def _angle(mid, bus):
+    return ga.Measurement(mid, ga.MeasurementKind.PHASE_ANGLE, bus)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"buses": (ga.Bus(3, is_reference=True), ga.Bus(1), ga.Bus(2))},
+     "exactly one reference bus with id 0 is required"),
+    ({"buses": (ga.Bus(0, is_reference=True), ga.Bus(1), ga.Bus(3))},
+     r"non-reference buses must be numbered 1\.\.n"),
+    ({"measurements": (_flow(0, 1, 2), _angle(0, 1))}, "measurement ids must be unique"),
+    ({"buses": (ga.Bus(0, is_reference=True), ga.Bus(1), ga.Bus(2), ga.Bus(3)),
+      "measurements": (_flow(0, 2, 3), _angle(1, 1))}, "measurement 0: no line between 2 and 3"),
+    ({"measurements": (_flow(0, 1, 2), _angle(1, 3))}, r"measurement 1: bus 3 outside 1\.\.2"),
+    ({"noise_variance": (1e-4,)}, "noise variance length must match measurement count"),
+], ids=["reference-bus", "bus-numbering", "duplicate-ids", "flow-on-no-line",
+        "angle-bus-outside", "noise-variance-length"])
+def test_system_rejects_malformed_fields(fields, message):
+    """Each field check of ``MeasurementSystem`` raises its own ValueError on a
+    two-bus system with one line, one flow and one angle, changed in one field."""
+    good = {"buses": (ga.Bus(0, is_reference=True), ga.Bus(1), ga.Bus(2)),
+            "lines": ((1, 2, 1.0),), "measurements": (_flow(0, 1, 2), _angle(1, 1))}
+    ga.MeasurementSystem(**good)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ga.MeasurementSystem(**{**good, **fields})
+
+
 @pytest.mark.parametrize("b", [1e308, 1e7, 1e-7, 0.0, float("nan")])
 def test_susceptance_outside_range_rejected(b):
     with pytest.raises(ValueError):

@@ -482,6 +482,26 @@ def test_st_cut_rejects_unknown_node():
             _st_cut(g, s, t)
 
 
+@pytest.mark.parametrize("nodes, edges, message", [
+    ([0, 1], [(0, 1, 1, 1.0)], r"edge 0 has invalid endpoints \(1,1\)"),
+    ([0, 1], [(0, 0, 2, 1.0)], r"edge 0 has invalid endpoints \(0,2\)"),
+    ([0, 1, 2], [(0, 0, 1, 1.0), (0, 1, 2, 1.0)], "duplicate edge id 0"),
+], ids=["self-loop", "node-outside", "duplicate-id"])
+def test_malformed_weighted_graph_rejected(nodes, edges, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _graph(nodes, edges)
+
+
+@pytest.mark.parametrize("solve, message", [
+    (lambda solver: solver.min_st_cut([1.0], 1, 1), "s and t must differ"),
+    (lambda solver: ga.CutSolver(_graph([0], [])).global_min_cut([]),
+     "global min cut needs at least two nodes"),
+], ids=["st-same-node", "global-one-node"])
+def test_solves_reject_a_degenerate_request(solve, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve(ga.CutSolver(_graph([0, 1], [(0, 0, 1, 1.0)])))
+
+
 def test_long_path_lightest_edge():
     """1,200-node path, distinct weights: both engines cut the lightest edge."""
     n = 1200

@@ -123,6 +123,14 @@ def test_truth_reference_pinned():
         ga.execute(sys_, np.array([0.0, 0.0, 1.0]), plan, EXHAUSTIVE)
 
 
+@pytest.mark.parametrize("shape", [(2,), (4,), (3, 1)])
+def test_execute_rejects_truth_of_the_wrong_shape(shape):
+    sys_ = triangle_system()
+    plan = ga.hidden_generalized(ga.build_graph(sys_), ga.CostModel(1, 0.5, 0.25))
+    with pytest.raises(ValueError, match=r"^truth must have length 3$"):
+        ga.execute(sys_, np.zeros(shape), plan, EXHAUSTIVE)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_execute_rejects_non_finite_truth(bad):
     """On the memo path, the noisy path and a hand-built plan, and nothing is kept."""
